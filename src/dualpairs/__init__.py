@@ -12,7 +12,6 @@ from .symbols import (
     enumerate_symbols,
     parse,
     rank,
-    reduce,
     render,
     special_closure,
     transpose,
@@ -23,7 +22,6 @@ from .relations import (
     b_natural,
     cores,
     in_B,
-    in_Bbar,
     in_D,
     interlace_oracle,
     moveback_chain,

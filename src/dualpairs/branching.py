@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .cells import Arrangement
 from .relations import Pair, PairSet, cores, in_B, pair_entries
-from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol
+from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, transport_mask
 
 
 def cuspidal_symbol(m: int, kind: str) -> Symbol:
@@ -120,13 +120,12 @@ class ThetaMap:
     def __call__(self, sym: Symbol) -> Symbol:
         src = self.source_base()
         dst = self.target_base()
-        mset = src.m_of(sym)
-        if any(e not in self.entry_map for e in mset):
+        image = transport_mask(src, dst, self.entry_map, src.member_mask(sym))
+        if image is None:
             raise ValueError("%s meets the core of the relation" % sym)
-        image = {self.entry_map[e] for e in mset}
         if self.eps == -1:
-            image.add(self.extra)
-        return dst.lambda_of(frozenset(image))
+            image |= dst.mask_of([self.extra])
+        return dst.member(image)
 
     def map_arrangement(
         self, phi: Arrangement, psi: Iterable[Pair]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .relations import CorePair, Pair, cores, pair_entries
-from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol
+from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, transport_mask
 
 
 class TerminalPair(Exception):
@@ -122,6 +122,18 @@ class DerivativeStep:
     @property
     def case(self) -> str:
         return self.scan.case
+
+    def removed_masks(self) -> Tuple[int, int]:
+        """Masks of the core pairs the step removes from Z and from Z'.
+
+        A removed doubles pair holds no singles, so its mask is 0.
+        """
+        core_z = [self.removed_z] if self.scan.z_kind == "core" else []
+        core_zp = [self.removed_zp] if self.scan.zp_kind == "core" else []
+        return (
+            self.Z.mask_of(pair_entries(core_z)),
+            self.Zp.mask_of(pair_entries(core_zp)),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -235,10 +247,10 @@ def transport(step: DerivativeStep, sym: Symbol, side: str) -> Symbol:
     base, derived, fmap = (
         (step.Z, step.Z1, step.fmap) if side == "Z" else (step.Zp, step.Zp1, step.fpmap)
     )
-    mset = base.m_of(sym)
-    if not mset <= set(fmap):
+    image = transport_mask(base, derived, fmap, base.member_mask(sym))
+    if image is None:
         raise ValueError("%s uses singles removed by the step" % sym)
-    return derived.lambda_of(frozenset(fmap[e] for e in mset))
+    return derived.member(image)
 
 
 @dataclass(frozen=True)
@@ -274,10 +286,10 @@ class DerivativeChain:
             if side == "Z"
             else (self.Zp, self.terminal[1], gp)
         )
-        mset = base.m_of(sym)
-        if not mset <= set(fmap):
+        image = transport_mask(base, derived, fmap, base.member_mask(sym))
+        if image is None:
             raise ValueError("%s meets the core of the relation" % sym)
-        return derived.lambda_of(frozenset(fmap[e] for e in mset))
+        return derived.member(image)
 
     def to_json(self) -> list:
         return [s.to_json() for s in self.steps]

@@ -63,15 +63,6 @@ def in_B(lam: Symbol, lamp: Symbol, eps: int) -> bool:
     raise ValueError("eps must be +1 or -1")
 
 
-def in_Bbar(lam: Symbol, lamp: Symbol) -> bool:
-    """The B+ predicate on arbitrary family members.
-
-    The defect equation is kept: it is exactly the size normalization the
-    move-back engine assumes on its inputs.
-    """
-    return in_B(lam, lamp, 1)
-
-
 def in_D(sig: Symbol, sigp: Symbol) -> bool:
     """Uniform-level relation on defect (1, 0) symbols."""
     if sig.defect != 1 or sigp.defect != 0:
@@ -166,12 +157,12 @@ def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
     left, right = families_for(kind, Z, Zp)
     if kind == "D":
         test = in_D
-    elif kind == "B+":
-        test = lambda l, r: in_B(l, r, 1)
     elif kind == "B-":
         test = lambda l, r: in_B(l, r, -1)
     else:
-        test = in_Bbar
+        # Bbar+ keeps the B+ defect equation: it is exactly the size
+        # normalization the move-back engine assumes on its inputs.
+        test = lambda l, r: in_B(l, r, 1)
     pairs = frozenset(
         (lam, lamp) for lam in left for lamp in right if test(lam, lamp)
     )
@@ -242,11 +233,13 @@ def cores(Z: SpecialSymbol, Zp: SpecialSymbol) -> CorePair:
 
 
 def _core_of(base: SpecialSymbol, members: List[Symbol]) -> PairSet:
-    msets = [base.m_of(sym) for sym in members]
-    support = frozenset().union(*msets)
-    pairs = decompose_consecutive(base, support)
-    expected = {pair_entries(ps) for ps in subsets_of_pairs(pairs)}
-    if set(msets) != expected:
+    masks = {base.member_mask(sym) for sym in members}
+    support = 0
+    for m in masks:
+        support |= m
+    pairs = decompose_consecutive(base, base.mset_of_mask(support))
+    expected = {base.mask_of(pair_entries(ps)) for ps in subsets_of_pairs(pairs)}
+    if masks != expected:
         raise AssertionError(
             "D-partner set of %s is not the flip family of %r" % (base, sorted(pairs))
         )
@@ -255,17 +248,19 @@ def _core_of(base: SpecialSymbol, members: List[Symbol]) -> PairSet:
 
 def core_free_family(base: SpecialSymbol, which: str, psi: PairSet) -> Tuple[Symbol, ...]:
     """Members Lambda_M of the family with M avoiding the entries of psi."""
-    banned = pair_entries(psi)
+    banned = base.mask_of(pair_entries(psi))
     return tuple(
-        base.lambda_of(m)
-        for m in base.msets(which)
-        if not (m & banned)
+        lam
+        for m, lam in zip(base.masks(which), base.family(which))
+        if not m & banned
     )
 
 
 def flip_family(base: SpecialSymbol, psi: PairSet) -> Tuple[Symbol, ...]:
     """Members Lambda_M with M a union of pairs of psi (2^k of them)."""
-    return tuple(base.lambda_of(pair_entries(ps)) for ps in subsets_of_pairs(psi))
+    return tuple(
+        base.member(base.mask_of(pair_entries(ps))) for ps in subsets_of_pairs(psi)
+    )
 
 
 def b_natural(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> RelationSet:
@@ -366,7 +361,7 @@ def moveback_step(lam: Symbol, lamp: Symbol) -> Tuple[Symbol, Symbol, str]:
     new_lam, new_lamp = out
     new_mset = Z.m_of(new_lam)
     assert not new_mset or max(v for (v, _) in new_mset) < x
-    if not in_Bbar(new_lam, new_lamp):
+    if not in_B(new_lam, new_lamp, 1):
         raise AssertionError(
             "move-back left the relation: (%s, %s) case %s -> (%s, %s)"
             % (lam, lamp, case, new_lam, new_lamp)
@@ -378,7 +373,7 @@ def moveback_chain(
     lam: Symbol, lamp: Symbol
 ) -> List[Tuple[Symbol, Symbol, Optional[str]]]:
     """Full normalization history, ending with first component special."""
-    if not in_Bbar(lam, lamp):
+    if not in_B(lam, lamp, 1):
         raise ValueError("(%s, %s) is not in the bar relation" % (lam, lamp))
     Z = special_closure(lam)
     chain: List[Tuple[Symbol, Symbol, Optional[str]]] = [(lam, lamp, None)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import branching, cells, derivative, relations, tables, uniform
 from .symbols import (
@@ -73,9 +73,27 @@ def _special_pairs(max_rank: int, summed: bool) -> List[Tuple[SpecialSymbol, Spe
     return out
 
 
+def _worker_count(env_value: Optional[str], n_items: int) -> int:
+    """Worker processes for n_items, from the DUALPAIRS_WORKERS value (None: 1).
+
+    Clamped to the CPU count and to the number of items.
+    """
+    if env_value is None:
+        return 1
+    try:
+        requested = int(env_value)
+    except ValueError:
+        raise ValueError(
+            "DUALPAIRS_WORKERS must be an integer, got %r" % env_value
+        ) from None
+    if requested < 1:
+        raise ValueError("DUALPAIRS_WORKERS must be at least 1, got %d" % requested)
+    return max(1, min(requested, os.cpu_count() or 1, n_items))
+
+
 def _fan_out(worker, items, report: SuiteReport) -> SuiteReport:
-    nworkers = int(os.environ.get("DUALPAIRS_WORKERS", "1"))
-    if nworkers > 1 and len(items) > 1:
+    nworkers = _worker_count(os.environ.get("DUALPAIRS_WORKERS"), len(items))
+    if nworkers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         chunks = [items[i::nworkers] for i in range(nworkers)]
@@ -280,10 +298,10 @@ def _cells_worker(zs) -> SuiteReport:
         if phi is not None:
             for psi in relations.subsets_of_pairs(phi.pair_set()):
                 c = cells.cell(Z, phi, psi)
-                msets = [Z.m_of(s) for s in c.members]
+                masks = [Z.member_mask(s) for s in c.members]
                 for psip in relations.subsets_of_pairs(phi.pair_set()):
-                    ent = relations.pair_entries(psip)
-                    pars = {len(m & ent) % 2 for m in msets}
+                    ent = Z.mask_of(relations.pair_entries(psip))
+                    pars = {(m & ent).bit_count() % 2 for m in masks}
                     if len(pars) > 1:
                         sub.failures.append(
                             {"Z": str(Z), "phi": str(phi), "congruence": str(psip)}
@@ -406,11 +424,10 @@ def _check_step(step, sub: SuiteReport) -> bool:
         ok = False
     # bar-relation transport in both directions
     bbar = relations.relation_set(step.Z, step.Zp, "Bbar+")
-    skip = relations.pair_entries([step.removed_z]) if step.removed_z else frozenset()
-    skipp = relations.pair_entries([step.removed_zp]) if step.removed_zp else frozenset()
+    skip, skipp = step.removed_masks()
     image = set()
     for (lam, lamp) in bbar.pairs:
-        if step.Z.m_of(lam) & skip or step.Zp.m_of(lamp) & skipp:
+        if step.Z.member_mask(lam) & skip or step.Zp.member_mask(lamp) & skipp:
             continue
         image.add(
             (derivative.transport(step, lam, "Z"), derivative.transport(step, lamp, "Zp"))

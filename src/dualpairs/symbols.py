@@ -12,7 +12,9 @@ is carried out on symbols directly.  Core notions:
   their singles and doubles, and the families S_Z / S^+_Z / S^-_Z of
   symbols sharing the entries of a special symbol Z;
 * Lambda_M, the symbol obtained from Z by flipping the rows of a subset M
-  of singles, and the symmetric-difference addition it induces.
+  of singles, and the symmetric-difference addition it induces;
+* the family table of Z: every Lambda_M built once, indexed by an int mask
+  over the singles, shared by every copy of Z.
 
 Entries tagged with a row are represented as plain ``(value, row)`` tuples
 with ``row`` 0 for the first (top) row and 1 for the second (bottom) row.
@@ -22,9 +24,19 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Iterable, Iterator, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 TOP = 0
 BOT = 1
@@ -35,8 +47,14 @@ MSet = FrozenSet[Entry]
 EMPTY_MSET: MSet = frozenset()
 
 
+def _entry(v) -> int:
+    if isinstance(v, bool):
+        raise TypeError("symbol entries must be integers, not bool: %r" % (v,))
+    return operator.index(v)
+
+
 def _as_row(values: Iterable[int]) -> Tuple[int, ...]:
-    row = tuple(int(v) for v in values)
+    row = tuple(map(_entry, values))
     if any(v < 0 for v in row):
         raise ValueError("symbol entries must be non-negative: %r" % (row,))
     if any(row[i] <= row[i + 1] for i in range(len(row) - 1)):
@@ -158,11 +176,6 @@ def transpose(s: Symbol) -> Symbol:
     return s.t
 
 
-def reduce(s: Symbol) -> Symbol:
-    """Canonical representative under shift; a no-op since construction reduces."""
-    return Symbol(s.top, s.bot)
-
-
 def bipartition(s: Symbol) -> "Bipartition":
     return s.bipartition()
 
@@ -241,10 +254,11 @@ class SpecialSymbol:
 
     Caches the singles (entries appearing in exactly one row, tagged with
     their natural row), the doubles (values appearing in both rows) and the
-    degree (number of second-row singles).
+    degree (number of second-row singles).  The family table is looked up
+    on first use.
     """
 
-    __slots__ = ("symbol", "singles", "doubles", "degree", "_single_index")
+    __slots__ = ("symbol", "singles", "doubles", "degree", "_single_index", "_table")
 
     def __init__(self, symbol: Symbol):
         if symbol.defect not in (0, 1):
@@ -261,10 +275,15 @@ class SpecialSymbol:
         )
         self.degree = sum(1 for (_, r) in self.singles if r == BOT)
         self._single_index = {e: i for i, e in enumerate(self.singles)}
+        self._table = None
 
     @classmethod
     def parse(cls, text: str) -> "SpecialSymbol":
         return cls(parse(text))
+
+    def __reduce__(self):
+        # rebuilt from the symbol: the table is shared per process, not pickled
+        return (SpecialSymbol, (self.symbol,))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SpecialSymbol) and self.symbol == other.symbol
@@ -297,43 +316,51 @@ class SpecialSymbol:
     def single_values(self, row: int) -> Tuple[int, ...]:
         return tuple(v for (v, r) in self.singles if r == row)
 
-    # -- Lambda_M ---------------------------------------------------------
+    # -- Lambda_M and the family table ----------------------------------------
+
+    @property
+    def table(self) -> "FamilyTable":
+        """The family table, shared with every special symbol equal to this one."""
+        if self._table is None:
+            self._table = family_table(self)
+        return self._table
+
+    def member(self, mask: int) -> Symbol:
+        """Lambda_M for the M-set with the given bitmask over the singles."""
+        members = self.table.members
+        if not 0 <= mask < len(members):
+            raise ValueError("mask %r out of range for %s" % (mask, self.symbol))
+        return members[mask]
+
+    def member_mask(self, sym: Symbol) -> int:
+        """Bitmask of the M-set with Lambda_M = sym; raises if `sym` has other entries."""
+        try:
+            return self.table.mask[sym]
+        except KeyError:
+            raise ValueError(
+                "%s does not share the entries of %s" % (sym, self.symbol)
+            ) from None
 
     def lambda_of(self, mset: Iterable[Entry]) -> Symbol:
         """Flip the rows of the singles in M, leave everything else alone."""
-        mset = frozenset(mset)
-        bad = mset - set(self.singles)
-        if bad:
-            raise ValueError("not singles of %s: %r" % (self.symbol, sorted(bad)))
-        rows = {TOP: list(self.symbol.top), BOT: list(self.symbol.bot)}
-        for v, r in mset:
-            rows[r].remove(v)
-            rows[1 - r].append(v)
-        rows[TOP].sort(reverse=True)
-        rows[BOT].sort(reverse=True)
-        return Symbol(rows[TOP], rows[BOT])
+        return self.table.members[self.mask_of(mset)]
 
     def m_of(self, sym: Symbol) -> MSet:
         """Inverse of :meth:`lambda_of`; raises if `sym` has different entries."""
-        if sym.entries() != self.symbol.entries():
-            raise ValueError("%s does not share the entries of %s" % (sym, self.symbol))
-        out = set()
-        for v, r in self.singles:
-            if v in sym.row(1 - r):
-                out.add((v, r))
-            elif v not in sym.row(r):
-                raise ValueError("%s does not share the entries of %s" % (sym, self.symbol))
-        return frozenset(out)
+        return self.mset_of_mask(self.member_mask(sym))
 
     def contains(self, sym: Symbol) -> bool:
         """Membership of `sym` in the ambient family (same entry multiset)."""
-        return sym.entries() == self.symbol.entries()
+        return sym in self.table.mask
 
     def mask_of(self, mset: Iterable[Entry]) -> int:
         """Bitmask form of an M-set over the fixed singles order."""
         m = 0
         for e in mset:
-            m |= 1 << self._single_index[e]
+            i = self._single_index.get(e)
+            if i is None:
+                raise ValueError("not a single of %s: %r" % (self.symbol, e))
+            m |= 1 << i
         return m
 
     def mset_of_mask(self, mask: int) -> MSet:
@@ -349,33 +376,127 @@ class SpecialSymbol:
         ``"S+"``/``"S-"``  defect 0 mod 4 / 2 mod 4 (require defect 0);
         ``"S,<b>"``   subset of S (resp. S+ for defect 0) of defect exactly b.
         """
-        base, _, beta = which.partition(",")
-        syms = [self.lambda_of(m) for m in self.msets(base)]
-        if beta:
-            syms = [s for s in syms if s.defect == int(beta)]
-        return tuple(syms)
+        return self.table.kind(which)[1]
 
-    def msets(self, base: str) -> Tuple[MSet, ...]:
+    def masks(self, which: str) -> Tuple[int, ...]:
+        """The masks of the :meth:`family` members (same order)."""
+        return self.table.kind(which)[0]
+
+    def msets(self, which: str) -> Tuple[MSet, ...]:
         """The M-sets behind :meth:`family` (same order)."""
+        return tuple(map(self.mset_of_mask, self.masks(which)))
+
+    def add(self, lam1: Symbol, lam2: Symbol) -> Symbol:
+        """Group law on the family: symmetric difference of the M-sets."""
+        return self.member(self.member_mask(lam1) ^ self.member_mask(lam2))
+
+
+class FamilyTable:
+    """Every member Lambda_M of one special symbol's family, indexed by mask.
+
+    Bit i of a mask stands for ``singles[i]`` of the base.  ``members[mask]``
+    is Lambda_M, built once; ``mask`` maps each member back to its mask.  A
+    family kind is the tuple of masks with a given parity of |M| and,
+    optionally, a given member defect
+    ``d + 2 * (|M & bottom singles| - |M & top singles|)``.  Masks come
+    ordered by |M|, then as ``itertools.combinations`` lists the singles.
+    """
+
+    __slots__ = ("defect", "n", "top", "bot", "members", "mask", "_kinds")
+
+    def __init__(self, z: SpecialSymbol):
+        self.defect = z.defect
+        self.n = len(z.singles)
+        self.top = z.mask_of(e for e in z.singles if e[1] == TOP)
+        self.bot = z.mask_of(e for e in z.singles if e[1] == BOT)
+        # entries in decreasing order, each with the bit that flips its row
+        # (0 for the two copies of a double)
+        bits = [
+            (v, r, 1 << z._single_index[(v, r)] if (v, r) in z._single_index else 0)
+            for (v, r) in sorted(z.symbol.tagged(), reverse=True)
+        ]
+        members = []
+        for mask in range(1 << self.n):
+            rows: Tuple[list, list] = ([], [])
+            for v, r, bit in bits:
+                rows[r ^ 1 if mask & bit else r].append(v)
+            members.append(Symbol(*rows))
+        self.members: Tuple[Symbol, ...] = tuple(members)
+        self.mask: Dict[Symbol, int] = {sym: m for m, sym in enumerate(members)}
+        self._kinds: Dict[str, Tuple[Tuple[int, ...], Tuple[Symbol, ...]]] = {}
+
+    def kind(self, which: str) -> Tuple[Tuple[int, ...], Tuple[Symbol, ...]]:
+        """The masks and members of one family kind (see SpecialSymbol.family)."""
+        got = self._kinds.get(which)
+        if got is None:
+            masks = tuple(filter(self._test(which), _mask_order(self.n)))
+            got = self._kinds[which] = (masks, tuple(self.members[m] for m in masks))
+        return got
+
+    def _test(self, which: str) -> Callable[[int], bool]:
+        base, _, beta = which.partition(",")
+        if base not in ("all", "S", "S+", "S-"):
+            raise ValueError("unknown family %r" % which)
         if base == "S" and self.defect != 1:
             raise ValueError("family S needs defect 1")
         if base in ("S+", "S-") and self.defect != 0:
             raise ValueError("family %s needs defect 0" % base)
         parity = {"all": None, "S": 0, "S+": 0, "S-": 1}[base]
-        out = []
-        for k in range(len(self.singles) + 1):
-            if parity is not None and k % 2 != parity:
-                continue
-            out.extend(frozenset(c) for c in itertools.combinations(self.singles, k))
-        return tuple(out)
+        want = int(beta) if beta else None
+        d, top, bot = self.defect, self.top, self.bot
 
-    def add(self, lam1: Symbol, lam2: Symbol) -> Symbol:
-        """Group law on the family: symmetric difference of the M-sets."""
-        return self.lambda_of(self.m_of(lam1) ^ self.m_of(lam2))
+        def test(mask: int) -> bool:
+            if parity is not None and mask.bit_count() & 1 != parity:
+                return False
+            return want is None or d + 2 * (
+                (mask & bot).bit_count() - (mask & top).bit_count()
+            ) == want
+
+        return test
 
 
-def add(lam1: Symbol, lam2: Symbol, base: SpecialSymbol) -> Symbol:
-    return base.add(lam1, lam2)
+@lru_cache(maxsize=None)
+def family_table(z: SpecialSymbol) -> FamilyTable:
+    """The family table of z; equal special symbols get the same table."""
+    return FamilyTable(z)
+
+
+@lru_cache(maxsize=None)
+def _mask_order(n: int) -> Tuple[int, ...]:
+    """Every mask over n bits, by popcount, then in combinations order."""
+    return tuple(
+        sum(1 << i for i in c)
+        for k in range(n + 1)
+        for c in itertools.combinations(range(n), k)
+    )
+
+
+def transport_mask(
+    src: SpecialSymbol, dst: SpecialSymbol, emap: Dict[Entry, Entry], mask: int
+) -> Optional[int]:
+    """Push a mask over the singles of src through an entry map to dst.
+
+    Returns None when M holds a single that the map leaves out.
+    """
+    out = 0
+    for i, e in enumerate(src.singles):
+        if mask >> i & 1:
+            image = emap.get(e)
+            if image is None:
+                return None
+            out |= 1 << dst._single_index[image]
+    return out
+
+
+def _lambda_direct(z: SpecialSymbol, mset: Iterable[Entry]) -> Symbol:
+    """Lambda_M by moving entries between rows; the reference for the table."""
+    rows = {TOP: list(z.symbol.top), BOT: list(z.symbol.bot)}
+    for v, r in mset:
+        rows[r].remove(v)
+        rows[1 - r].append(v)
+    rows[TOP].sort(reverse=True)
+    rows[BOT].sort(reverse=True)
+    return Symbol(rows[TOP], rows[BOT])
 
 
 def _interleave(symbol: Symbol) -> Tuple[int, ...]:

@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from .cells import Cell, cell_sign
 from .derivative import DerivativeStep
-from .relations import pair_entries, relation_set
+from .relations import core_free_family, pair_entries, relation_set
 from .symbols import SpecialSymbol, Symbol
 
 
@@ -140,12 +140,20 @@ class Space:
         if self.side == "O" and self.base.defect != 0:
             raise ValueError("O side needs a defect-0 base")
 
+    @property
+    def kind(self) -> str:
+        return "S" if self.side == "Sp" else ("S+" if self.eps == 1 else "S-")
+
+    @property
+    def r_kind(self) -> str:
+        """The family indexing R vectors (defect exactly 1 resp. 0)."""
+        return "S,1" if self.side == "Sp" else "S+,0"
+
     def family(self) -> Tuple[Symbol, ...]:
-        return self.base.family("S" if self.side == "Sp" else ("S+" if self.eps == 1 else "S-"))
+        return self.base.family(self.kind)
 
     def r_index(self) -> Tuple[Symbol, ...]:
-        """The symbols indexing R vectors (defect exactly 1 resp. 0)."""
-        return self.base.family("S,1" if self.side == "Sp" else "S+,0")
+        return self.base.family(self.r_kind)
 
 
 def sp_space(Z: SpecialSymbol) -> Space:
@@ -158,7 +166,7 @@ def o_space(Zp: SpecialSymbol, eps: int) -> Space:
 
 def pairing(base: SpecialSymbol, lam1: Symbol, lam2: Symbol) -> int:
     """|M1 and M2| mod 2 for the flip sets of two family members."""
-    return len(base.m_of(lam1) & base.m_of(lam2)) % 2
+    return (base.member_mask(lam1) & base.member_mask(lam2)).bit_count() % 2
 
 
 def r_vector(space: Space, sigma: Symbol) -> Vec:
@@ -169,7 +177,8 @@ def r_vector(space: Space, sigma: Symbol) -> Vec:
     R = rho for eps = +1 and no vectors at all for eps = -1.
     """
     base = space.base
-    if sigma not in set(space.r_index()):
+    sig_m = base.member_mask(sigma)
+    if sig_m not in base.masks(space.r_kind):
         raise ValueError("%s does not index an R vector of %s" % (sigma, base))
     if space.side == "Sp":
         norm = Fraction(1, 2**base.degree)
@@ -179,28 +188,26 @@ def r_vector(space: Space, sigma: Symbol) -> Vec:
         # The uniform normalization is kept at degree 0 as well (R = 2*rho
         # there): the main projection identity forces it.
         norm = Fraction(2, 2**base.degree)
-    sig_m = base.mask_of(base.m_of(sigma))
-    out: Vec = {}
-    for lam in space.family():
-        par = bin(base.mask_of(base.m_of(lam)) & sig_m).count("1") % 2
-        out[lam] = Rt2(-norm if par else norm)
-    return out
+    plus, minus = Rt2(norm), Rt2(-norm)
+    return {
+        lam: minus if (m & sig_m).bit_count() & 1 else plus
+        for m, lam in zip(base.masks(space.kind), space.family())
+    }
 
 
 @lru_cache(maxsize=None)
 def _projector(space: Space) -> Dict[Symbol, Vec]:
     """sharp of each rho basis vector, as a column map."""
-    fam = space.family()
     base = space.base
-    masks = {lam: base.mask_of(base.m_of(lam)) for lam in fam}
-    sig_masks = [base.mask_of(base.m_of(s)) for s in space.r_index()]
+    fam = list(zip(base.masks(space.kind), space.family()))
+    sig_masks = base.masks(space.r_kind)
     denom = 4**base.degree  # (rho-to-R constant) x (R-to-rho constant), both sides
     cols: Dict[Symbol, Vec] = {}
-    for lam in fam:
+    for m_lam, lam in fam:
         col: Vec = {}
-        for mu in fam:
-            k = masks[lam] ^ masks[mu]
-            tot = sum(-1 if bin(s & k).count("1") % 2 else 1 for s in sig_masks)
+        for m_mu, mu in fam:
+            k = m_lam ^ m_mu
+            tot = sum(-1 if (s & k).bit_count() & 1 else 1 for s in sig_masks)
             if tot:
                 col[mu] = Rt2(Fraction(tot, denom))
         cols[lam] = col
@@ -314,12 +321,11 @@ def _natural_vec(
 def step_rho_tensor_pairs(step: DerivativeStep, eps: int = 1):
     """The B pairs supported away from the removed entries."""
     rel = relation_set(step.Z, step.Zp, "B+" if eps == 1 else "B-")
-    skip = pair_entries([step.removed_z]) if step.removed_z else frozenset()
-    skipp = pair_entries([step.removed_zp]) if step.removed_zp else frozenset()
+    skip, skipp = step.removed_masks()
     return [
         (lam, lamp)
         for (lam, lamp) in rel.pairs
-        if not (step.Z.m_of(lam) & skip) and not (step.Zp.m_of(lamp) & skipp)
+        if not step.Z.member_mask(lam) & skip and not step.Zp.member_mask(lamp) & skipp
     ]
 
 
@@ -342,12 +348,11 @@ def check_step_r_scaling(step: DerivativeStep) -> bool:
     """Same scaling identity for the R x R sum over D."""
     lhs = d_r_tensor(step.Z, step.Zp, 1)
     spz, spo = sp_space(step.Z), o_space(step.Zp, 1)
-    skip = pair_entries([step.removed_z]) if step.removed_z else frozenset()
-    skipp = pair_entries([step.removed_zp]) if step.removed_zp else frozenset()
+    skip, skipp = step.removed_masks()
     rhs: Ten = {}
     c = rt2_pow(step.cexp) * Rt2(Fraction(1, 2))
     for (sig, sigp) in relation_set(step.Z, step.Zp, "D").pairs:
-        if step.Z.m_of(sig) & skip or step.Zp.m_of(sigp) & skipp:
+        if step.Z.member_mask(sig) & skip or step.Zp.member_mask(sigp) & skipp:
             continue
         left = _r_natural_vec(spz, sig, step.removed_z, step.scan.z_kind)
         right = _r_natural_vec(spo, sigp, step.removed_zp, step.scan.zp_kind)
@@ -376,13 +381,11 @@ def check_step_pairing_transport(step: DerivativeStep) -> bool:
     ):
         if side == "Z":
             space, dspace = sp_space(base), sp_space(derived)
-            sig_family, family = "S,1", "S"
         else:
             space, dspace = o_space(base, 1), o_space(derived, 1)
-            sig_family, family = "S+,0", "S+"
-        skip = pair_entries([removed]) if removed else frozenset()
-        sigmas = [s for s in base.family(sig_family) if not (base.m_of(s) & skip)]
-        lams = [l for l in base.family(family) if not (base.m_of(l) & skip)]
+        skip = [removed] if kind == "core" else []
+        sigmas = core_free_family(base, space.r_kind, skip)
+        lams = core_free_family(base, space.kind, skip)
         for sig in sigmas:
             rv = _r_natural_vec(space, sig, removed, kind)
             rv_t = r_vector(dspace, transport(step, sig, side))

@@ -10,7 +10,6 @@ from dualpairs.relations import (
     decompose_consecutive,
     flip_family,
     in_B,
-    in_Bbar,
     in_D,
     interlace_oracle,
     moveback_chain,
@@ -212,7 +211,7 @@ class TestMoveback:
             chain = moveback_chain(lam, lamp)
             assert chain[-1][0] == ZWRK.symbol
             for (a, b, _) in chain:
-                assert in_Bbar(a, b)
+                assert in_B(a, b, 1)
 
     def test_injectivity_per_first_component(self):
         bbar = relation_set(ZWRK, ZPWRK, "Bbar+")

@@ -10,11 +10,13 @@ from dualpairs.symbols import (
     TOP,
     SpecialSymbol,
     Symbol,
+    _lambda_direct,
     enumerate_special,
     enumerate_symbols,
     parse,
     render,
     special_closure,
+    specials_upto,
 )
 
 
@@ -144,6 +146,14 @@ class TestGrammar:
         with pytest.raises(ValueError):
             parse("1;2;3")
 
+    def test_rejects_non_integral_entries(self):
+        for bad in ([2.7, 1], [2, True], [2.0], ["3"]):
+            with pytest.raises(TypeError):
+                Symbol(bad, [])
+            with pytest.raises(TypeError):
+                Symbol([], bad)
+        assert Symbol(range(3, 0, -1), []) == parse("3,2,1;-")
+
 
 class TestSpecial:
     def test_singles_doubles(self):
@@ -225,6 +235,13 @@ class TestSpecial:
             m2 = frozenset(singles[k:])
             assert z.add(z.lambda_of(m1), z.lambda_of(m2)) == z.lambda_of(m1 | m2)
 
+    def test_m_of_foreign_symbol(self):
+        z = SpecialSymbol.parse("8,5,1;6,3")
+        with pytest.raises(ValueError):
+            z.m_of(parse("8,5,2;6,3"))
+        with pytest.raises(ValueError):
+            z.m_of(parse("8,5,1;6,4"))
+
     def test_family_defect_mismatch(self):
         with pytest.raises(ValueError):
             SpecialSymbol.parse("3,1;2,0").family("S")
@@ -293,3 +310,63 @@ class TestEnumeration:
     def test_max_entry_is_bounded(self):
         for z in enumerate_special(6, 1):
             assert all(v <= 8 for v in z.symbol.entries())
+
+
+def _old_kind_masks(z, which):
+    """The former family filter: combinations of singles by size, then defect."""
+    base, _, beta = which.partition(",")
+    parity = {"all": None, "S": 0, "S+": 0, "S-": 1}[base]
+    out = []
+    for k in range(len(z.singles) + 1):
+        if parity is not None and k % 2 != parity:
+            continue
+        for c in itertools.combinations(z.singles, k):
+            if beta and _lambda_direct(z, c).defect != int(beta):
+                continue
+            out.append(z.mask_of(c))
+    return tuple(out)
+
+
+class TestFamilyTable:
+    def test_members_match_row_flips(self):
+        for d in (0, 1):
+            for z in specials_upto(8, d):
+                members = z.table.members
+                assert len(members) == 2 ** len(z.singles)
+                for mask, lam in enumerate(members):
+                    assert lam == _lambda_direct(z, z.mset_of_mask(mask))
+                    assert z.member_mask(lam) == mask
+
+    def test_kind_masks_keep_combinations_order(self):
+        for z in specials_upto(8, 1):
+            for which in ("all", "S", "S,1", "S,-3", "S,5"):
+                assert z.masks(which) == _old_kind_masks(z, which)
+                assert z.family(which) == tuple(map(z.member, z.masks(which)))
+        for z in specials_upto(8, 0):
+            for which in ("all", "S+", "S-", "S+,0", "S+,4", "S-,2", "S-,-2"):
+                assert z.masks(which) == _old_kind_masks(z, which)
+                assert z.family(which) == tuple(map(z.member, z.masks(which)))
+
+    def test_parsed_copies_share_members(self):
+        a = SpecialSymbol.parse("8,6,2;6,3,0")
+        b = SpecialSymbol(Symbol((9, 7, 3, 0), (7, 4, 1, 0)))  # a shifted copy
+        assert a == b and a is not b
+        assert a.table is b.table
+        for x, y in zip(a.family("all"), b.family("all")):
+            assert x is y
+        assert a.family("S+") is b.family("S+")
+
+    def test_add_is_xor_of_masks(self):
+        z = SpecialSymbol.parse("4,2,0;3,1")
+        for m1 in range(2 ** len(z.singles)):
+            for m2 in range(2 ** len(z.singles)):
+                assert z.add(z.member(m1), z.member(m2)) is z.member(m1 ^ m2)
+
+    def test_bad_masks_and_kinds(self):
+        z = SpecialSymbol.parse("8,5,1;6,3")
+        with pytest.raises(ValueError):
+            z.member(-1)
+        with pytest.raises(ValueError):
+            z.member(2 ** len(z.singles))
+        with pytest.raises(ValueError):
+            z.family("T")

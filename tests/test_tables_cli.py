@@ -147,6 +147,22 @@ class TestCli:
         fanned = run_suite("oracle", max_rank=4)
         assert fanned.ok and fanned.checked == serial.checked
 
+    def test_worker_count(self, monkeypatch):
+        from dualpairs import suites
+
+        monkeypatch.setattr(suites.os, "cpu_count", lambda: 4)
+        assert suites._worker_count(None, 100) == 1
+        assert suites._worker_count("1", 100) == 1
+        assert suites._worker_count("3", 100) == 3
+        assert suites._worker_count("100000", 100) == 4   # clamped to the CPUs
+        assert suites._worker_count("3", 2) == 2          # and to the items
+        assert suites._worker_count("3", 0) == 1
+        monkeypatch.setattr(suites.os, "cpu_count", lambda: None)
+        assert suites._worker_count("3", 100) == 1
+        for bad in ("0", "-2", "two", "1.5", ""):
+            with pytest.raises(ValueError, match="DUALPAIRS_WORKERS"):
+                suites._worker_count(bad, 100)
+
     def test_verify_per_pair_lines(self):
         proc = run_cli("verify", "thm0310", "--max-rank", "2", "--epsilon", "+")
         lines = [json.loads(l) for l in proc.stdout.splitlines()]
