@@ -6,15 +6,11 @@ from .symbols import (
     Bipartition,
     SpecialSymbol,
     Symbol,
-    bipartition,
-    defect,
     enumerate_special,
     enumerate_symbols,
     parse,
-    rank,
     render,
     special_closure,
-    transpose,
 )
 from .relations import (
     RelationSet,

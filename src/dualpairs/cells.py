@@ -152,13 +152,6 @@ def _psi_containing(Z: SpecialSymbol, phi: Arrangement, sym: Symbol) -> PairSet:
     return frozenset(psi)
 
 
-def locate(Z: SpecialSymbol, phi: Arrangement, sym: Symbol) -> Cell:
-    """The cell of the arrangement phi containing sym."""
-    c = cell(Z, phi, _psi_containing(Z, phi, sym))
-    assert sym in c
-    return c
-
-
 def singleton_intersection(
     Z: SpecialSymbol, lam: Symbol, psi0: PairSet = EMPTY_PAIRSET
 ) -> Tuple[Arrangement, PairSet, Arrangement, PairSet]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .relations import CorePair, Pair, cores, pair_entries
+from .relations import CheckFailed, CorePair, Pair, cores, pair_entries
 from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, transport_mask
 
 
@@ -70,7 +70,7 @@ def _pair_order(m: int, mp: int):
         j += 1
 
 
-def _kind(base: SpecialSymbol, top_val: int, bot_val: int, core: frozenset) -> Optional[str]:
+def _kind(top_val: int, bot_val: int, core: frozenset) -> Optional[str]:
     if top_val == bot_val:
         return "doubles"
     if (top_val, bot_val) in core:
@@ -88,22 +88,25 @@ def scan_first(Z: SpecialSymbol, Zp: SpecialSymbol) -> PairScan:
     a, b = Z.symbol.top, Z.symbol.bot
     c, d = Zp.symbol.top, Zp.symbol.bot
     for (k, l, lp, kp, z_live, zp_live) in _pair_order(m, mp):
-        z_kind = _kind(Z, a[k - 1], b[l - 1], cp.psi0) if z_live else None
-        zp_kind = _kind(Zp, c[lp - 1], d[kp - 1], cp.psi0p) if zp_live else None
+        z_kind = _kind(a[k - 1], b[l - 1], cp.psi0) if z_live else None
+        zp_kind = _kind(c[lp - 1], d[kp - 1], cp.psi0p) if zp_live else None
         if z_kind is None and zp_kind is None:
             continue
         if z_kind and zp_kind:
             case = "I"
         elif z_kind:
             case = "II"
-            assert mp == m, "case II requires equal sizes"
+            if mp != m:
+                raise CheckFailed("case II requires equal sizes at (%s, %s)" % (Z, Zp))
         else:
             case = "III"
-            assert mp == m + 1, "case III requires m' = m + 1"
+            if mp != m + 1:
+                raise CheckFailed("case III requires m' = m + 1 at (%s, %s)" % (Z, Zp))
         expect = (k - 1, l) if mp == m else (k, l + 1)
-        assert (kp, lp) == expect, "scan order out of sync at (%d,%d)" % (k, l)
+        if (kp, lp) != expect:
+            raise CheckFailed("scan order out of sync at (%d,%d)" % (k, l))
         return PairScan(k, l, lp, kp, z_kind, zp_kind, case)
-    raise AssertionError("no critical pair-set found for (%s, %s)" % (Z, Zp))
+    raise CheckFailed("no critical pair-set found for (%s, %s)" % (Z, Zp))
 
 
 @dataclass(frozen=True)
@@ -213,7 +216,10 @@ def derive_once(Z: SpecialSymbol, Zp: SpecialSymbol) -> DerivativeStep:
 
     Z1 = SpecialSymbol(Symbol(z1_top, z1_bot))      # specialness is a theorem here
     Zp1 = SpecialSymbol(Symbol(zp1_top, zp1_bot))
-    assert Z1.defect == 1 and Zp1.defect == 0
+    if Z1.defect != 1 or Zp1.defect != 0:
+        raise CheckFailed(
+            "step of (%s, %s) gives defects (%d, %d)" % (Z, Zp, Z1.defect, Zp1.defect)
+        )
 
     removed_z = (val(a, k), val(b, l)) if scan.z_pair_critical else None
     removed_zp = (val(c, lp), val(d, kp)) if scan.zp_pair_critical else None
@@ -236,9 +242,8 @@ def _restrict_to_singles(
         if e in skip:
             continue
         out[e] = full[e]
-    assert sorted(out.values()) == sorted(derived.singles), (
-        "entry map does not hit the singles of %s" % derived
-    )
+    if sorted(out.values()) != sorted(derived.singles):
+        raise CheckFailed("entry map does not hit the singles of %s" % derived)
     return out
 
 
@@ -310,7 +315,8 @@ def derive_full(Z: SpecialSymbol, Zp: SpecialSymbol) -> DerivativeChain:
             step = derive_once(cur, curp)
         except TerminalPair:
             break
-        assert len(steps) <= budget, "derivative chain fails to terminate"
+        if len(steps) > budget:
+            raise CheckFailed("derivative chain of (%s, %s) fails to terminate" % (Z, Zp))
         if step.scan.z_kind == "core":
             s, t = step.removed_z
             removed_z.append((inv[(s, TOP)], inv[(t, BOT)]))
@@ -323,12 +329,17 @@ def derive_full(Z: SpecialSymbol, Zp: SpecialSymbol) -> DerivativeChain:
         cur, curp = step.Z1, step.Zp1
 
     chain = DerivativeChain(Z, Zp, tuple(steps), core)
-    # the pulled-back removed core pairs are exactly the cores of D
-    assert frozenset((s[0], t[0]) for (s, t) in removed_z) == core.psi0
-    assert frozenset((s[0], t[0]) for (s, t) in removed_zp) == core.psi0p
     zt, zpt = chain.terminal
-    assert zt.is_regular and zpt.is_regular
-    assert zt.degree == Z.degree - len(core.psi0)
-    assert zpt.degree == Zp.degree - len(core.psi0p)
-    assert zpt.degree - zt.degree in (0, 1)
+    checks = (
+        # the pulled-back removed core pairs are exactly the cores of D
+        (frozenset((s[0], t[0]) for (s, t) in removed_z) == core.psi0, "Z cores"),
+        (frozenset((s[0], t[0]) for (s, t) in removed_zp) == core.psi0p, "Z' cores"),
+        (zt.is_regular and zpt.is_regular, "terminal regularity"),
+        (zt.degree == Z.degree - len(core.psi0), "Z degree"),
+        (zpt.degree == Zp.degree - len(core.psi0p), "Z' degree"),
+        (zpt.degree - zt.degree in (0, 1), "degree gap"),
+    )
+    for ok, what in checks:
+        if not ok:
+            raise CheckFailed("derivative chain of (%s, %s): %s" % (Z, Zp, what))
     return chain

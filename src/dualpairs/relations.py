@@ -28,6 +28,13 @@ PairSet = FrozenSet[Pair]
 EMPTY_PAIRSET: PairSet = frozenset()
 
 
+class CheckFailed(AssertionError):
+    """A structural statement failed on a concrete input.
+
+    Raised explicitly, so the check survives ``python -O``.
+    """
+
+
 def pair_entries(pairs: Iterable[Pair]) -> MSet:
     return frozenset(e for (s, t) in pairs for e in ((s, TOP), (t, BOT)))
 
@@ -240,7 +247,7 @@ def _core_of(base: SpecialSymbol, members: List[Symbol]) -> PairSet:
     pairs = decompose_consecutive(base, base.mset_of_mask(support))
     expected = {base.mask_of(pair_entries(ps)) for ps in subsets_of_pairs(pairs)}
     if masks != expected:
-        raise AssertionError(
+        raise CheckFailed(
             "D-partner set of %s is not the flip family of %r" % (base, sorted(pairs))
         )
     return pairs
@@ -283,16 +290,13 @@ def b_natural(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> RelationSet:
         for r2 in flip_family(Zp, cp.psi0p)
     )
     if rebuilt != full.pairs:
-        raise AssertionError(
+        raise CheckFailed(
             "core factorization failed for (%s, %s), eps=%+d" % (Z, Zp, eps)
         )
     return RelationSet(kind + "nat", Z, Zp, nat)
 
 
 # -- move-back normalization ---------------------------------------------------
-
-CASES = ("a", "b", "c", "d", "e", "f")
-
 
 def moveback_step(lam: Symbol, lamp: Symbol) -> Tuple[Symbol, Symbol, str]:
     """One normalization move on a Bbar+ pair with displaced entries.
@@ -362,7 +366,7 @@ def moveback_step(lam: Symbol, lamp: Symbol) -> Tuple[Symbol, Symbol, str]:
     new_mset = Z.m_of(new_lam)
     assert not new_mset or max(v for (v, _) in new_mset) < x
     if not in_B(new_lam, new_lamp, 1):
-        raise AssertionError(
+        raise CheckFailed(
             "move-back left the relation: (%s, %s) case %s -> (%s, %s)"
             % (lam, lamp, case, new_lam, new_lamp)
         )

@@ -164,22 +164,6 @@ class Symbol:
         return Symbol(rows[TOP], rows[BOT])
 
 
-def rank(s: Symbol) -> int:
-    return s.rank
-
-
-def defect(s: Symbol) -> int:
-    return s.defect
-
-
-def transpose(s: Symbol) -> Symbol:
-    return s.t
-
-
-def bipartition(s: Symbol) -> "Bipartition":
-    return s.bipartition()
-
-
 @dataclass(frozen=True)
 class Bipartition:
     """A pair of partitions (weakly decreasing, trailing zeros stripped)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Tuple
 
-from .relations import RelationSet, relation_set
+from .relations import CheckFailed, RelationSet, relation_set
 from .symbols import SpecialSymbol, Symbol, enumerate_special, special_closure
 
 CHECK = "✓"
@@ -99,11 +99,16 @@ def check_table(table: CorrespondenceTable) -> None:
     seen: Dict[Tuple[Symbol, Symbol], Tuple[SpecialSymbol, SpecialSymbol]] = {}
     for b in table.blocks:
         for (lam, lamp) in b.pairs:
-            assert (lam, lamp) not in seen, "pair in two blocks"
+            if (lam, lamp) in seen:
+                raise CheckFailed("pair (%s, %s) in two blocks" % (lam, lamp))
             seen[(lam, lamp)] = (b.Z, b.Zp)
             want = -lam.defect + 1 if table.eps == 1 else -lam.defect - 1
-            assert lamp.defect == want, "defect formula fails at (%s, %s)" % (lam, lamp)
-            assert special_closure(lam) == b.Z and special_closure(lamp) == b.Zp
+            if lamp.defect != want:
+                raise CheckFailed("defect formula fails at (%s, %s)" % (lam, lamp))
+            if special_closure(lam) != b.Z or special_closure(lamp) != b.Zp:
+                raise CheckFailed(
+                    "(%s, %s) lies outside the block of its special closures" % (lam, lamp)
+                )
     # For a nonzero-defect second component, the defect formula already
     # rules out pairing with both a symbol and its transpose.  (At defect
     # 0 transposed partners do arise, via the core flips.)
@@ -112,11 +117,13 @@ def check_table(table: CorrespondenceTable) -> None:
         partners.setdefault(lam, set()).add(lamp)
     for lam, ps in partners.items():
         for lamp in ps:
-            if lamp.defect != 0:
-                assert lamp.t not in ps, (
-                    "both %s and its transpose partner %s" % (lamp, lam)
-                )
-    assert frozenset(seen) == global_pairs(table.n, table.np, table.eps)
+            if lamp.defect != 0 and lamp.t in ps:
+                raise CheckFailed("both %s and its transpose partner %s" % (lamp, lam))
+    if frozenset(seen) != global_pairs(table.n, table.np, table.eps):
+        raise CheckFailed(
+            "blocks differ from the global filter at (%d, %d), eps=%+d"
+            % (table.n, table.np, table.eps)
+        )
 
 
 # -- rendering ----------------------------------------------------------------

@@ -119,7 +119,9 @@ def inner(u: Vec, v: Vec) -> Rt2:
 
 def tensor(u: Vec, v: Vec) -> Ten:
     return {
-        (k1, k2): x1 * x2 for k1, x1 in u.items() for k2, x2 in v.items() if x1 * x2
+        # coefficients lie in the field Q(sqrt 2): a product is zero only
+        # when a factor is
+        (k1, k2): x1 * x2 for k1, x1 in u.items() if x1 for k2, x2 in v.items() if x2
     }
 
 

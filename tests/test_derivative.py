@@ -69,9 +69,9 @@ class TestScan:
                     if (k, l) == (scan.k, scan.l):
                         break
                     if z_live:
-                        assert _kind(Z, a[k - 1], b[l - 1], cp.psi0) is None
+                        assert _kind(a[k - 1], b[l - 1], cp.psi0) is None
                     if zp_live:
-                        assert _kind(Zp, c[lp - 1], d[kp - 1], cp.psi0p) is None
+                        assert _kind(c[lp - 1], d[kp - 1], cp.psi0p) is None
 
 
 class TestDeriveOnce:

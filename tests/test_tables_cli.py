@@ -139,13 +139,40 @@ class TestCli:
         proc = run_cli("verify", "nonsense")
         assert proc.returncode != 0
 
-    def test_worker_env_round_trips(self, monkeypatch):
-        from dualpairs.suites import run_suite
+    def test_verify_rejects_a_flag_the_suite_does_not_take(self):
+        proc = run_cli("verify", "counting", "--max-rank", "9")
+        assert proc.returncode == 2
+        assert "max_rank" in proc.stderr and proc.stdout == ""
 
-        serial = run_suite("oracle", max_rank=4)
+    def test_verify_all_passes_each_suite_its_own_bounds(self):
+        from dualpairs.suites import SUITES
+
+        proc = run_cli("verify", "all", "--max-rank", "3", "--summary")
+        assert proc.returncode == 0, proc.stderr
+        lines = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [line["suite"] for line in lines] == sorted(SUITES)
+        by_name = {line["suite"]: line for line in lines}
+        assert by_name["counting"]["bounds"] == {"max_m": 3}
+        assert by_name["cells"]["bounds"] == {"max_rank": 3, "max_degree": 3}
+        assert by_name["thm0310"]["bounds"] == {"max_rank_sum": 3, "epsilon": 1}
+
+    def test_worker_env_round_trips(self, monkeypatch):
+        from dualpairs.suites import SUITES, run_suite
+
+        def reports():
+            return {
+                name: run_suite(name, **({"max_rank": 3} if "max_rank" in suite.bounds else {}))
+                for name, suite in SUITES.items()
+            }
+
+        monkeypatch.setenv("DUALPAIRS_WORKERS", "1")
+        serial = reports()
         monkeypatch.setenv("DUALPAIRS_WORKERS", "2")
-        fanned = run_suite("oracle", max_rank=4)
-        assert fanned.ok and fanned.checked == serial.checked
+        fanned = reports()
+        for name in SUITES:
+            assert serial[name].ok and serial[name].checked > 0, name
+            assert fanned[name].line() == serial[name].line(), name
+            assert fanned[name].records == serial[name].records, name
 
     def test_worker_count(self, monkeypatch):
         from dualpairs import suites
