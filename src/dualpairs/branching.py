@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from .cells import Arrangement
-from .relations import Pair, PairSet, cores, in_B, pair_entries
+from .relations import CheckFailed, Pair, PairSet, cores, in_B, pair_entries
 from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, transport_mask
 
 
@@ -211,7 +211,7 @@ def theta_general(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> ThetaMap:
         entry_map = {c[i]: b[i] for i in range(len(c))}
         entry_map.update({d[i]: a[i + 1] for i in range(len(d))})
         return ThetaMap(Z, Zp, eps, "down", entry_map, a[0], cp.psi0, cp.psi0p)
-    raise AssertionError(
+    raise CheckFailed(
         "core-free degrees %d, %d are not within one step" % (delta, deltap)
     )
 
@@ -241,8 +241,9 @@ def omega_plus(sym: Symbol) -> Tuple[Symbol, ...]:
     if not bot or bot[-1] != 0:
         out.append(Symbol(tuple(v + 1 for v in top) + (0,), tuple(v + 1 for v in bot) + (1,)))
     uniq = tuple(dict.fromkeys(out))
-    assert len(uniq) == len(out), "hook growth collided with an entry bump"
-    assert all(s.rank == sym.rank + 1 and s.defect == sym.defect for s in uniq)
+    if len(uniq) != len(out):
+        raise CheckFailed("hook growth of %s collided with an entry bump" % sym)
+    _check_shift(sym, uniq, 1)
     return uniq
 
 
@@ -266,8 +267,17 @@ def omega_minus(sym: Symbol) -> Tuple[Symbol, ...]:
             Symbol(tuple(v - 1 for v in top[:-1]), tuple(v - 1 for v in bot[:-1]))
         )
     uniq = tuple(dict.fromkeys(out))
-    assert all(s.rank == sym.rank - 1 and s.defect == sym.defect for s in uniq)
+    _check_shift(sym, uniq, -1)
     return uniq
+
+
+def _check_shift(sym: Symbol, out: Tuple[Symbol, ...], step: int) -> None:
+    """Every symbol of out has the defect of sym and rank one step away."""
+    for s in out:
+        if s.rank != sym.rank + step or s.defect != sym.defect:
+            raise CheckFailed(
+                "%s is not a rank %+d shift of %s at the same defect" % (s, step, sym)
+            )
 
 
 def theta_set(lam: Symbol, omega: Iterable[Symbol]) -> Tuple[Symbol, ...]:
@@ -310,11 +320,15 @@ def witness_partner(lam: Symbol, lam1p: Symbol, lampp: Symbol) -> Symbol:
         raise ValueError("%s is not a transposed-only growth of %s" % (lampp, lam1p))
     m1, m2 = lam.size
     n1, n2 = lam1p.size
-    assert m1 == m2 + 1 and n1 == n2 and n1 in (m2, m2 + 1)
+    if not (m1 == m2 + 1 and n1 == n2 and n1 in (m2, m2 + 1)):
+        raise CheckFailed("sizes %s, %s are not normalized" % (lam.size, lam1p.size))
     cand = _witness_candidate(lam, lam1p, lampp, regime=n1 - m2)
-    assert in_B(lam, cand, 1), "constructed partner is unrelated"
-    assert lampp.t in set(omega_plus(cand)), "transpose not reachable"
-    assert not theta_star(lam, omega_plus(cand)), "growth set still has stars"
+    if not in_B(lam, cand, 1):
+        raise CheckFailed("constructed partner %s is unrelated to %s" % (cand, lam))
+    if lampp.t not in set(omega_plus(cand)):
+        raise CheckFailed("transpose of %s not reachable from %s" % (lampp, cand))
+    if theta_star(lam, omega_plus(cand)):
+        raise CheckFailed("growth set of %s still has stars for %s" % (cand, lam))
     return cand
 
 
@@ -334,14 +348,16 @@ def _witness_candidate(lam: Symbol, lam1p: Symbol, lampp: Symbol, regime: int) -
     if lampp.size == (mp, mp) and top != c:
         # first-row bump c_k -> c_k + 1: flip rows, undoing one step of d
         k = next(i for i in range(mp) if top[i] != c[i])
-        assert top == c[:k] + (c[k] + 1,) + c[k + 1 :]
+        if top != c[:k] + (c[k] + 1,) + c[k + 1 :]:
+            raise CheckFailed("%s is not a first-row bump of %s" % (lampp, lam1p))
         if k == 0:
-            raise AssertionError("a largest-entry bump is never transposed-only")
+            raise CheckFailed("a largest-entry bump is never transposed-only")
         return Symbol(d[: k - 1] + (d[k - 1] - 1,) + d[k:], top)
     if lampp.size == (mp, mp):
         # second-row bump d_l -> d_l + 1
         l = next(i for i in range(mp) if bot[i] != d[i])
-        assert bot == d[:l] + (d[l] + 1,) + d[l + 1 :]
+        if bot != d[:l] + (d[l] + 1,) + d[l + 1 :]:
+            raise CheckFailed("%s is not a second-row bump of %s" % (lampp, lam1p))
         if l > 0:
             return Symbol(bot, c[: l - 1] + (c[l - 1] - 1,) + c[l:])
         if regime == 0:
@@ -360,13 +376,16 @@ def _witness_candidate(lam: Symbol, lam1p: Symbol, lampp: Symbol, regime: int) -
             tuple(v - 1 for v in c[:-1]),
         )
     # hook growths only matter when the partner has the smaller square size
-    assert regime == 0, "hook growths of the larger square are never in the star set"
+    if regime != 0:
+        raise CheckFailed("hook growths of the larger square are never in the star set")
     if mp == 0:
         # the one empty-partner star ((0;-) against (-;-)) has no star-free
         # partner at all; the smallest table settles that case directly
         raise ValueError("no partner below a hook growth of the empty symbol")
     if top[-1] == 1:
-        assert top == tuple(v + 1 for v in c) + (1,)
+        if top != tuple(v + 1 for v in c) + (1,):
+            raise CheckFailed("%s is not a first-row hook growth of %s" % (lampp, lam1p))
         return Symbol(tuple(v + 1 for v in d[:-1]) + (d[-1], 0), tuple(v + 1 for v in c) + (1,))
-    assert bot[-1] == 1 and bot == tuple(v + 1 for v in d) + (1,)
+    if bot[-1] != 1 or bot != tuple(v + 1 for v in d) + (1,):
+        raise CheckFailed("%s is not a second-row hook growth of %s" % (lampp, lam1p))
     return Symbol(tuple(v + 1 for v in d) + (1,), tuple(v + 1 for v in c[:-1]) + (c[-1], 0))

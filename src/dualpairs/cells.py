@@ -14,7 +14,14 @@ import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Tuple
 
-from .relations import EMPTY_PAIRSET, Pair, PairSet, pair_entries, subsets_of_pairs
+from .relations import (
+    EMPTY_PAIRSET,
+    CheckFailed,
+    Pair,
+    PairSet,
+    pair_entries,
+    subsets_of_pairs,
+)
 from .symbols import BOT, TOP, SpecialSymbol, Symbol
 
 
@@ -109,7 +116,10 @@ def cell(Z: SpecialSymbol, phi: Arrangement, psi: Iterable[Pair]) -> Cell:
                 if len(m) % 2 == 1:
                     m.add((phi.isolated, TOP))
             members.append(Z.lambda_of(frozenset(m)))
-    assert len(members) == 2 ** Z.degree
+    if len(members) != 2 ** Z.degree:
+        raise CheckFailed(
+            "cell of %s has %d members, not 2^%d" % (phi, len(members), Z.degree)
+        )
     return Cell(Z, phi, psi, frozenset(members))
 
 
@@ -179,7 +189,10 @@ def singleton_intersection(
     if psi0:
         banned = pair_entries(psi0)
         inter = {s for s in inter if not (Z.m_of(s) & banned)}
-    assert inter == {lam}, "intersection %r is not {%s}" % (sorted(map(str, inter)), lam)
+    if inter != {lam}:
+        raise CheckFailed(
+            "intersection %r is not {%s}" % (sorted(map(str, inter)), lam)
+        )
     return phi1, psi1, phi2, psi2
 
 
@@ -227,12 +240,17 @@ def separating_pair(
                 break
         if split_pair:
             break
-    assert split_pair is not None, "no splitting pair for %s, %s" % (lam1, lam2)
+    if split_pair is None:
+        raise CheckFailed("no splitting pair for %s, %s" % (lam1, lam2))
     phi = _complete_arrangement(Z, frozenset({split_pair}) | psi0)
     psi1 = _psi_containing(Z, phi, lam1)
     psi2 = _psi_containing(Z, phi, lam2)
-    assert psi0 <= psi1 and psi0 <= psi2
-    assert not (cell(Z, phi, psi1).members & cell(Z, phi, psi2).members)
+    if not (psi0 <= psi1 and psi0 <= psi2):
+        raise CheckFailed(
+            "cells of %s, %s in %s miss the core %r" % (lam1, lam2, phi, sorted(psi0))
+        )
+    if cell(Z, phi, psi1).members & cell(Z, phi, psi2).members:
+        raise CheckFailed("cells of %s and %s in %s overlap" % (lam1, lam2, phi))
     return phi, psi1, psi2
 
 

@@ -330,16 +330,19 @@ def moveback_step(lam: Symbol, lamp: Symbol) -> Tuple[Symbol, Symbol, str]:
 
     if x in a:
         k = a.index(x) + 1
-        assert k >= 2, "largest displaced entry cannot head the first row"
+        if k < 2:
+            raise CheckFailed("largest displaced entry cannot head the first row")
         ck1, dk, bk1 = get(c, k - 1), get(d, k), get(b, k - 1)
         if ck1 is None or lt(ck1, x):
             case = "a"
             dk1 = get(d, k - 1)
-            assert dk1 is not None, "no entry to move back alongside %d" % x
+            if dk1 is None:
+                raise CheckFailed("no entry to move back alongside %d" % x)
             out = lam.flip(x, TOP), lamp.flip(dk1, BOT)
         elif bk1 is None or (dk is not None and ge(dk, bk1)):
             case = "b"
-            assert dk is not None, "no entry to move back alongside %d" % x
+            if dk is None:
+                raise CheckFailed("no entry to move back alongside %d" % x)
             out = lam.flip(x, TOP), lamp.flip(dk, BOT)
         else:
             case = "c"
@@ -353,18 +356,24 @@ def moveback_step(lam: Symbol, lamp: Symbol) -> Tuple[Symbol, Symbol, str]:
         if dk1_small or (dk1 is not None and lt(dk1, x)):
             case = "d"
             ck = get(c, k)
-            assert ck is not None, "no entry to move back alongside %d" % x
+            if ck is None:
+                raise CheckFailed("no entry to move back alongside %d" % x)
             out = lam.flip(x, BOT), lamp.flip(ck, TOP)
         elif ak is None or (ck2 is not None and ge(ck2, ak)):
             case = "e"
-            assert ck2 is not None, "no entry to move back alongside %d" % x
+            if ck2 is None:
+                raise CheckFailed("no entry to move back alongside %d" % x)
             out = lam.flip(x, BOT), lamp.flip(ck2, TOP)
         else:
             case = "f"
             out = lam.flip(x, BOT).flip(ak, TOP), lamp
     new_lam, new_lamp = out
     new_mset = Z.m_of(new_lam)
-    assert not new_mset or max(v for (v, _) in new_mset) < x
+    if new_mset and max(v for (v, _) in new_mset) >= x:
+        raise CheckFailed(
+            "move-back did not lower the largest displaced entry %d: (%s, %s) case %s"
+            % (x, lam, lamp, case)
+        )
     if not in_B(new_lam, new_lamp, 1):
         raise CheckFailed(
             "move-back left the relation: (%s, %s) case %s -> (%s, %s)"

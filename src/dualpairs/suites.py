@@ -123,15 +123,18 @@ def _check_prop0216(item, report: SuiteReport) -> None:
 
 
 def _check_thm0310(item, report: SuiteReport) -> None:
-    """Sharp of the B indicator equals half the R x R sum over D (rank sums)."""
+    """Sharp of the B indicator equals half the R x R sum over D (rank sums).
+
+    A witness is at the R indices (tau, tau') of the first differing entry.
+    """
     Z, Zp, eps = item
     report.checked += 1
     ok, witness = uniform.verify_thm0310(Z, Zp, eps)
     record = {"pair": [str(Z), str(Zp)], "ok": ok}
     if not ok:
-        lam, lamp, got, want = witness
+        tau, taup, got, want = witness
         record["witness"] = {
-            "at": [str(lam), str(lamp)],
+            "at": [str(tau), str(taup)],
             "got": str(got),
             "expected": str(want),
         }
@@ -491,7 +494,7 @@ SUITES: Dict[str, Suite] = {
             (Z, Zp, eps) for (Z, Zp) in _special_pairs(max_rank, summed=True)
         ],
         _check_thm0310,
-        {"max_rank": ("max_rank_sum", 8), "eps": ("epsilon", 1)},
+        {"max_rank": ("max_rank_sum", 12), "eps": ("epsilon", 1)},
     ),
     "lemma1112": Suite(_lemma1112_items, _check_lemma1112, {"max_rank": ("max_rank_sum", 9)}),
     "lemma0616": Suite(

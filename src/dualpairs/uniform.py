@@ -285,25 +285,118 @@ def d_r_tensor(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> Ten:
     return out
 
 
+@lru_cache(maxsize=None)
+def _gram(space: Space) -> Tuple[int, ...]:
+    """g(k) = sum over the rho family of (-1)^|m & k|, for every mask k.
+
+    Up to the square of the R normalization, <R_sigma, R_tau> is
+    g(sigma ^ tau).  g is the Walsh-Hadamard transform of the family's
+    indicator on (Z/2)^singles.
+    """
+    g = [0] * (1 << len(space.base.singles))
+    for m in space.base.masks(space.kind):
+        g[m] = 1
+    h = 1
+    while h < len(g):
+        for i in range(0, len(g), 2 * h):
+            for j in range(i, i + h):
+                g[j], g[j + h] = g[j] + g[j + h], g[j] - g[j + h]
+        h *= 2
+    return tuple(g)
+
+
+def _pack(values, width: int) -> int:
+    """One integer holding `values` in consecutive `width`-bit fields.
+
+    Packing is linear: sums and integer multiples of packed rows are the
+    packed sums and multiples.  Two rows whose entries lie below
+    2^(width-1) in absolute value are equal exactly when their packings are.
+    """
+    out = 0
+    for v in reversed(values):
+        out = (out << width) + v
+    return out
+
+
+def _unpack(x: int, width: int, n: int) -> list:
+    """The n signed fields of a packed row (inverse of _pack)."""
+    full, out = 1 << width, []
+    for _ in range(n):
+        v = x % full
+        if v >= full >> 1:
+            v -= full
+        out.append(v)
+        x = (x - v) >> width
+    return out
+
+
 def verify_thm0310(
     Z: SpecialSymbol, Zp: SpecialSymbol, eps: int
 ) -> Tuple[bool, Optional[tuple]]:
     """Sharp of the B indicator equals half the R x R sum over D, exactly.
 
-    Returns (ok, witness); a witness is (L, L', got, expected) at the first
-    differing coefficient.
+    Both sides lie in span(R) x span(R'), and sharp is self-adjoint, so they
+    are equal exactly when their inner products with every R_tau x R_tau'
+    are.  With chi(x) = (-1)^|x| and the Gram functions g, g' of the two
+    spaces (see _gram), that is, for every tau, tau' indexing R vectors,
+
+        2^(deg Z + deg Z') * sum over (m, m') in B of chi(m & tau) chi(m' & tau')
+            = sum over (sigma, sigma') in D of g(sigma ^ tau) g'(sigma' ^ tau'),
+
+    an identity of integers.  Each row over tau' is one packed integer (see
+    _pack).  The dense rho x rho form ``sharp_tensor(..., omega_hat(...)) ==
+    d_r_tensor(...)`` is the test oracle.
+
+    Returns (ok, witness).  A witness is (tau, tau', got, expected) at the
+    first differing entry in mask order: tau, tau' are the family members
+    indexing the R vectors, got is <Omega_hat, R_tau x R_tau'> and expected
+    is 1/2 (G 1_D G')_{tau, tau'} for the Gram matrices G, G', both exact
+    Fractions.
     """
     spz, spo = sp_space(Z), o_space(Zp, eps)
-    lhs = sharp_tensor(spz, spo, omega_hat(Z, Zp, eps))
-    rhs = d_r_tensor(Z, Zp, eps)
-    if lhs == rhs:
+    b = relation_set(Z, Zp, "B+" if eps == 1 else "B-").pairs
+    d = relation_set(Z, Zp, "D").pairs
+    if not b and not d:
         return True, None
-    keys = sorted(set(lhs) | set(rhs), key=lambda k: (str(k[0]), str(k[1])))
-    for k in keys:
-        got, want = lhs.get(k, ZERO), rhs.get(k, ZERO)
-        if got != want:
-            return False, (k[0], k[1], got, want)
-    raise AssertionError("tensors differ but no witness found")
+    mask, maskp = Z.table.mask, Zp.table.mask
+    taus, taups = Z.masks(spz.r_kind), Zp.masks(spo.r_kind)
+    g, gp = _gram(spz), _gram(spo)
+    scale = 1 << (Z.degree + Zp.degree)
+    # bounds every entry of either side, and so of their difference
+    width = (scale * len(b) + len(d) * len(spz.family()) * len(spo.family())).bit_length() + 1
+
+    # m -> sum of the rows chi(m' & tau') of its B partners m'
+    chars: Dict[int, int] = {}
+    b_rows: Dict[int, int] = {}
+    for lam, lamp in b:
+        mp = maskp[lamp]
+        row = chars.get(mp)
+        if row is None:
+            row = chars[mp] = _pack(
+                [-1 if (mp & t).bit_count() & 1 else 1 for t in taups], width
+            )
+        m = mask[lam]
+        b_rows[m] = b_rows.get(m, 0) + row
+    # sigma -> sum of the rows g'(sigma' ^ tau') of its D partners sigma'
+    d_rows: Dict[int, int] = {}
+    for sig, sigp in d:
+        sm, smp = mask[sig], maskp[sigp]
+        d_rows[sm] = d_rows.get(sm, 0) + _pack([gp[smp ^ t] for t in taups], width)
+
+    for tau in taus:
+        lhs = sum(-u if (m & tau).bit_count() & 1 else u for m, u in b_rows.items())
+        rhs = sum(g[s ^ tau] * v for s, v in d_rows.items())
+        if scale * lhs != rhs:
+            got = _unpack(lhs, width, len(taups))
+            want = _unpack(rhs, width, len(taups))
+            j = next(j for j in range(len(taups)) if scale * got[j] != want[j])
+            return False, (
+                Z.member(tau),
+                Zp.member(taups[j]),
+                Fraction(2 * got[j], scale),
+                Fraction(2 * want[j], scale * scale),
+            )
+    return True, None
 
 
 # -- derivative-step identities ------------------------------------------------

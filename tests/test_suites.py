@@ -9,6 +9,7 @@ import pytest
 
 from dualpairs import relations, suites
 from dualpairs.suites import run_suite
+from dualpairs.symbols import SpecialSymbol, parse
 
 
 def test_misspelt_bound_raises():
@@ -34,13 +35,26 @@ def test_a_raising_check_fails_its_item(monkeypatch):
     json.loads(rep.line())
 
 
-def test_checks_survive_optimized_mode():
-    """A planted table defect is reported when asserts are compiled away."""
+@pytest.mark.usefixtures("planted_b_defect")
+def test_planted_b_defect_fails_thm0310_with_r_index_witnesses(monkeypatch):
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    rep = run_suite("thm0310", max_rank=4)
+    assert not rep.ok
+    for failure in rep.failures:
+        assert set(failure) == {"Z", "Zp", "at", "got", "expected"}
+        Z, Zp = SpecialSymbol.parse(failure["Z"]), SpecialSymbol.parse(failure["Zp"])
+        tau, taup = map(parse, failure["at"])
+        assert tau in Z.family("S,1") and taup in Zp.family("S+,0")
+        assert failure["got"] != failure["expected"]
+
+
+def _run_optimized(planted: str, suite: str) -> tuple:
+    """(ok, failure count) of a suite run under python -O after the planted code."""
     code = (
-        "from dualpairs import suites, tables\n"
-        "tables.global_pairs = lambda n, np, eps: frozenset()\n"
-        "rep = suites.run_suite('correspondence', max_rank=4)\n"
-        "print(__debug__, rep.ok, len(rep.failures))\n"
+        "from dualpairs import cells, suites, tables\n"
+        + planted
+        + "\nrep = suites.run_suite(%r, max_rank=4)\n" % suite
+        + "print(__debug__, rep.ok, len(rep.failures))\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "DUALPAIRS_WORKERS"}
     proc = subprocess.run(
@@ -49,4 +63,22 @@ def test_checks_survive_optimized_mode():
     assert proc.returncode == 0, proc.stderr
     debug, ok, failures = proc.stdout.split()
     assert debug == "False"
-    assert ok == "False" and int(failures) > 0
+    return ok == "True", int(failures)
+
+
+def test_checks_survive_optimized_mode():
+    """A planted table defect is reported when asserts are compiled away."""
+    ok, failures = _run_optimized(
+        "tables.global_pairs = lambda n, np, eps: frozenset()", "correspondence"
+    )
+    assert not ok and failures > 0
+
+
+def test_cell_checks_survive_optimized_mode():
+    """Two equal semi-consecutive arrangements break the singleton intersection."""
+    ok, failures = _run_optimized(
+        "real = cells.semi_consecutive_arrangements\n"
+        "cells.semi_consecutive_arrangements = lambda Z: (real(Z)[0], real(Z)[0])",
+        "cells",
+    )
+    assert not ok and failures > 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualpairs import uniform
 from dualpairs.branching import z_cuspidal, zp_cuspidal
 from dualpairs.cells import Arrangement, arrangements, cell, cell_sign
 from dualpairs.derivative import derive_once
@@ -24,7 +25,9 @@ from dualpairs.uniform import (
     r_vector,
     rt2_pow,
     sharp,
+    sharp_tensor,
     sp_space,
+    tensor,
     vec_add,
     vec_eq,
     vec_scale,
@@ -238,6 +241,29 @@ class TestCellSums:
         assert vec_eq(cell_alternating_r_sum(space, c), vec_scale(cell_sum(space, c), 2))
 
 
+def _dense_thm0310(Z, Zp, eps):
+    """The main identity compared coefficient by coefficient in rho x rho."""
+    lhs = sharp_tensor(sp_space(Z), o_space(Zp, eps), omega_hat(Z, Zp, eps))
+    return lhs == d_r_tensor(Z, Zp, eps)
+
+
+def _oracle_pairs():
+    """Every special pair at rank sum <= 6, then the cuspidal pairs (m, m+1), m <= 2."""
+    pairs = [(Z, Zp) for Z in specials_upto(6, 1) for Zp in specials_upto(6 - Z.rank, 0)]
+    return pairs + [(z_cuspidal(m), zp_cuspidal(m + 1)) for m in range(3)]
+
+
+def _r_basis_entry(Z, Zp, eps, tau, taup):
+    """<Omega_hat, R_tau x R_tau'> and 1/2 (G 1_D G')_{tau, tau'}, from rho vectors."""
+    spz, spo = sp_space(Z), o_space(Zp, eps)
+    r_tau, r_taup = r_vector(spz, tau), r_vector(spo, taup)
+    got = inner(omega_hat(Z, Zp, eps), tensor(r_tau, r_taup))
+    want = Rt2()
+    for sig, sigp in uniform.relation_set(Z, Zp, "D").pairs:
+        want = want + inner(r_vector(spz, sig), r_tau) * inner(r_vector(spo, sigp), r_taup)
+    return got, want * Fraction(1, 2)
+
+
 class TestMainIdentity:
     def test_omega_hat_counts(self):
         assert len(omega_hat(ZW, ZPW, 1)) == 8
@@ -260,6 +286,43 @@ class TestMainIdentity:
     def test_worked_pair(self, eps):
         ok, witness = verify_thm0310(ZW, ZPW, eps)
         assert ok, witness
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_matches_dense_oracle(self, eps):
+        for Z, Zp in _oracle_pairs():
+            ok, witness = verify_thm0310(Z, Zp, eps)
+            assert ok, witness
+            assert _dense_thm0310(Z, Zp, eps), (Z, Zp)
+
+    @pytest.mark.usefixtures("planted_b_defect")
+    def test_planted_defect_fails_both_paths_on_the_same_pairs(self):
+        failed_r, failed_dense = set(), set()
+        for Z, Zp in _oracle_pairs():
+            for eps in (1, -1):
+                ok, witness = verify_thm0310(Z, Zp, eps)
+                if not ok:
+                    failed_r.add((Z, Zp, eps))
+                    tau, taup, got, want = witness
+                    assert tau in Z.family("S,1") and taup in Zp.family("S+,0")
+                    assert got != want
+                    assert _r_basis_entry(Z, Zp, eps, tau, taup) == (Rt2(got), Rt2(want))
+                if not _dense_thm0310(Z, Zp, eps):
+                    failed_dense.add((Z, Zp, eps))
+        assert failed_r and failed_r == failed_dense
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_degree_three_and_four_cuspidal_pairs(self, eps):
+        """The identity on pairs of degree 3 and 4.
+
+        No D-related special pair of degree 3 occurs at rank sum <= 12 (the
+        largest degrees there are (2, 2)), so the thm0310 suite never sees
+        one; the cuspidal families are the affordable degree-3 and -4 gate.
+        """
+        for m, mp in ((3, 3), (3, 4), (4, 4), (4, 5)):
+            Z, Zp = z_cuspidal(m), zp_cuspidal(mp)
+            assert (Z.degree, Zp.degree) == (m, mp)
+            ok, witness = verify_thm0310(Z, Zp, eps)
+            assert ok, (m, mp, witness)
 
     def test_graph_tensor_halves(self):
         # the right-hand side really needs the half: doubling it must fail
