@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-from .cells import Arrangement
-from .relations import CheckFailed, Pair, PairSet, cores, in_B, pair_entries
+from .cells import Arrangement, cell_sign
+from .relations import CheckFailed, Pair, PairSet, core_free_family, cores, in_B, pair_entries
 from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, transport_mask
 
 
@@ -109,8 +109,6 @@ class ThetaMap:
         return self.Zp if self.direction == "up" else self.Z
 
     def source_family(self) -> Tuple[Symbol, ...]:
-        from .relations import core_free_family
-
         if self.direction == "up":
             return core_free_family(self.Z, "S", self.psi0)
         return core_free_family(
@@ -173,8 +171,6 @@ class ThetaMap:
             return Arrangement(tuple(new_pairs), None), frozenset(new_psi)
         # down: pairs (s,t) of the defect-0 side map to (theta(t), theta(s));
         # the released largest entry becomes the isolated single.
-        from .cells import cell_sign
-
         if cell_sign(phi, psi) != self.eps:
             raise ValueError("subset of pairs is not admissible for eps=%+d" % self.eps)
         pairs = [(emap[(t, BOT)][0], emap[(s, TOP)][0]) for (s, t) in phi.pairs]

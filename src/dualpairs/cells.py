@@ -14,14 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Tuple
 
-from .relations import (
-    EMPTY_PAIRSET,
-    CheckFailed,
-    Pair,
-    PairSet,
-    pair_entries,
-    subsets_of_pairs,
-)
+from .relations import EMPTY_PAIRSET, CheckFailed, Pair, PairSet, subsets_of_pairs
 from .symbols import BOT, TOP, SpecialSymbol, Symbol
 
 
@@ -98,28 +91,28 @@ def cell(Z: SpecialSymbol, phi: Arrangement, psi: Iterable[Pair]) -> Cell:
 
     For defect 1 the isolated single is included exactly when needed to
     keep |M| even (family membership); for defect 0 the member parity, and
-    with it the S^+/S^- side, is determined by |phi \\ psi|.
+    with it the S^+/S^- side, is determined by |phi \\ psi|.  Raises
+    ValueError unless phi uses every single of Z exactly once, with an
+    isolated top single exactly when Z has defect 1.
     """
     psi = frozenset(psi)
     if not psi <= phi.pair_set():
         raise ValueError("psi %r is not a subset of pairs of %s" % (sorted(psi), phi))
-    split = sorted(phi.pair_set() - psi)
-    psi_sorted = sorted(psi)
+    bits = [(Z.mask_of([(s, TOP)]), Z.mask_of([(t, BOT)])) for (s, t) in phi.pairs]
+    iso = 0 if phi.isolated is None else Z.mask_of([(phi.isolated, TOP)])
+    used = iso
+    for a, b in bits:
+        used |= a | b
+    # As many entries as singles and covering them all: each single once.
+    # The count also forces an isolated single exactly at odd |singles|,
+    # that is at defect 1.
+    if 2 * len(bits) + bool(iso) != len(Z.singles) or used != (1 << len(Z.singles)) - 1:
+        raise ValueError("%s is not an arrangement of the singles of %s" % (phi, Z))
+    options = [(0, a | b) if p in psi else (a, b) for p, (a, b) in zip(phi.pairs, bits)]
     members = []
-    for inside in subsets_of_pairs(frozenset(psi_sorted)):
-        base_m = set(pair_entries(inside))
-        for choice in itertools.product((TOP, BOT), repeat=len(split)):
-            m = set(base_m)
-            for (s, t), side in zip(split, choice):
-                m.add((s, TOP) if side == TOP else (t, BOT))
-            if Z.defect == 1:
-                if len(m) % 2 == 1:
-                    m.add((phi.isolated, TOP))
-            members.append(Z.lambda_of(frozenset(m)))
-    if len(members) != 2 ** Z.degree:
-        raise CheckFailed(
-            "cell of %s has %d members, not 2^%d" % (phi, len(members), Z.degree)
-        )
+    for choice in itertools.product(*options):
+        m = sum(choice)
+        members.append(Z.member(m | iso if m.bit_count() & 1 else m))
     return Cell(Z, phi, psi, frozenset(members))
 
 
@@ -153,13 +146,8 @@ def cell_partition_check(Z: SpecialSymbol, phi: Arrangement) -> bool:
 
 def _psi_containing(Z: SpecialSymbol, phi: Arrangement, sym: Symbol) -> PairSet:
     """The unique psi <= phi with sym in the corresponding cell."""
-    m = Z.m_of(sym)
-    psi = []
-    for (s, t) in phi.pairs:
-        hit = len(m & {(s, TOP), (t, BOT)})
-        if hit != 1:
-            psi.append((s, t))
-    return frozenset(psi)
+    m = Z.member_mask(sym)
+    return frozenset(p for p in phi.pairs if (m & Z.pairs_mask([p])).bit_count() != 1)
 
 
 def singleton_intersection(
@@ -187,8 +175,8 @@ def singleton_intersection(
     psi2 = _psi_containing(Z, phi2, lam)
     inter = cell(Z, phi1, psi1).members & cell(Z, phi2, psi2).members
     if psi0:
-        banned = pair_entries(psi0)
-        inter = {s for s in inter if not (Z.m_of(s) & banned)}
+        banned = Z.pairs_mask(psi0)
+        inter = {s for s in inter if not Z.member_mask(s) & banned}
     if inter != {lam}:
         raise CheckFailed(
             "intersection %r is not {%s}" % (sorted(map(str, inter)), lam)
@@ -198,9 +186,10 @@ def singleton_intersection(
 
 def _strip_core(Z: SpecialSymbol, psi0: PairSet) -> SpecialSymbol:
     """Z with the core-pair entries deleted (still special, same defect)."""
-    drop = pair_entries(psi0)
-    top = [v for v in Z.symbol.top if (v, TOP) not in drop]
-    bot = [v for v in Z.symbol.bot if (v, BOT) not in drop]
+    # the values of core pairs are singles, so each sits in one row only
+    drop = {v for pair in psi0 for v in pair}
+    top = [v for v in Z.symbol.top if v not in drop]
+    bot = [v for v in Z.symbol.bot if v not in drop]
     return SpecialSymbol(Symbol(top, bot))
 
 
@@ -217,29 +206,24 @@ def separating_pair(
     always share every cell).  A core psi0 constrains both cells' psi to
     contain it.
     """
-    m1, m2 = Z.m_of(lam1), Z.m_of(lam2)
-    banned = pair_entries(psi0)
-    if m1 & banned or m2 & banned:
+    m1, m2 = Z.member_mask(lam1), Z.member_mask(lam2)
+    banned = Z.pairs_mask(psi0)
+    if (m1 | m2) & banned:
         raise ValueError("arguments must avoid the core entries")
     if lam1 == lam2:
         raise ValueError("cannot separate a symbol from itself")
-    core_free = frozenset(Z.singles) - banned
-    if Z.defect == 0 and m1 == core_free - m2:
+    core_free = ((1 << len(Z.singles)) - 1) & ~banned
+    if Z.defect == 0 and m1 == core_free ^ m2:
         # The core-free complement plays the role of the transpose here;
         # such a pair shares every core-respecting cell.
         raise ValueError("cannot separate a symbol from its core-free transpose")
-    tops = [v for (v, r) in core_free if r == TOP]
-    bots = [v for (v, r) in core_free if r == BOT]
-    split_pair = None
-    for s in tops:
-        for t in bots:
-            c1 = len(m1 & {(s, TOP), (t, BOT)})
-            c2 = len(m2 & {(s, TOP), (t, BOT)})
-            if c1 % 2 != c2 % 2:
-                split_pair = (s, t)
-                break
-        if split_pair:
-            break
+    tops, bots = _free_values(Z, banned)
+    # a pair that M1 and M2 meet with different parities
+    diff = m1 ^ m2
+    split_pair = next(
+        ((s, t) for s in tops for t in bots if (diff & Z.pairs_mask([(s, t)])).bit_count() & 1),
+        None,
+    )
     if split_pair is None:
         raise CheckFailed("no splitting pair for %s, %s" % (lam1, lam2))
     phi = _complete_arrangement(Z, frozenset({split_pair}) | psi0)
@@ -256,9 +240,7 @@ def separating_pair(
 
 def _complete_arrangement(Z: SpecialSymbol, forced: PairSet) -> Arrangement:
     """Any arrangement of Z containing the given disjoint pairs."""
-    used = pair_entries(forced)
-    tops = [v for v in Z.single_values(TOP) if (v, TOP) not in used]
-    bots = [v for v in Z.single_values(BOT) if (v, BOT) not in used]
+    tops, bots = _free_values(Z, Z.pairs_mask(forced))
     pairs = list(forced)
     if Z.defect == 1:
         isolated = tops[0]
@@ -266,3 +248,9 @@ def _complete_arrangement(Z: SpecialSymbol, forced: PairSet) -> Arrangement:
         return Arrangement(tuple(pairs), isolated)
     pairs += list(zip(tops, bots))
     return Arrangement(tuple(pairs), None)
+
+
+def _free_values(Z: SpecialSymbol, banned: int) -> Tuple[list, list]:
+    """Values of the top and of the bottom singles outside a mask."""
+    free = [e for i, e in enumerate(Z.singles) if not banned >> i & 1]
+    return [v for (v, r) in free if r == TOP], [v for (v, r) in free if r == BOT]

@@ -112,6 +112,8 @@ def _parse_arrangement(text: str) -> cells.Arrangement:
     pairs, isolated = [], None
     for (s, t) in _parse_pairs(text.replace(";-", ";-1")):
         if t == -1:
+            if isolated is not None:
+                raise ValueError("arrangement %r has two isolated singles" % text)
             isolated = s
         else:
             pairs.append((s, t))

@@ -133,10 +133,7 @@ class DerivativeStep:
         """
         core_z = [self.removed_z] if self.scan.z_kind == "core" else []
         core_zp = [self.removed_zp] if self.scan.zp_kind == "core" else []
-        return (
-            self.Z.mask_of(pair_entries(core_z)),
-            self.Zp.mask_of(pair_entries(core_zp)),
-        )
+        return self.Z.pairs_mask(core_z), self.Zp.pairs_mask(core_zp)
 
     def to_json(self) -> dict:
         return {
@@ -264,6 +261,8 @@ class DerivativeChain:
     Zp: SpecialSymbol
     steps: Tuple[DerivativeStep, ...]
     core: CorePair
+    fmap: Dict[Entry, Entry]    # composed single maps, defined away from the cores
+    fpmap: Dict[Entry, Entry]
 
     @property
     def terminal(self) -> Tuple[SpecialSymbol, SpecialSymbol]:
@@ -275,21 +274,11 @@ class DerivativeChain:
     def cexp(self) -> int:
         return sum(s.cexp for s in self.steps)
 
-    def maps(self) -> Tuple[Dict[Entry, Entry], Dict[Entry, Entry]]:
-        """Composed single maps, defined away from the cores."""
-        g = {e: e for e in self.Z.singles if e not in pair_entries(self.core.psi0)}
-        gp = {e: e for e in self.Zp.singles if e not in pair_entries(self.core.psi0p)}
-        for step in self.steps:
-            g = {orig: step.fmap[cur] for orig, cur in g.items()}
-            gp = {orig: step.fpmap[cur] for orig, cur in gp.items()}
-        return g, gp
-
     def transport(self, sym: Symbol, side: str) -> Symbol:
-        g, gp = self.maps()
         base, derived, fmap = (
-            (self.Z, self.terminal[0], g)
+            (self.Z, self.terminal[0], self.fmap)
             if side == "Z"
-            else (self.Zp, self.terminal[1], gp)
+            else (self.Zp, self.terminal[1], self.fpmap)
         )
         image = transport_mask(base, derived, fmap, base.member_mask(sym))
         if image is None:
@@ -328,7 +317,10 @@ def derive_full(Z: SpecialSymbol, Zp: SpecialSymbol) -> DerivativeChain:
         steps.append(step)
         cur, curp = step.Z1, step.Zp1
 
-    chain = DerivativeChain(Z, Zp, tuple(steps), core)
+    # inv, invp now send each terminal single to the original single it came from
+    fmap = {orig: cur for cur, orig in inv.items()}
+    fpmap = {orig: cur for cur, orig in invp.items()}
+    chain = DerivativeChain(Z, Zp, tuple(steps), core, fmap, fpmap)
     zt, zpt = chain.terminal
     checks = (
         # the pulled-back removed core pairs are exactly the cores of D

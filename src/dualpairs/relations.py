@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .symbols import BOT, TOP, MSet, SpecialSymbol, Symbol, special_closure
+from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, special_closure
 
 Pair = Tuple[int, int]  # (top single value, bottom single value)
 PairSet = FrozenSet[Pair]
@@ -35,8 +35,13 @@ class CheckFailed(AssertionError):
     """
 
 
-def pair_entries(pairs: Iterable[Pair]) -> MSet:
+def pair_entries(pairs: Iterable[Pair]) -> FrozenSet[Entry]:
     return frozenset(e for (s, t) in pairs for e in ((s, TOP), (t, BOT)))
+
+
+def _singles_of(Z: SpecialSymbol, mask: int) -> List[Entry]:
+    """The tagged singles whose bits are set in the mask."""
+    return [e for i, e in enumerate(Z.singles) if mask >> i & 1]
 
 
 # -- the interlacing order on partitions -------------------------------------
@@ -198,12 +203,12 @@ def is_consecutive(Z: SpecialSymbol, pair: Pair) -> bool:
     return all(not (lo < v < hi) for v in Z.symbol.entries())
 
 
-def decompose_consecutive(Z: SpecialSymbol, entries: MSet) -> PairSet:
-    """Split a set of tagged singles into disjoint consecutive pairs.
+def decompose_consecutive(Z: SpecialSymbol, mask: int) -> PairSet:
+    """Split the singles of a mask into disjoint consecutive pairs.
 
     The decomposition is unique when it exists; raises otherwise.
     """
-    remaining = sorted(entries, key=lambda e: e[0], reverse=True)
+    remaining = sorted(_singles_of(Z, mask), reverse=True)
     pairs = set()
     while remaining:
         if len(remaining) == 1:
@@ -230,8 +235,8 @@ def subsets_of_pairs(pairs: PairSet) -> Tuple[PairSet, ...]:
 
 def cores(Z: SpecialSymbol, Zp: SpecialSymbol) -> CorePair:
     """Cores of the D relation, with the structure of both partner sets checked."""
-    d_of_zp = [sig for sig in Z.family("S,1") if in_D(sig, Zp.symbol)]
-    d_of_z = [sigp for sigp in Zp.family("S+,0") if in_D(Z.symbol, sigp)]
+    d_of_zp = [m for m in Z.masks("S,1") if in_D(Z.member(m), Zp.symbol)]
+    d_of_z = [m for m in Zp.masks("S+,0") if in_D(Z.symbol, Zp.member(m))]
     if not d_of_zp or not d_of_z:
         raise ValueError("empty D relation for (%s, %s)" % (Z, Zp))
     psi0 = _core_of(Z, d_of_zp)
@@ -239,13 +244,14 @@ def cores(Z: SpecialSymbol, Zp: SpecialSymbol) -> CorePair:
     return CorePair(psi0, psi0p)
 
 
-def _core_of(base: SpecialSymbol, members: List[Symbol]) -> PairSet:
-    masks = {base.member_mask(sym) for sym in members}
+def _core_of(base: SpecialSymbol, masks: List[int]) -> PairSet:
+    """The consecutive pairs whose flips give exactly the given masks."""
+    masks = set(masks)
     support = 0
     for m in masks:
         support |= m
-    pairs = decompose_consecutive(base, base.mset_of_mask(support))
-    expected = {base.mask_of(pair_entries(ps)) for ps in subsets_of_pairs(pairs)}
+    pairs = decompose_consecutive(base, support)
+    expected = {base.pairs_mask(ps) for ps in subsets_of_pairs(pairs)}
     if masks != expected:
         raise CheckFailed(
             "D-partner set of %s is not the flip family of %r" % (base, sorted(pairs))
@@ -255,7 +261,7 @@ def _core_of(base: SpecialSymbol, members: List[Symbol]) -> PairSet:
 
 def core_free_family(base: SpecialSymbol, which: str, psi: PairSet) -> Tuple[Symbol, ...]:
     """Members Lambda_M of the family with M avoiding the entries of psi."""
-    banned = base.mask_of(pair_entries(psi))
+    banned = base.pairs_mask(psi)
     return tuple(
         lam
         for m, lam in zip(base.masks(which), base.family(which))
@@ -266,7 +272,7 @@ def core_free_family(base: SpecialSymbol, which: str, psi: PairSet) -> Tuple[Sym
 def flip_family(base: SpecialSymbol, psi: PairSet) -> Tuple[Symbol, ...]:
     """Members Lambda_M with M a union of pairs of psi (2^k of them)."""
     return tuple(
-        base.member(base.mask_of(pair_entries(ps))) for ps in subsets_of_pairs(psi)
+        base.member(base.pairs_mask(ps)) for ps in subsets_of_pairs(psi)
     )
 
 
@@ -311,10 +317,10 @@ def moveback_step(lam: Symbol, lamp: Symbol) -> Tuple[Symbol, Symbol, str]:
     mp = Zp.symbol.size[0]
     if Z.defect != 1 or Zp.defect != 0 or mp not in (m, m + 1):
         raise ValueError("pair (%s, %s) is not size-normalized" % (lam, lamp))
-    mset = Z.m_of(lam)
-    if not mset:
+    mask = Z.member_mask(lam)
+    if not mask:
         raise ValueError("first component already equals its special symbol")
-    x = max(v for (v, _) in mset)
+    x = max(v for (v, _) in _singles_of(Z, mask))
     tight = mp == m + 1  # strictness pattern flips with the size regime
 
     a, b, c, d = lam.top, lam.bot, lamp.top, lamp.bot
@@ -368,8 +374,8 @@ def moveback_step(lam: Symbol, lamp: Symbol) -> Tuple[Symbol, Symbol, str]:
             case = "f"
             out = lam.flip(x, BOT).flip(ak, TOP), lamp
     new_lam, new_lamp = out
-    new_mset = Z.m_of(new_lam)
-    if new_mset and max(v for (v, _) in new_mset) >= x:
+    new_mask = Z.member_mask(new_lam)
+    if new_mask and max(v for (v, _) in _singles_of(Z, new_mask)) >= x:
         raise CheckFailed(
             "move-back did not lower the largest displaced entry %d: (%s, %s) case %s"
             % (x, lam, lamp, case)
@@ -390,7 +396,7 @@ def moveback_chain(
         raise ValueError("(%s, %s) is not in the bar relation" % (lam, lamp))
     Z = special_closure(lam)
     chain: List[Tuple[Symbol, Symbol, Optional[str]]] = [(lam, lamp, None)]
-    while Z.m_of(chain[-1][0]):
+    while Z.member_mask(chain[-1][0]):
         cur, curp, _ = chain[-1]
         chain.append(moveback_step(cur, curp))
     return chain

@@ -269,7 +269,7 @@ def _check_cells(Z, report: SuiteReport) -> None:
             c = cells.cell(Z, phi, psi)
             masks = [Z.member_mask(s) for s in c.members]
             for psip in relations.subsets_of_pairs(phi.pair_set()):
-                ent = Z.mask_of(relations.pair_entries(psip))
+                ent = Z.pairs_mask(psip)
                 pars = {(m & ent).bit_count() % 2 for m in masks}
                 if len(pars) > 1:
                     report.failures.append(

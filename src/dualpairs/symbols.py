@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     Optional,
@@ -42,9 +41,6 @@ TOP = 0
 BOT = 1
 
 Entry = Tuple[int, int]  # (value, row)
-MSet = FrozenSet[Entry]
-
-EMPTY_MSET: MSet = frozenset()
 
 
 def _entry(v) -> int:
@@ -310,14 +306,14 @@ class SpecialSymbol:
         return self._table
 
     def member(self, mask: int) -> Symbol:
-        """Lambda_M for the M-set with the given bitmask over the singles."""
+        """Lambda_M for the flip set M given as a bitmask over the singles."""
         members = self.table.members
         if not 0 <= mask < len(members):
             raise ValueError("mask %r out of range for %s" % (mask, self.symbol))
         return members[mask]
 
     def member_mask(self, sym: Symbol) -> int:
-        """Bitmask of the M-set with Lambda_M = sym; raises if `sym` has other entries."""
+        """Bitmask of the flip set M with Lambda_M = sym; raises if `sym` has other entries."""
         try:
             return self.table.mask[sym]
         except KeyError:
@@ -325,30 +321,23 @@ class SpecialSymbol:
                 "%s does not share the entries of %s" % (sym, self.symbol)
             ) from None
 
-    def lambda_of(self, mset: Iterable[Entry]) -> Symbol:
-        """Flip the rows of the singles in M, leave everything else alone."""
-        return self.table.members[self.mask_of(mset)]
-
-    def m_of(self, sym: Symbol) -> MSet:
-        """Inverse of :meth:`lambda_of`; raises if `sym` has different entries."""
-        return self.mset_of_mask(self.member_mask(sym))
-
     def contains(self, sym: Symbol) -> bool:
         """Membership of `sym` in the ambient family (same entry multiset)."""
         return sym in self.table.mask
 
-    def mask_of(self, mset: Iterable[Entry]) -> int:
-        """Bitmask form of an M-set over the fixed singles order."""
+    def mask_of(self, entries: Iterable[Entry]) -> int:
+        """Bitmask of a set of tagged singles over the fixed singles order."""
         m = 0
-        for e in mset:
+        for e in entries:
             i = self._single_index.get(e)
             if i is None:
                 raise ValueError("not a single of %s: %r" % (self.symbol, e))
             m |= 1 << i
         return m
 
-    def mset_of_mask(self, mask: int) -> MSet:
-        return frozenset(e for i, e in enumerate(self.singles) if mask >> i & 1)
+    def pairs_mask(self, pairs: Iterable[Tuple[int, int]]) -> int:
+        """Bitmask of the singles in (top value, bottom value) pairs."""
+        return self.mask_of(e for (s, t) in pairs for e in ((s, TOP), (t, BOT)))
 
     # -- families -----------------------------------------------------------
 
@@ -365,10 +354,6 @@ class SpecialSymbol:
     def masks(self, which: str) -> Tuple[int, ...]:
         """The masks of the :meth:`family` members (same order)."""
         return self.table.kind(which)[0]
-
-    def msets(self, which: str) -> Tuple[MSet, ...]:
-        """The M-sets behind :meth:`family` (same order)."""
-        return tuple(map(self.mset_of_mask, self.masks(which)))
 
     def add(self, lam1: Symbol, lam2: Symbol) -> Symbol:
         """Group law on the family: symmetric difference of the M-sets."""

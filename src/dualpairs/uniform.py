@@ -16,8 +16,8 @@ from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .cells import Cell, cell_sign
-from .derivative import DerivativeStep
-from .relations import core_free_family, pair_entries, relation_set
+from .derivative import DerivativeStep, transport
+from .relations import core_free_family, relation_set, subsets_of_pairs
 from .symbols import SpecialSymbol, Symbol
 
 
@@ -255,11 +255,9 @@ def cell_alternating_r_sum(space: Space, c: Cell) -> Vec:
     base = space.base
     out: Vec = {}
     complement = c.phi.pair_set() - c.psi
-    from .relations import subsets_of_pairs
-
     for psip in subsets_of_pairs(c.phi.pair_set()):
         sign = (-1) ** len(psip & complement)
-        sigma = base.lambda_of(pair_entries(psip))
+        sigma = base.member(base.pairs_mask(psip))
         for sym, coeff in r_vector(space, sigma).items():
             add_to(out, sym, coeff * sign)
     return out
@@ -408,7 +406,7 @@ def _natural_vec(
     """rho^(1): rho itself for a doubles step, (rho + rho^nat)/sqrt(2) for core."""
     if kind != "core":
         return {sym: ONE}
-    flip = base.add(sym, base.lambda_of(pair_entries([removed])))
+    flip = base.member(base.member_mask(sym) ^ base.pairs_mask([removed]))
     c = rt2_pow(-1)
     return {sym: c, flip: c}
 
@@ -459,7 +457,8 @@ def check_step_r_scaling(step: DerivativeStep) -> bool:
 def _r_natural_vec(space: Space, sigma: Symbol, removed, kind: Optional[str]) -> Vec:
     if kind != "core":
         return r_vector(space, sigma)
-    flip = space.base.add(sigma, space.base.lambda_of(pair_entries([removed])))
+    base = space.base
+    flip = base.member(base.member_mask(sigma) ^ base.pairs_mask([removed]))
     c = rt2_pow(-1)
     return vec_add(
         vec_scale(r_vector(space, sigma), c), vec_scale(r_vector(space, flip), c)
@@ -468,8 +467,6 @@ def _r_natural_vec(space: Space, sigma: Symbol, removed, kind: Optional[str]) ->
 
 def check_step_pairing_transport(step: DerivativeStep) -> bool:
     """<R^(1)_S, rho^(1)_L> = <R_{f(S)}, rho_{f(L)}> over the step's domain."""
-    from .derivative import transport
-
     for side, base, derived, removed, kind in (
         ("Z", step.Z, step.Z1, step.removed_z, step.scan.z_kind),
         ("Zp", step.Zp, step.Zp1, step.removed_zp, step.scan.zp_kind),

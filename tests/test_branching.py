@@ -171,13 +171,15 @@ class TestCuspidal:
         # flip-set form: + transposes the flip set, - adds the new entry
         Z = z_cuspidal(1)
         Zp = zp_cuspidal(2)
-        for mset in Z.msets("all"):
-            lam = Z.lambda_of(mset)
-            flipped = frozenset((v, 1 - r) for (v, r) in mset)
-            assert theta_cuspidal(lam, 1, "up") == Zp.lambda_of(flipped)
+        for mask in Z.masks("all"):
+            lam = Z.member(mask)
+            flipped = Zp.mask_of(
+                (v, 1 - r) for i, (v, r) in enumerate(Z.singles) if mask >> i & 1
+            )
+            assert theta_cuspidal(lam, 1, "up") == Zp.member(flipped)
             # the new largest entry is natively on top of the target and
             # joins the flip set for the minus sign
-            assert theta_cuspidal(lam, -1, "up") == Zp.lambda_of(flipped | {(3, 0)})
+            assert theta_cuspidal(lam, -1, "up") == Zp.member(flipped | Zp.mask_of([(3, 0)]))
 
     def test_down_map(self):
         Zp = zp_cuspidal(1)

@@ -13,7 +13,7 @@ from dualpairs.cells import (
     separating_pair,
     singleton_intersection,
 )
-from dualpairs.relations import cores, pair_entries, subsets_of_pairs
+from dualpairs.relations import cores, subsets_of_pairs
 from dualpairs.symbols import SpecialSymbol, parse, specials_upto
 
 Z1 = SpecialSymbol.parse("4,2,0;3,1")
@@ -33,7 +33,7 @@ class TestGoldens:
         assert got.members == want
         # all members keep the isolated single displaced together
         for sym in got.members:
-            assert (4, 0) in Z1.m_of(sym)
+            assert Z1.member_mask(sym) & Z1.mask_of([(4, 0)])
 
     def test_defect0_worked_cell(self):
         got = cell(Z0, PHI0, {(5, 4), (1, 0)})
@@ -58,7 +58,7 @@ class TestGoldens:
     def test_full_subset_gives_flips(self):
         psi = PHI1.pair_set()
         got = cell(Z1, PHI1, psi)
-        want = {Z1.lambda_of(pair_entries(ps)) for ps in subsets_of_pairs(psi)}
+        want = {Z1.member(Z1.pairs_mask(ps)) for ps in subsets_of_pairs(psi)}
         assert got.members == want
 
 
@@ -97,6 +97,29 @@ class TestStructure:
             admissible(PHI1, set(), 1)
 
 
+class TestArrangementValidation:
+    @pytest.mark.parametrize(
+        "z, phi",
+        [
+            # 8 used twice and 1 left out
+            (SpecialSymbol.parse("8,5,1;6,3"), Arrangement(((8, 6), (8, 3)), 5)),
+            # no isolated single on a defect-1 base
+            (SpecialSymbol.parse("8,5,1;6,3"), Arrangement(((8, 6), (5, 3)), None)),
+            # a bottom single paired twice
+            (Z1, Arrangement(((2, 3), (0, 3)), 4)),
+            # every single covered, but 1 both paired and isolated on a defect-0 base
+            (Z0, Arrangement(((5, 4), (3, 2), (1, 0)), 1)),
+            # every single covered, but 1 paired twice and no isolated single
+            (Z1, Arrangement(((4, 3), (2, 1), (0, 1)), None)),
+            # a pair of a bottom value over a top value
+            (Z0, Arrangement(((4, 5), (3, 2), (1, 0)), None)),
+        ],
+    )
+    def test_cell_rejects_non_arrangements(self, z, phi):
+        with pytest.raises(ValueError):
+            cell(z, phi, ())
+
+
 class TestSingletonIntersection:
     def test_base_symbol(self):
         phi1, psi1, phi2, psi2 = singleton_intersection(Z1, Z1.symbol)
@@ -120,7 +143,7 @@ class TestSingletonIntersection:
     def test_core_variant_on_worked_pair(self):
         zw = SpecialSymbol.parse("8,5,1;6,3")
         cp = cores(zw, SpecialSymbol.parse("8,6,2;6,3,0"))
-        for lam in (zw.symbol, zw.lambda_of(frozenset({(1, 0), (6, 1)}))):
+        for lam in (zw.symbol, zw.member(zw.mask_of({(1, 0), (6, 1)}))):
             phi1, psi1, phi2, psi2 = singleton_intersection(zw, lam, cp.psi0)
             assert cp.psi0 <= psi1 and cp.psi0 <= psi2
 

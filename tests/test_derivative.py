@@ -7,7 +7,7 @@ from dualpairs.derivative import (
     scan_first,
     transport,
 )
-from dualpairs.relations import pair_entries, relation_set
+from dualpairs.relations import relation_set
 from dualpairs.symbols import SpecialSymbol, parse, specials_upto
 
 ZW = SpecialSymbol.parse("8,5,1;6,3")
@@ -85,12 +85,12 @@ class TestDeriveOnce:
         # |B+| = C^2 |B+ reduced| at each worked step
         step = derive_once(ZW, ZPW)
         full = relation_set(ZW, ZPW, "B+").pairs
-        skip = pair_entries([step.removed_z])
-        skipp = pair_entries([step.removed_zp])
+        skip = ZW.pairs_mask([step.removed_z])
+        skipp = ZPW.pairs_mask([step.removed_zp])
         reduced = [
             (l, r)
             for (l, r) in full
-            if not (ZW.m_of(l) & skip) and not (ZPW.m_of(r) & skipp)
+            if not ZW.member_mask(l) & skip and not ZPW.member_mask(r) & skipp
         ]
         assert len(full) == 2**step.cexp * len(reduced)
 
@@ -106,14 +106,14 @@ class TestDeriveOnce:
 
     def test_transport_rejects_removed_entries(self):
         step = derive_once(ZW, ZPW)
-        lam = ZW.lambda_of(frozenset({(5, 0), (3, 1)}))
+        lam = ZW.member(ZW.mask_of({(5, 0), (3, 1)}))
         with pytest.raises(ValueError):
             transport(step, lam, "Z")
 
     def test_transport_round_trip_bijective(self):
         step = derive_once(ZW, ZPW)
-        skip = pair_entries([step.removed_z])
-        src = [s for s in ZW.family("all") if not (ZW.m_of(s) & skip)]
+        skip = ZW.pairs_mask([step.removed_z])
+        src = [s for s in ZW.family("all") if not ZW.member_mask(s) & skip]
         images = {transport(step, s, "Z") for s in src}
         assert len(images) == len(src) == len(step.Z1.family("all"))
 
@@ -168,3 +168,20 @@ class TestDeriveFull:
         }
         zt, zpt = chain.terminal
         assert image == relation_set(zt, zpt, "B+").pairs
+
+    def test_stored_maps_compose_the_step_maps(self):
+        # oracle: compose every step's entry map, starting from the singles
+        # of each base that avoid its core pairs
+        from dualpairs.relations import in_D, pair_entries
+
+        for Z in specials_upto(7, 1):
+            for Zp in specials_upto(7 - Z.rank, 0):
+                if not in_D(Z.symbol, Zp.symbol):
+                    continue
+                chain = derive_full(Z, Zp)
+                g = {e: e for e in Z.singles if e not in pair_entries(chain.core.psi0)}
+                gp = {e: e for e in Zp.singles if e not in pair_entries(chain.core.psi0p)}
+                for step in chain.steps:
+                    g = {orig: step.fmap[cur] for orig, cur in g.items()}
+                    gp = {orig: step.fpmap[cur] for orig, cur in gp.items()}
+                assert (chain.fmap, chain.fpmap) == (g, gp)

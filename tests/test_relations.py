@@ -167,7 +167,7 @@ class TestCores:
     def test_decompose_consecutive_rejects_gaps(self):
         z = SpecialSymbol.parse("4,2,0;3,1")
         with pytest.raises(ValueError):
-            decompose_consecutive(z, frozenset({(4, 0), (1, 1)}))
+            decompose_consecutive(z, z.mask_of({(4, 0), (1, 1)}))
 
 
 class TestBNatural:

@@ -172,28 +172,29 @@ class TestSpecial:
 
     def test_lambda_of(self):
         z = SpecialSymbol.parse("8,5,1;6,3")
-        m = frozenset({(6, BOT), (1, TOP)})
-        lam = z.lambda_of(m)
+        m = z.mask_of({(6, BOT), (1, TOP)})
+        lam = z.member(m)
         assert lam == parse("8,6,5;3,1")
-        assert z.m_of(lam) == m
-        assert z.lambda_of(frozenset()) == z.symbol
+        assert z.member_mask(lam) == m
+        assert z.member(0) == z.symbol
         with pytest.raises(ValueError):
-            z.lambda_of(frozenset({(7, TOP)}))
+            z.mask_of({(7, TOP)})
 
     @given(special_symbols(), st.randoms(use_true_random=False))
     def test_lambda_bijective(self, z, rng):
-        msets = list(z.msets("all"))
-        syms = [z.lambda_of(m) for m in msets]
-        assert len(set(syms)) == len(msets) == 2 ** len(z.singles)
-        pick = rng.choice(msets)
-        assert z.m_of(z.lambda_of(pick)) == pick
+        masks = list(z.masks("all"))
+        syms = [z.member(m) for m in masks]
+        assert len(set(syms)) == len(masks) == 2 ** len(z.singles)
+        pick = rng.choice(masks)
+        assert z.member_mask(z.member(pick)) == pick
 
     @given(special_symbols())
     def test_defect_formula(self, z):
-        for m in z.msets("all"):
-            lam = z.lambda_of(m)
-            stars = sum(1 for (_, r) in m if r == TOP)
-            subs = len(m) - stars
+        for m in z.masks("all"):
+            lam = z.member(m)
+            flipped = _flipped(z, m)
+            stars = sum(1 for (_, r) in flipped if r == TOP)
+            subs = len(flipped) - stars
             assert lam.defect == z.defect + 2 * (subs - stars)
             assert lam.rank == z.rank
 
@@ -206,17 +207,18 @@ class TestSpecial:
         ]
         for z in bases:
             assert z.degree == 3
-            for m in z.msets("all"):
-                lam = z.lambda_of(m)
-                stars = sum(1 for (_, r) in m if r == TOP)
-                assert lam.defect == z.defect + 2 * (len(m) - 2 * stars)
+            for m in z.masks("all"):
+                lam = z.member(m)
+                flipped = _flipped(z, m)
+                stars = sum(1 for (_, r) in flipped if r == TOP)
+                assert lam.defect == z.defect + 2 * (len(flipped) - 2 * stars)
                 assert lam.rank == z.rank
             assert len(z.family("all")) == 2 ** len(z.singles)
 
     def test_transpose_is_full_flip(self):
         for text in ("3,1;2,0", "8,6,2;6,3,0"):
             z = SpecialSymbol.parse(text)
-            assert z.lambda_of(frozenset(z.singles)) == z.symbol.t
+            assert z.member(z.mask_of(z.singles)) == z.symbol.t
 
     @given(special_symbols())
     def test_add_group_laws(self, z):
@@ -231,16 +233,30 @@ class TestSpecial:
         z = SpecialSymbol.parse("4,2,0;3,1")
         singles = list(z.singles)
         for k in range(len(singles)):
-            m1 = frozenset(singles[:k])
-            m2 = frozenset(singles[k:])
-            assert z.add(z.lambda_of(m1), z.lambda_of(m2)) == z.lambda_of(m1 | m2)
+            m1 = z.mask_of(singles[:k])
+            m2 = z.mask_of(singles[k:])
+            assert z.add(z.member(m1), z.member(m2)) == z.member(m1 | m2)
 
     def test_m_of_foreign_symbol(self):
         z = SpecialSymbol.parse("8,5,1;6,3")
         with pytest.raises(ValueError):
-            z.m_of(parse("8,5,2;6,3"))
+            z.member_mask(parse("8,5,2;6,3"))
         with pytest.raises(ValueError):
-            z.m_of(parse("8,5,1;6,4"))
+            z.member_mask(parse("8,5,1;6,4"))
+
+    def test_pairs_mask(self):
+        z = SpecialSymbol.parse("8,5,1;6,3")
+        want = z.mask_of({(5, TOP), (6, BOT), (1, TOP), (3, BOT)})
+        assert z.pairs_mask([(5, 6), (1, 3)]) == want
+        assert z.pairs_mask([]) == 0
+
+    def test_pairs_mask_rejects_non_singles(self):
+        z = SpecialSymbol.parse("8,6,2;6,3,0")  # 6 is a double
+        assert z.pairs_mask([(8, 3)]) == z.mask_of({(8, TOP), (3, BOT)})
+        # a double, a value absent from Z, and a pair with its rows swapped
+        for bad in ([(6, 6)], [(8, 3), (4, 0)], [(3, 8)]):
+            with pytest.raises(ValueError):
+                z.pairs_mask(bad)
 
     def test_family_defect_mismatch(self):
         with pytest.raises(ValueError):
@@ -312,6 +328,11 @@ class TestEnumeration:
             assert all(v <= 8 for v in z.symbol.entries())
 
 
+def _flipped(z, mask):
+    """The tagged singles whose bits are set in mask."""
+    return [e for i, e in enumerate(z.singles) if mask >> i & 1]
+
+
 def _old_kind_masks(z, which):
     """The former family filter: combinations of singles by size, then defect."""
     base, _, beta = which.partition(",")
@@ -334,7 +355,7 @@ class TestFamilyTable:
                 members = z.table.members
                 assert len(members) == 2 ** len(z.singles)
                 for mask, lam in enumerate(members):
-                    assert lam == _lambda_direct(z, z.mset_of_mask(mask))
+                    assert lam == _lambda_direct(z, _flipped(z, mask))
                     assert z.member_mask(lam) == mask
 
     def test_kind_masks_keep_combinations_order(self):

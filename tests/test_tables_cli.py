@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from dualpairs.cli import main
 from dualpairs.relations import relation_set
 from dualpairs.symbols import SpecialSymbol, parse
 from dualpairs.tables import check_table, correspondence, global_pairs, render_table
@@ -108,6 +109,19 @@ class TestCli:
         )
         got = set(json.loads(proc.stdout))
         assert got == {"3;4,2,1,0", "2,1,0;4,3", "2;4,3,1,0", "3,1,0;4,2"}
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            "(8;6),(8;3),(5;-)",  # 8 twice, 1 left out
+            "(8;6),(5;3)",  # no isolated single at defect 1
+            "(8;-),(5;6),(1;3),(8;-)",  # two isolated tokens
+        ],
+    )
+    def test_cells_command_rejects_bad_arrangements(self, phi, capsys):
+        assert main(["cells", "--Z", "8,5,1;6,3", "--phi", phi]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_theta_command(self):
         proc = run_cli("theta", "--Z", "2,0;1", "--Zp", "3,1;2,0", "--epsilon", "+")
