@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from .relations import EMPTY_PAIRSET, CheckFailed, Pair, PairSet, subsets_of_pairs
+from .relations import EMPTY_PAIRSET, CheckFailed, Pair, PairSet
 from .symbols import BOT, TOP, SpecialSymbol, Symbol
 
 
@@ -128,9 +128,9 @@ def admissible(phi: Arrangement, psi: Iterable[Pair], eps: int) -> bool:
     return cell_sign(phi, psi) == eps
 
 
-def cell_partition_check(Z: SpecialSymbol, phi: Arrangement) -> bool:
-    """Cells over all psi are disjoint and cover the family (split by sign)."""
-    cells = [cell(Z, phi, psi) for psi in subsets_of_pairs(phi.pair_set())]
+def cell_partition_check(Z: SpecialSymbol, cells: Sequence[Cell]) -> bool:
+    """The cells of one arrangement, one per subset psi of its pairs, are
+    disjoint and cover the family (split by sign)."""
     seen = set()
     for c in cells:
         if seen & c.members:

@@ -133,9 +133,6 @@ class RelationSet:
     def cols(self) -> Tuple[Symbol, ...]:
         return tuple(sorted({p[1] for p in self.pairs}, key=Symbol.sort_key))
 
-    def partners_of(self, lam: Symbol) -> Tuple[Symbol, ...]:
-        return tuple(sorted((q for (p, q) in self.pairs if p == lam), key=Symbol.sort_key))
-
     def __len__(self) -> int:
         return len(self.pairs)
 

@@ -23,7 +23,6 @@ with ``row`` 0 for the first (top) row and 1 for the second (bottom) row.
 from __future__ import annotations
 
 import itertools
-import json
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -216,16 +215,6 @@ def _parse_row(part: str) -> Tuple[int, ...]:
     return tuple(int(tok) for tok in part.split(","))
 
 
-def to_json(s: Symbol) -> dict:
-    return {"top": list(s.top), "bot": list(s.bot)}
-
-
-def from_json(obj) -> Symbol:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return Symbol(obj["top"], obj["bot"])
-
-
 # -- special symbols ---------------------------------------------------------
 
 
@@ -320,10 +309,6 @@ class SpecialSymbol:
             raise ValueError(
                 "%s does not share the entries of %s" % (sym, self.symbol)
             ) from None
-
-    def contains(self, sym: Symbol) -> bool:
-        """Membership of `sym` in the ambient family (same entry multiset)."""
-        return sym in self.table.mask
 
     def mask_of(self, entries: Iterable[Entry]) -> int:
         """Bitmask of a set of tagged singles over the fixed singles order."""

@@ -30,12 +30,6 @@ class CorrespondenceTable:
             out |= b.pairs
         return frozenset(out)
 
-    def block_of(self, lam: Symbol, lamp: Symbol):
-        for b in self.blocks:
-            if (lam, lamp) in b.pairs:
-                return (b.Z, b.Zp)
-        return None
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

@@ -3,113 +3,50 @@
 The space attached to a special symbol carries one orthonormal basis
 vector rho_L per family member L.  The distinguished vectors R_S (one per
 defect-1 resp. defect-0 family member S) span the "uniform" subspace; the
-sharp map is the orthogonal projection onto it, computed exactly over the
-rationals.  Scalars live in Q + Q*sqrt(2): every constant in the
-derivative identities is a power of sqrt(2) and nothing ever floats.
+sharp map is the orthogonal projection onto it.
+
+The checks work in Python ints on family masks.  The main identity is an
+integer identity in the R basis (verify_thm0310).  Every constant of the
+derivative-step identities is a power of sqrt 2, so each of them, multiplied
+through by a power of 2, is an identity of integers too; an odd power of
+sqrt 2 is irrational, and such an identity holds only when both sides are 0.
+The dense rho x rho form of the main identity (sharp_tensor, omega_hat,
+d_r_tensor) has rational Fraction coefficients.  It is kept here as the test
+oracle, and the benchmark's tracer (perfbench/tracer.py) times it by name.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from .cells import Cell, cell_sign
-from .derivative import DerivativeStep, transport
-from .relations import core_free_family, relation_set, subsets_of_pairs
-from .symbols import SpecialSymbol, Symbol
-
-
-@dataclass(frozen=True)
-class Rt2:
-    """An element a + b*sqrt(2) with rational a, b."""
-
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-
-    def __add__(self, other: "Rt2") -> "Rt2":
-        return Rt2(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "Rt2") -> "Rt2":
-        return Rt2(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "Rt2":
-        return Rt2(-self.a, -self.b)
-
-    def __mul__(self, other) -> "Rt2":
-        if isinstance(other, Rt2):
-            return Rt2(
-                self.a * other.a + 2 * self.b * other.b,
-                self.a * other.b + self.b * other.a,
-            )
-        return Rt2(self.a * other, self.b * other)
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def __str__(self) -> str:
-        if not self.b:
-            return str(self.a)
-        if not self.a:
-            return "%s*r2" % self.b
-        return "%s+%s*r2" % (self.a, self.b)
-
-
-ZERO = Rt2()
-ONE = Rt2(Fraction(1))
-
-
-def rt2_pow(e: int) -> Rt2:
-    """2^(e/2) as an exact scalar, for any integer e."""
-    half, odd = divmod(e, 2)
-    base = Fraction(2) ** half
-    return Rt2(Fraction(0), base) if odd else Rt2(base)
-
-
-def scalar(x) -> Rt2:
-    if isinstance(x, Rt2):
-        return x
-    return Rt2(Fraction(x))
+from .derivative import DerivativeStep
+from .relations import relation_set
+from .symbols import SpecialSymbol, Symbol, transport_mask
 
 
 # -- vectors and tensors -------------------------------------------------------
 
-Vec = Dict[Symbol, Rt2]
-Ten = Dict[Tuple[Symbol, Symbol], Rt2]
+Vec = Dict[Symbol, Fraction]
+Ten = Dict[Tuple[Symbol, Symbol], Fraction]
 
 
-def add_to(target, key, coeff: Rt2) -> None:
-    cur = target.get(key, ZERO) + coeff
+def add_to(target, key, coeff: Fraction) -> None:
+    cur = target.get(key, 0) + coeff
     if cur:
         target[key] = cur
     else:
         target.pop(key, None)
 
 
-def vec_scale(v, c) -> dict:
-    c = scalar(c)
-    return {k: x * c for k, x in v.items()} if c else {}
-
-
-def vec_add(u, v) -> dict:
-    out = dict(u)
-    for k, x in v.items():
-        add_to(out, k, x)
-    return out
-
-
-def vec_eq(u, v) -> bool:
-    return vec_add(u, vec_scale(v, Rt2(Fraction(-1)))) == {}
-
-
-def inner(u: Vec, v: Vec) -> Rt2:
+def inner(u: Vec, v: Vec) -> Fraction:
     """Inner product in the orthonormal rho basis."""
     if len(v) < len(u):
         u, v = v, u
-    total = ZERO
+    total = Fraction(0)
     for k, x in u.items():
         y = v.get(k)
         if y:
@@ -119,8 +56,7 @@ def inner(u: Vec, v: Vec) -> Rt2:
 
 def tensor(u: Vec, v: Vec) -> Ten:
     return {
-        # coefficients lie in the field Q(sqrt 2): a product is zero only
-        # when a factor is
+        # a product of nonzero rationals is nonzero
         (k1, k2): x1 * x2 for k1, x1 in u.items() if x1 for k2, x2 in v.items() if x2
     }
 
@@ -153,9 +89,6 @@ class Space:
 
     def family(self) -> Tuple[Symbol, ...]:
         return self.base.family(self.kind)
-
-    def r_index(self) -> Tuple[Symbol, ...]:
-        return self.base.family(self.r_kind)
 
 
 def sp_space(Z: SpecialSymbol) -> Space:
@@ -190,9 +123,8 @@ def r_vector(space: Space, sigma: Symbol) -> Vec:
         # The uniform normalization is kept at degree 0 as well (R = 2*rho
         # there): the main projection identity forces it.
         norm = Fraction(2, 2**base.degree)
-    plus, minus = Rt2(norm), Rt2(-norm)
     return {
-        lam: minus if (m & sig_m).bit_count() & 1 else plus
+        lam: -norm if (m & sig_m).bit_count() & 1 else norm
         for m, lam in zip(base.masks(space.kind), space.family())
     }
 
@@ -211,7 +143,7 @@ def _projector(space: Space) -> Dict[Symbol, Vec]:
             k = m_lam ^ m_mu
             tot = sum(-1 if (s & k).bit_count() & 1 else 1 for s in sig_masks)
             if tot:
-                col[mu] = Rt2(Fraction(tot, denom))
+                col[mu] = Fraction(tot, denom)
         cols[lam] = col
     return cols
 
@@ -238,43 +170,18 @@ def sharp_tensor(sp: Space, op: Space, t: Ten) -> Ten:
     return out
 
 
-def cell_sum(space: Space, c: Cell) -> Vec:
-    """Sum of rho over a cell's members (admissibility enforced on the O side)."""
-    if space.side == "O":
-        if cell_sign(c.phi, c.psi) != space.eps:
-            raise ValueError("cell is not admissible for eps=%+d" % space.eps)
-    return {sym: ONE for sym in c.members}
-
-
-def cell_alternating_r_sum(space: Space, c: Cell) -> Vec:
-    """The alternating combination of R vectors attached to a cell.
-
-    Equals the cell sum on the defect-1 side, and twice it on the
-    defect-0 side under the uniform normalization used here.
-    """
-    base = space.base
-    out: Vec = {}
-    complement = c.phi.pair_set() - c.psi
-    for psip in subsets_of_pairs(c.phi.pair_set()):
-        sign = (-1) ** len(psip & complement)
-        sigma = base.member(base.pairs_mask(psip))
-        for sym, coeff in r_vector(space, sigma).items():
-            add_to(out, sym, coeff * sign)
-    return out
-
-
 def omega_hat(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> Ten:
     """Indicator tensor of the B relation in the rho x rho basis."""
     kind = "B+" if eps == 1 else "B-"
     rel = relation_set(Z, Zp, kind)
-    return {(lam, lamp): ONE for (lam, lamp) in rel.pairs}
+    return {(lam, lamp): Fraction(1) for (lam, lamp) in rel.pairs}
 
 
 def d_r_tensor(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> Ten:
     """Half the sum of R x R over the D relation, expanded in rho x rho."""
     spz, spo = sp_space(Z), o_space(Zp, eps)
     out: Ten = {}
-    half = Rt2(Fraction(1, 2))
+    half = Fraction(1, 2)
     if spo.base.is_degenerate and eps == -1:
         return out
     for (sig, sigp) in relation_set(Z, Zp, "D").pairs:
@@ -398,92 +305,132 @@ def verify_thm0310(
 
 
 # -- derivative-step identities ------------------------------------------------
+#
+# C = 2^(cexp/2), and on a core side rho^(1) = (rho + rho^nat)/sqrt 2, where
+# rho^nat flips the removed core pair; R^(1) likewise.  With k core sides a
+# reduced sum is 2^(-k/2) times an integer tensor over the masks {m, m ^ r}.
 
 
-def _natural_vec(
-    base: SpecialSymbol, sym: Symbol, removed, kind: Optional[str]
-) -> Vec:
-    """rho^(1): rho itself for a doubles step, (rho + rho^nat)/sqrt(2) for core."""
-    if kind != "core":
-        return {sym: ONE}
-    flip = base.member(base.member_mask(sym) ^ base.pairs_mask([removed]))
-    c = rt2_pow(-1)
-    return {sym: c, flip: c}
+def _nat(m: int, r: int) -> Tuple[int, ...]:
+    """The masks of rho + rho^nat for a removed core mask r (rho alone for r = 0)."""
+    return (m, m ^ r) if r else (m,)
 
 
-def step_rho_tensor_pairs(step: DerivativeStep, eps: int = 1):
-    """The B pairs supported away from the removed entries."""
-    rel = relation_set(step.Z, step.Zp, "B+" if eps == 1 else "B-")
-    skip, skipp = step.removed_masks()
-    return [
-        (lam, lamp)
-        for (lam, lamp) in rel.pairs
-        if not step.Z.member_mask(lam) & skip and not step.Zp.member_mask(lamp) & skipp
-    ]
+def _step_tensors(step: DerivativeStep, kind: str) -> Tuple[Counter, Counter]:
+    """The indicator of a relation and the integer tensor of its reduced sum.
+
+    Both are keyed by mask pairs.  The reduced sum runs over the pairs away
+    from the removed core pairs, each expanded over _nat on both sides.
+    """
+    mask, maskp = step.Z.table.mask, step.Zp.table.mask
+    r, rp = step.removed_masks()
+    full, reduced = Counter(), Counter()
+    for lam, lamp in relation_set(step.Z, step.Zp, kind).pairs:
+        m, mp = mask[lam], maskp[lamp]
+        full[m, mp] += 1
+        if not (m & r or mp & rp):
+            for a in _nat(m, r):
+                for b in _nat(mp, rp):
+                    reduced[a, b] += 1
+    return full, reduced
+
+
+def _scaled_equal(
+    step: DerivativeStep, full: Counter, reduced: Counter, is_zero: Callable
+) -> bool:
+    """full = C * 2^(-k/2) * reduced, that is full = 2^((cexp - k)/2) * reduced.
+
+    For odd cexp - k the factor is irrational and both sides must be 0.
+    """
+    r, rp = step.removed_masks()
+    shift = step.cexp - bool(r) - bool(rp)
+    if shift & 1:
+        return is_zero(full) and is_zero(reduced)
+    e = shift // 2
+    diff = Counter({key: v << max(-e, 0) for key, v in full.items()})
+    diff.subtract({key: v << max(e, 0) for key, v in reduced.items()})
+    return is_zero(diff)
 
 
 def check_step_scaling(step: DerivativeStep) -> bool:
     """Sum over B of rho x rho equals C times the reduced sum of rho^(1) x rho^(1)."""
-    full: Ten = {}
-    for pair in relation_set(step.Z, step.Zp, "B+").pairs:
-        add_to(full, pair, ONE)
-    reduced: Ten = {}
-    c = rt2_pow(step.cexp)
-    for (lam, lamp) in step_rho_tensor_pairs(step):
-        left = _natural_vec(step.Z, lam, step.removed_z, step.scan.z_kind)
-        right = _natural_vec(step.Zp, lamp, step.removed_zp, step.scan.zp_kind)
-        for k, v in tensor(left, right).items():
-            add_to(reduced, k, v * c)
-    return full == reduced
+    full, reduced = _step_tensors(step, "B+")
+    return _scaled_equal(step, full, reduced, lambda t: not any(t.values()))
 
 
-def check_step_r_scaling(step: DerivativeStep) -> bool:
-    """Same scaling identity for the R x R sum over D."""
-    lhs = d_r_tensor(step.Z, step.Zp, 1)
-    spz, spo = sp_space(step.Z), o_space(step.Zp, 1)
-    skip, skipp = step.removed_masks()
-    rhs: Ten = {}
-    c = rt2_pow(step.cexp) * Rt2(Fraction(1, 2))
-    for (sig, sigp) in relation_set(step.Z, step.Zp, "D").pairs:
-        if step.Z.member_mask(sig) & skip or step.Zp.member_mask(sigp) & skipp:
-            continue
-        left = _r_natural_vec(spz, sig, step.removed_z, step.scan.z_kind)
-        right = _r_natural_vec(spo, sigp, step.removed_zp, step.scan.zp_kind)
-        for k, v in tensor(left, right).items():
-            add_to(rhs, k, v * c)
-    return lhs == rhs
+def _r_sum_is_zero(spz: Space, spo: Space, coeffs: Counter) -> bool:
+    """Whether the sum of coeffs[s, s'] * R_s x R_s' over R-index masks is 0.
 
-
-def _r_natural_vec(space: Space, sigma: Symbol, removed, kind: Optional[str]) -> Vec:
-    if kind != "core":
-        return r_vector(space, sigma)
-    base = space.base
-    flip = base.member(base.member_mask(sigma) ^ base.pairs_mask([removed]))
-    c = rt2_pow(-1)
-    return vec_add(
-        vec_scale(r_vector(space, sigma), c), vec_scale(r_vector(space, flip), c)
+    It lies in span(R) x span(R'), so it is 0 exactly when its inner product
+    with every R_tau x R_tau' is; up to the R normalizations that product is
+    the sum of coeffs[s, s'] * g(s ^ tau) * g'(s' ^ tau') (see _gram).
+    """
+    g, gp = _gram(spz), _gram(spo)
+    taups = spo.base.masks(spo.r_kind)
+    rows: Dict[int, list] = {}
+    for (s, sp), c in coeffs.items():
+        if c:
+            row = rows.setdefault(s, [0] * len(taups))
+            for j, t in enumerate(taups):
+                row[j] += c * gp[sp ^ t]
+    return not any(
+        sum(g[s ^ tau] * row[j] for s, row in rows.items())
+        for tau in spz.base.masks(spz.r_kind)
+        for j in range(len(taups))
     )
 
 
+def check_step_r_scaling(step: DerivativeStep) -> bool:
+    """Same scaling identity for half the R x R sum over D, in the R basis.
+
+    The half is on both sides and cancels.
+    """
+    full, reduced = _step_tensors(step, "D")
+    spz, spo = sp_space(step.Z), o_space(step.Zp, 1)
+    return _scaled_equal(step, full, reduced, lambda t: _r_sum_is_zero(spz, spo, t))
+
+
 def check_step_pairing_transport(step: DerivativeStep) -> bool:
-    """<R^(1)_S, rho^(1)_L> = <R_{f(S)}, rho_{f(L)}> over the step's domain."""
-    for side, base, derived, removed, kind in (
-        ("Z", step.Z, step.Z1, step.removed_z, step.scan.z_kind),
-        ("Zp", step.Zp, step.Zp1, step.removed_zp, step.scan.zp_kind),
+    """<R^(1)_S, rho^(1)_L> = <R_{f(S)}, rho_{f(L)}> over the step's domain.
+
+    <R_s, rho_l> is chi(s & l) times the R normalization, 2^(-deg) on the Sp
+    side and 2^(1 - deg) on the O side, and on a core side R^(1) and rho^(1)
+    each add a factor 2^(-1/2).  The O side's factor 2 is on both sides of
+    the identity.  So the left side is a sum of characters times
+    2^(-deg - core), the right side is chi(f(s) & f(l)) times 2^(-deg'), and
+    both are compared as integers.
+    """
+    r, rp = step.removed_masks()
+    for space, derived, fmap, rm in (
+        (sp_space(step.Z), step.Z1, step.fmap, r),
+        (o_space(step.Zp, 1), step.Zp1, step.fpmap, rp),
     ):
-        if side == "Z":
-            space, dspace = sp_space(base), sp_space(derived)
-        else:
-            space, dspace = o_space(base, 1), o_space(derived, 1)
-        skip = [removed] if kind == "core" else []
-        sigmas = core_free_family(base, space.r_kind, skip)
-        lams = core_free_family(base, space.kind, skip)
-        for sig in sigmas:
-            rv = _r_natural_vec(space, sig, removed, kind)
-            rv_t = r_vector(dspace, transport(step, sig, side))
-            for lam in lams:
-                lhs = inner(rv, _natural_vec(base, lam, removed, kind))
-                rhs = inner(rv_t, {transport(step, lam, side): ONE})
-                if lhs != rhs:
+        base = space.base
+        # chars * 2^(-deg - core) == image * 2^(-deg'): shift both to integers
+        shift = base.degree + bool(rm) - derived.degree
+        left, right = max(-shift, 0), max(shift, 0)
+        rho_d = set(derived.masks(space.kind))
+        r_d = set(derived.masks(space.r_kind))
+        lams = [
+            (m, transport_mask(base, derived, fmap, m))
+            for m in base.masks(space.kind)
+            if not m & rm
+        ]
+        for s in base.masks(space.r_kind):
+            if s & rm:
+                continue
+            fs = transport_mask(base, derived, fmap, s)
+            if fs not in r_d:  # f(S) must index an R vector of the derived space
+                return False
+            for m, fm in lams:
+                chars = sum(
+                    -1 if (a & b).bit_count() & 1 else 1
+                    for a in _nat(s, rm)
+                    for b in _nat(m, rm)
+                )
+                image = 0
+                if fm in rho_d:
+                    image = -1 if (fs & fm).bit_count() & 1 else 1
+                if chars << left != image << right:
                     return False
     return True

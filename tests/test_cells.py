@@ -66,9 +66,9 @@ class TestStructure:
     @pytest.mark.parametrize("z", [Z1, Z0, SpecialSymbol.parse("1;1")])
     def test_sizes_and_partition(self, z):
         for phi in arrangements(z):
-            assert cell_partition_check(z, phi)
-            for psi in subsets_of_pairs(phi.pair_set()):
-                assert len(cell(z, phi, psi)) == 2**z.degree
+            built = [cell(z, phi, psi) for psi in subsets_of_pairs(phi.pair_set())]
+            assert cell_partition_check(z, built)
+            assert all(len(c) == 2**z.degree for c in built)
 
     def test_transpose_closure_defect0(self):
         for phi in arrangements(Z0):

@@ -1,19 +1,19 @@
+import dataclasses
+import functools
+from collections import Counter
 import random
 from fractions import Fraction
 
 import pytest
 
-from dualpairs import uniform
+import rt2_oracle
+from dualpairs import suites, uniform
 from dualpairs.branching import z_cuspidal, zp_cuspidal
 from dualpairs.cells import Arrangement, arrangements, cell, cell_sign
-from dualpairs.derivative import derive_once
+from dualpairs.derivative import TerminalPair, derive_full, derive_once
 from dualpairs.relations import relation_set, subsets_of_pairs
 from dualpairs.symbols import SpecialSymbol, specials_upto
 from dualpairs.uniform import (
-    ONE,
-    Rt2,
-    cell_alternating_r_sum,
-    cell_sum,
     check_step_pairing_transport,
     check_step_r_scaling,
     check_step_scaling,
@@ -23,15 +23,22 @@ from dualpairs.uniform import (
     omega_hat,
     pairing,
     r_vector,
-    rt2_pow,
     sharp,
     sharp_tensor,
     sp_space,
     tensor,
+    verify_thm0310,
+)
+from rt2_oracle import (
+    ONE,
+    Rt2,
+    cell_alternating_r_sum,
+    cell_sum,
+    r_index,
+    rt2_pow,
     vec_add,
     vec_eq,
     vec_scale,
-    verify_thm0310,
 )
 
 ZW = SpecialSymbol.parse("8,5,1;6,3")
@@ -86,63 +93,58 @@ class TestPairing:
 class TestRVectors:
     def test_sp_orthonormal(self):
         space = sp_space(ZW)
-        sigmas = space.r_index()
+        sigmas = r_index(space)
         for i, s1 in enumerate(sigmas):
             for s2 in sigmas[i:]:
                 got = inner(r_vector(space, s1), r_vector(space, s2))
-                assert got == (ONE if s1 == s2 else Rt2())
+                assert got == (1 if s1 == s2 else 0)
 
     def test_o_gram_values(self):
         for eps in (1, -1):
             space = o_space(ZPW, eps)
-            sigmas = space.r_index()
+            sigmas = r_index(space)
             for s1 in sigmas:
                 for s2 in sigmas:
                     got = inner(r_vector(space, s1), r_vector(space, s2))
                     if s2 == s1:
-                        want = Rt2(Fraction(2))
+                        want = 2
                     elif s2 == s1.t:
-                        want = Rt2(Fraction(2 * eps))
+                        want = 2 * eps
                     else:
-                        want = Rt2()
+                        want = 0
                     assert got == want
 
     def test_transpose_sign_rule(self):
         for eps in (1, -1):
             space = o_space(ZPW, eps)
-            for sig in space.r_index():
+            for sig in r_index(space):
                 assert vec_eq(
                     r_vector(space, sig.t), vec_scale(r_vector(space, sig), eps)
                 )
 
     def test_degenerate_base(self):
         z = SpecialSymbol.parse("1;1")
-        assert r_vector(o_space(z, 1), z.symbol) == {z.symbol: Rt2(Fraction(2))}
+        assert r_vector(o_space(z, 1), z.symbol) == {z.symbol: 2}
         with pytest.raises(ValueError):
             r_vector(o_space(z, -1), z.symbol)
 
     def test_degree_zero_sp_base(self):
         z = SpecialSymbol.parse("3;-")
-        assert r_vector(sp_space(z), z.symbol) == {z.symbol: ONE}
+        assert r_vector(sp_space(z), z.symbol) == {z.symbol: 1}
 
 
 def _project_via_gram(space, v):
     """Independent oracle: orthogonalize the R vectors, then project."""
     basis = []
-    for sig in space.r_index():
+    for sig in r_index(space):
         w = r_vector(space, sig)
         for b in basis:
-            coef = inner(w, b)
-            norm = inner(b, b)
-            scale = Rt2(coef.a / norm.a)  # rational entries only
-            w = vec_add(w, vec_scale(b, Rt2(-scale.a)))
+            w = vec_add(w, vec_scale(b, -inner(w, b) / inner(b, b)))
         if w:
             basis.append(w)
     out = {}
     for b in basis:
-        coef = inner(v, b)
-        norm = inner(b, b)
-        out = vec_add(out, vec_scale(b, Rt2(coef.a / norm.a)))
+        out = vec_add(out, vec_scale(b, inner(v, b) / inner(b, b)))
     return out
 
 
@@ -155,15 +157,15 @@ class TestSharp:
     def test_idempotent_self_adjoint_and_matches_gram_solve(self, space):
         rng = random.Random(11)
         fam = space.family()
-        v = {s: Rt2(Fraction(rng.randint(-3, 3))) for s in fam}
+        v = {s: Fraction(rng.randint(-3, 3)) for s in fam}
         v = {k: c for k, c in v.items() if c}
         pv = sharp(space, v)
         assert vec_eq(sharp(space, pv), pv)
         # self-adjoint: <Pv, w> == <v, Pw>
-        w = {s: Rt2(Fraction(rng.randint(-3, 3))) for s in fam}
+        w = {s: Fraction(rng.randint(-3, 3)) for s in fam}
         assert inner(pv, w) == inner(v, sharp(space, w))
         # projection fixes R vectors
-        for sig in space.r_index():
+        for sig in r_index(space):
             rv = r_vector(space, sig)
             assert vec_eq(sharp(space, rv), rv)
         assert vec_eq(pv, _project_via_gram(space, v))
@@ -187,9 +189,9 @@ class TestSharp:
         Z = z_cuspidal(1)
         space = sp_space(Z)
         for lam in Z.family("S"):
-            direct = sharp(space, {lam: ONE})
+            direct = sharp(space, {lam: Fraction(1)})
             total = {}
-            for sig in space.r_index():
+            for sig in r_index(space):
                 sign = -1 if pairing(Z, sig, lam) else 1
                 total = vec_add(
                     total,
@@ -237,7 +239,7 @@ class TestCellSums:
         space = o_space(z, 1)
         phi = Arrangement((), None)
         c = cell(z, phi, frozenset())
-        assert cell_sum(space, c) == {z.symbol: ONE}
+        assert cell_sum(space, c) == {z.symbol: 1}
         assert vec_eq(cell_alternating_r_sum(space, c), vec_scale(cell_sum(space, c), 2))
 
 
@@ -258,7 +260,7 @@ def _r_basis_entry(Z, Zp, eps, tau, taup):
     spz, spo = sp_space(Z), o_space(Zp, eps)
     r_tau, r_taup = r_vector(spz, tau), r_vector(spo, taup)
     got = inner(omega_hat(Z, Zp, eps), tensor(r_tau, r_taup))
-    want = Rt2()
+    want = Fraction(0)
     for sig, sigp in uniform.relation_set(Z, Zp, "D").pairs:
         want = want + inner(r_vector(spz, sig), r_tau) * inner(r_vector(spo, sigp), r_taup)
     return got, want * Fraction(1, 2)
@@ -305,7 +307,7 @@ class TestMainIdentity:
                     tau, taup, got, want = witness
                     assert tau in Z.family("S,1") and taup in Zp.family("S+,0")
                     assert got != want
-                    assert _r_basis_entry(Z, Zp, eps, tau, taup) == (Rt2(got), Rt2(want))
+                    assert _r_basis_entry(Z, Zp, eps, tau, taup) == (got, want)
                 if not _dense_thm0310(Z, Zp, eps):
                     failed_dense.add((Z, Zp, eps))
         assert failed_r and failed_r == failed_dense
@@ -331,6 +333,27 @@ class TestMainIdentity:
         assert lhs != doubled
 
 
+STEP_IDENTITIES = ("check_step_scaling", "check_step_r_scaling", "check_step_pairing_transport")
+
+
+@functools.lru_cache(maxsize=None)
+def _d_related_steps():
+    """Every step of the derivative chain of every D-related pair at rank sum <= 8."""
+    return tuple(
+        step for Z, Zp in suites._d_pairs(8) for step in derive_full(Z, Zp).steps
+    )
+
+
+def _failures(module, steps):
+    """The (step index, identity) pairs on which a path's identities fail."""
+    return {
+        (i, name)
+        for i, step in enumerate(steps)
+        for name in STEP_IDENTITIES
+        if not getattr(module, name)(step)
+    }
+
+
 class TestStepIdentities:
     def test_worked_steps(self):
         s1 = derive_once(ZW, ZPW)
@@ -349,8 +372,78 @@ class TestStepIdentities:
                     continue
                 try:
                     step = derive_once(Z, Zp)
-                except Exception:
-                    continue  # terminal pairs
+                except TerminalPair:
+                    continue
                 assert check_step_scaling(step), (Z, Zp)
                 assert check_step_r_scaling(step), (Z, Zp)
                 assert check_step_pairing_transport(step), (Z, Zp)
+
+    @pytest.mark.parametrize("name", STEP_IDENTITIES)
+    def test_integer_identities_agree_with_rt2_oracle(self, name):
+        steps = _d_related_steps()
+        assert len(steps) == 253  # the derivative suite's count at rank sum 8
+        for step in steps:
+            assert getattr(uniform, name)(step), step.to_json()
+            assert getattr(rt2_oracle, name)(step), step.to_json()
+
+    @pytest.mark.usefixtures("planted_b_defect")
+    def test_planted_b_defect_fails_both_paths_on_the_same_steps(self):
+        steps = _d_related_steps()
+        failed = _failures(uniform, steps)
+        assert failed and failed == _failures(rt2_oracle, steps)
+        # only the B relation is planted, so only the rho identity can fail
+        assert {name for _, name in failed} == {"check_step_scaling"}
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_shifted_cexp_fails_both_paths_on_the_same_steps(self, delta):
+        steps = [
+            dataclasses.replace(step, cexp=step.cexp + delta) for step in _d_related_steps()
+        ]
+        failed = _failures(uniform, steps)
+        assert failed and failed == _failures(rt2_oracle, steps)
+        # the pairing identity does not involve C
+        assert {name for _, name in failed} == {"check_step_scaling", "check_step_r_scaling"}
+
+    def test_swapped_entry_map_fails_both_paths_on_the_same_steps(self):
+        # swapping the images of the largest and smallest single of Z' can
+        # move f(S) out of the R-indexing family, where the oracle's
+        # r_vector raises
+        def swapped(fpmap):
+            lo, hi = min(fpmap), max(fpmap)
+            return {**fpmap, lo: fpmap[hi], hi: fpmap[lo]}
+
+        def oracle_fails(step):
+            try:
+                return not rt2_oracle.check_step_pairing_transport(step)
+            except ValueError:
+                return True
+
+        steps = [
+            dataclasses.replace(step, fpmap=swapped(step.fpmap))
+            for step in _d_related_steps()
+            if len(step.fpmap) > 1
+        ]
+        failed = {i for i, step in enumerate(steps) if not check_step_pairing_transport(step)}
+        assert failed and failed == {i for i, step in enumerate(steps) if oracle_fails(step)}
+
+    @pytest.mark.parametrize("delta", [2, -2])
+    def test_even_scaling_shift_has_the_right_direction(self, delta):
+        # real steps have cexp = k; an even shift asks for full = 2^(shift/2) reduced
+        step = derive_once(ZW, ZPW)
+        r, rp = step.removed_masks()
+        step = dataclasses.replace(step, cexp=bool(r) + bool(rp) + delta)
+        big, small = Counter({(0, 0): 2}), Counter({(0, 0): 1})
+        full, reduced = (big, small) if delta > 0 else (small, big)
+        is_zero = lambda t: not any(t.values())
+        assert uniform._scaled_equal(step, full, reduced, is_zero)
+        assert not uniform._scaled_equal(step, reduced, full, is_zero)
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_r_sums_vanish_as_tensors_not_coefficientwise(self, eps):
+        # R_{sigma^t} = eps R_sigma on the O side
+        spz, spo = sp_space(ZW), o_space(ZPW, eps)
+        s = ZW.masks("S,1")[0]
+        sig = next(x for x in ZPW.family("S+,0") if x.t != x)
+        sp, spt = ZPW.member_mask(sig), ZPW.member_mask(sig.t)
+        assert uniform._r_sum_is_zero(spz, spo, Counter({(s, sp): 1, (s, spt): -eps}))
+        assert not uniform._r_sum_is_zero(spz, spo, Counter({(s, sp): 1}))
