@@ -183,6 +183,8 @@ class ThetaMap:
 
 def theta_general(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> ThetaMap:
     """The correspondence map attached to a pair with nonempty D."""
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1, got %r" % (eps,))
     cp = cores(Z, Zp)
     z_free = sorted(
         (e for e in Z.singles if e not in pair_entries(cp.psi0)),

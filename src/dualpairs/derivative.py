@@ -3,9 +3,10 @@
 Scanning the row ends of Z and Z' in an alternating order locates the
 first pair-set whose members are doubles or core pairs; one of three
 surgeries (case I/II/III) then removes it, producing a strictly smaller
-special pair (Z1, Z1') together with entry-level maps f, f' that
-transport family members.  Iterating terminates at a pair that is regular
-with a one-to-one D relation, and transports the B relation exactly.
+special pair (Z1, Z1') together with entry-level maps f, f' on the
+singles, through which symbols.transport_mask pushes family masks.
+Iterating terminates at a pair that is regular with a one-to-one D
+relation, and transports the B relation exactly.
 
 Every step carries the exponent e of its scaling constant C = 2^(e/2):
 e = 0 per removed doubles pair, +1 per removed core pair.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .relations import CheckFailed, CorePair, Pair, cores, pair_entries
-from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, transport_mask
+from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol
 
 
 class TerminalPair(Exception):
@@ -244,17 +245,6 @@ def _restrict_to_singles(
     return out
 
 
-def transport(step: DerivativeStep, sym: Symbol, side: str) -> Symbol:
-    """Push a family member through one step's entry map."""
-    base, derived, fmap = (
-        (step.Z, step.Z1, step.fmap) if side == "Z" else (step.Zp, step.Zp1, step.fpmap)
-    )
-    image = transport_mask(base, derived, fmap, base.member_mask(sym))
-    if image is None:
-        raise ValueError("%s uses singles removed by the step" % sym)
-    return derived.member(image)
-
-
 @dataclass(frozen=True)
 class DerivativeChain:
     Z: SpecialSymbol
@@ -273,17 +263,6 @@ class DerivativeChain:
     @property
     def cexp(self) -> int:
         return sum(s.cexp for s in self.steps)
-
-    def transport(self, sym: Symbol, side: str) -> Symbol:
-        base, derived, fmap = (
-            (self.Z, self.terminal[0], self.fmap)
-            if side == "Z"
-            else (self.Zp, self.terminal[1], self.fpmap)
-        )
-        image = transport_mask(base, derived, fmap, base.member_mask(sym))
-        if image is None:
-            raise ValueError("%s meets the core of the relation" % sym)
-        return derived.member(image)
 
     def to_json(self) -> list:
         return [s.to_json() for s in self.steps]

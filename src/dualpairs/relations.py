@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, special_closure
 
@@ -117,15 +118,41 @@ def interlace_oracle(lam: Symbol, lamp: Symbol) -> bool:
 
 # -- relation sets ------------------------------------------------------------
 
-KINDS = ("D", "B+", "B-", "Bbar+")
+# each kind relates members of a family of Z to members of a family of Z'
+FAMILIES: Dict[str, Tuple[str, str]] = {
+    "D": ("S,1", "S+,0"),
+    "B+": ("S", "S+"),
+    "B-": ("S", "S-"),
+    "Bbar+": ("all", "all"),
+}
+KINDS = tuple(FAMILIES)
+
+
+def b_kind(eps: int) -> str:
+    """The kind of the B relation of sign eps."""
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1, got %r" % (eps,))
+    return "B+" if eps > 0 else "B-"
 
 
 @dataclass(frozen=True)
 class RelationSet:
+    """A relation on the families of (Z, Z'), stored as its mask pairs.
+
+    ``masks`` holds (m, m') for each related (Lambda_m, Lambda'_m'), with m a
+    mask over the singles of Z and m' one over the singles of Z'.  ``pairs``
+    is the same relation on family members, for output.
+    """
+
     kind: str
     Z: SpecialSymbol
     Zp: SpecialSymbol
-    pairs: FrozenSet[Tuple[Symbol, Symbol]]
+    masks: FrozenSet[Tuple[int, int]]
+
+    @cached_property
+    def pairs(self) -> FrozenSet[Tuple[Symbol, Symbol]]:
+        member, memberp = self.Z.table.members, self.Zp.table.members
+        return frozenset((member[m], memberp[mp]) for (m, mp) in self.masks)
 
     def rows(self) -> Tuple[Symbol, ...]:
         return tuple(sorted({p[0] for p in self.pairs}, key=Symbol.sort_key))
@@ -134,7 +161,7 @@ class RelationSet:
         return tuple(sorted({p[1] for p in self.pairs}, key=Symbol.sort_key))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.masks)
 
     def to_json(self) -> dict:
         return {
@@ -147,23 +174,14 @@ class RelationSet:
         }
 
 
-def families_for(kind: str, Z: SpecialSymbol, Zp: SpecialSymbol):
+def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
+    """Filter the product of the kind's two families by its predicate."""
     if Z.defect != 1 or Zp.defect != 0:
         raise ValueError("expected a (defect 1, defect 0) special pair")
-    if kind == "D":
-        return Z.family("S,1"), Zp.family("S+,0")
-    if kind == "B+":
-        return Z.family("S"), Zp.family("S+")
-    if kind == "B-":
-        return Z.family("S"), Zp.family("S-")
-    if kind == "Bbar+":
-        return Z.family("all"), Zp.family("all")
-    raise ValueError("unknown relation kind %r" % kind)
-
-
-def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
-    """Filter the product of the relevant families by the kind's predicate."""
-    left, right = families_for(kind, Z, Zp)
+    if kind not in FAMILIES:
+        raise ValueError("unknown relation kind %r" % kind)
+    which, whichp = FAMILIES[kind]
+    left, right = Z.family(which), Zp.family(whichp)
     if kind == "D":
         test = in_D
     elif kind == "B-":
@@ -172,10 +190,13 @@ def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
         # Bbar+ keeps the B+ defect equation: it is exactly the size
         # normalization the move-back engine assumes on its inputs.
         test = lambda l, r: in_B(l, r, 1)
-    pairs = frozenset(
-        (lam, lamp) for lam in left for lamp in right if test(lam, lamp)
+    mask, maskp = Z.table.mask, Zp.table.mask
+    # the predicates read Symbols, and most products keep no pair: only the
+    # kept pairs are looked up as masks
+    masks = frozenset(
+        (mask[lam], maskp[lamp]) for lam in left for lamp in right if test(lam, lamp)
     )
-    return RelationSet(kind, Z, Zp, pairs)
+    return RelationSet(kind, Z, Zp, masks)
 
 
 # -- cores --------------------------------------------------------------------
@@ -280,19 +301,17 @@ def b_natural(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> RelationSet:
     (L1 + L2, L1' + L2') with (L1, L1') in the restriction, L2 a flip of
     core pairs of Z and L2' a flip of core pairs of Z'.
     """
-    kind = "B+" if eps == 1 else "B-"
-    full = relation_set(Z, Zp, kind)
+    kind = b_kind(eps)
+    full = relation_set(Z, Zp, kind).masks
     cp = cores(Z, Zp)
-    left = set(core_free_family(Z, "S", cp.psi0))
-    right = set(core_free_family(Zp, "S+" if eps == 1 else "S-", cp.psi0p))
-    nat = frozenset((l, r) for (l, r) in full.pairs if l in left and r in right)
+    core, corep = Z.pairs_mask(cp.psi0), Zp.pairs_mask(cp.psi0p)
+    nat = frozenset((m, mp) for (m, mp) in full if not (m & core or mp & corep))
+    flips = [Z.pairs_mask(ps) for ps in subsets_of_pairs(cp.psi0)]
+    flipsp = [Zp.pairs_mask(ps) for ps in subsets_of_pairs(cp.psi0p)]
     rebuilt = frozenset(
-        (Z.add(l, l2), Zp.add(r, r2))
-        for (l, r) in nat
-        for l2 in flip_family(Z, cp.psi0)
-        for r2 in flip_family(Zp, cp.psi0p)
+        (m ^ f, mp ^ fp) for (m, mp) in nat for f in flips for fp in flipsp
     )
-    if rebuilt != full.pairs:
+    if rebuilt != full:
         raise CheckFailed(
             "core factorization failed for (%s, %s), eps=%+d" % (Z, Zp, eps)
         )

@@ -26,6 +26,7 @@ from .symbols import (
     Symbol,
     enumerate_symbols,
     specials_upto,
+    transport_mask,
 )
 
 
@@ -118,7 +119,7 @@ def _check_prop0216(item, report: SuiteReport) -> None:
     if relations.in_D(Z.symbol, Zp.symbol):
         return
     d = relations.relation_set(Z, Zp, "D")
-    if d.pairs:
+    if d.masks:
         report.failures.append({"Z": str(Z), "Zp": str(Zp), "witness": d.to_json()})
 
 
@@ -320,17 +321,14 @@ def _check_derivative(item, report: SuiteReport) -> None:
         _check_step(step, report)
     # composed transport carries the core-restricted relation exactly
     zt, zpt = chain.terminal
-    nat = relations.b_natural(Z, Zp, 1)
     image = {
-        (chain.transport(l, "Z"), chain.transport(r, "Zp")) for (l, r) in nat.pairs
+        (transport_mask(Z, zt, chain.fmap, m), transport_mask(Zp, zpt, chain.fpmap, mp))
+        for (m, mp) in relations.b_natural(Z, Zp, 1).masks
     }
-    target = relations.relation_set(zt, zpt, "B+").pairs
-    if image != target:
+    if image != relations.relation_set(zt, zpt, "B+").masks:
         report.failures.append({"Z": str(Z), "Zp": str(Zp), "transport": False})
-    dchk = relations.relation_set(zt, zpt, "D")
-    firsts = [p for (p, _) in dchk.pairs]
-    seconds = [q for (_, q) in dchk.pairs]
-    if len(set(firsts)) != len(dchk) or len(set(seconds)) != len(dchk):
+    dchk = relations.relation_set(zt, zpt, "D").masks
+    if len({m for (m, _) in dchk}) != len(dchk) or len({n for (_, n) in dchk}) != len(dchk):
         report.failures.append({"Z": str(Z), "Zp": str(Zp), "terminal_D": "not one-to-one"})
 
 
@@ -355,17 +353,16 @@ def _check_step(step, report: SuiteReport) -> None:
     if ddegp != wantp:
         report.failures.append({"step": step.to_json(), "zp_degree": [ddegp, wantp]})
     # bar-relation transport in both directions
-    bbar = relations.relation_set(step.Z, step.Zp, "Bbar+")
     skip, skipp = step.removed_masks()
-    image = set()
-    for (lam, lamp) in bbar.pairs:
-        if step.Z.member_mask(lam) & skip or step.Zp.member_mask(lamp) & skipp:
-            continue
-        image.add(
-            (derivative.transport(step, lam, "Z"), derivative.transport(step, lamp, "Zp"))
+    image = {
+        (
+            transport_mask(step.Z, step.Z1, step.fmap, m),
+            transport_mask(step.Zp, step.Zp1, step.fpmap, mp),
         )
-    target = relations.relation_set(step.Z1, step.Zp1, "Bbar+").pairs
-    if image != target:
+        for (m, mp) in relations.relation_set(step.Z, step.Zp, "Bbar+").masks
+        if not (m & skip or mp & skipp)
+    }
+    if image != relations.relation_set(step.Z1, step.Zp1, "Bbar+").masks:
         report.failures.append({"step": step.to_json(), "bar_transport": False})
     for name, fn in (
         ("rho_scaling", uniform.check_step_scaling),

@@ -479,28 +479,32 @@ def enumerate_special(rank_: int, defect_: int) -> Tuple[SpecialSymbol, ...]:
     if rank_ < 0:
         return ()
     out = []
-    # The smallest reduced rank attainable at size (m+d, m) grows with m,
-    # so m <= rank_ + 1 is a safe cutoff.
-    for m in range(rank_ + 2):
+    for m in itertools.count():
         length = 2 * m + 1 if defect_ == 1 else 2 * m
         correction = m * m if defect_ == 1 else m * m - m
+        # the smallest reduced rank at size (m + d, m) is m
+        if _min_chain_sum(length) > rank_ + correction:
+            break
         if length == 0:
             if rank_ == 0:
                 out.append(SpecialSymbol(Symbol((), ())))
             continue
         for chain in _chains(length, rank_ + correction):
-            if length >= 2 and chain[-1] == 0 and chain[-2] == 0:
-                continue  # not reduced
             out.append(SpecialSymbol(Symbol(chain[0::2], chain[1::2])))
     return tuple(sorted(out, key=lambda z: z.symbol.sort_key()))
 
 
 def _min_chain_sum(length: int) -> int:
-    return sum(j // 2 for j in range(length))
+    """The smallest sum of `length` trailing slots of a reduced chain."""
+    return sum((j + 1) // 2 for j in range(length))
 
 
 def _chains(length: int, total: int) -> Iterator[Tuple[int, ...]]:
-    """Weakly decreasing chains, strictly decreasing two apart, summing to total."""
+    """Weakly decreasing chains, strictly decreasing two apart, summing to total.
+
+    Only reduced chains are built: the last two entries are not both 0, so
+    the second to last is at least 1.
+    """
 
     def rec(prefix, remaining):
         k = len(prefix)
@@ -514,7 +518,7 @@ def _chains(length: int, total: int) -> Iterator[Tuple[int, ...]]:
             hi = min(hi, prefix[-1])
         if k >= 2:
             hi = min(hi, prefix[-2] - 1)
-        floor = slots_after // 2  # entries two apart must stay >= 0
+        floor = (slots_after + 1) // 2  # entries two apart stay >= 0, and reduced
         for v in range(hi, floor - 1, -1):
             # upper bound on what the remaining slots can still contribute
             cap = v * slots_after - _min_chain_sum(slots_after)

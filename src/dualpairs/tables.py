@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Tuple
 
-from .relations import CheckFailed, RelationSet, relation_set
+from .relations import CheckFailed, RelationSet, b_kind, relation_set
 from .symbols import SpecialSymbol, Symbol, enumerate_special, special_closure
 
 CHECK = "✓"
@@ -35,7 +35,7 @@ class CorrespondenceTable:
             "n": self.n,
             "np": self.np,
             "epsilon": "+" if self.eps == 1 else "-",
-            "blocks": [b.to_json() for b in self.blocks if b.pairs],
+            "blocks": [b.to_json() for b in self.blocks if b.masks],
         }
 
 
@@ -43,12 +43,12 @@ def correspondence(n: int, np: int, eps: int) -> CorrespondenceTable:
     """All related pairs at ranks (n, n'), grouped by special pair."""
     if n < 0 or np < 0:
         raise ValueError("ranks must be non-negative")
-    kind = "B+" if eps == 1 else "B-"
+    kind = b_kind(eps)
     blocks = []
     for Z in enumerate_special(n, 1):
         for Zp in enumerate_special(np, 0):
             rel = relation_set(Z, Zp, kind)
-            if rel.pairs:
+            if rel.masks:
                 blocks.append(rel)
     return CorrespondenceTable(n, np, eps, tuple(blocks))
 

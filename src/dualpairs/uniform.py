@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 from .derivative import DerivativeStep
-from .relations import relation_set
+from .relations import b_kind, relation_set
 from .symbols import SpecialSymbol, Symbol, transport_mask
 
 
@@ -73,6 +73,8 @@ class Space:
     eps: int = 1         # sign of the orthogonal group, "O" side only
 
     def __post_init__(self):
+        if self.eps not in (1, -1):
+            raise ValueError("eps must be +1 or -1, got %r" % (self.eps,))
         if self.side == "Sp" and self.base.defect != 1:
             raise ValueError("Sp side needs a defect-1 base")
         if self.side == "O" and self.base.defect != 0:
@@ -172,8 +174,7 @@ def sharp_tensor(sp: Space, op: Space, t: Ten) -> Ten:
 
 def omega_hat(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> Ten:
     """Indicator tensor of the B relation in the rho x rho basis."""
-    kind = "B+" if eps == 1 else "B-"
-    rel = relation_set(Z, Zp, kind)
+    rel = relation_set(Z, Zp, b_kind(eps))
     return {(lam, lamp): Fraction(1) for (lam, lamp) in rel.pairs}
 
 
@@ -259,11 +260,10 @@ def verify_thm0310(
     Fractions.
     """
     spz, spo = sp_space(Z), o_space(Zp, eps)
-    b = relation_set(Z, Zp, "B+" if eps == 1 else "B-").pairs
-    d = relation_set(Z, Zp, "D").pairs
+    b = relation_set(Z, Zp, b_kind(eps)).masks
+    d = relation_set(Z, Zp, "D").masks
     if not b and not d:
         return True, None
-    mask, maskp = Z.table.mask, Zp.table.mask
     taus, taups = Z.masks(spz.r_kind), Zp.masks(spo.r_kind)
     g, gp = _gram(spz), _gram(spo)
     scale = 1 << (Z.degree + Zp.degree)
@@ -273,19 +273,16 @@ def verify_thm0310(
     # m -> sum of the rows chi(m' & tau') of its B partners m'
     chars: Dict[int, int] = {}
     b_rows: Dict[int, int] = {}
-    for lam, lamp in b:
-        mp = maskp[lamp]
+    for m, mp in b:
         row = chars.get(mp)
         if row is None:
             row = chars[mp] = _pack(
                 [-1 if (mp & t).bit_count() & 1 else 1 for t in taups], width
             )
-        m = mask[lam]
         b_rows[m] = b_rows.get(m, 0) + row
     # sigma -> sum of the rows g'(sigma' ^ tau') of its D partners sigma'
     d_rows: Dict[int, int] = {}
-    for sig, sigp in d:
-        sm, smp = mask[sig], maskp[sigp]
+    for sm, smp in d:
         d_rows[sm] = d_rows.get(sm, 0) + _pack([gp[smp ^ t] for t in taups], width)
 
     for tau in taus:
@@ -322,12 +319,10 @@ def _step_tensors(step: DerivativeStep, kind: str) -> Tuple[Counter, Counter]:
     Both are keyed by mask pairs.  The reduced sum runs over the pairs away
     from the removed core pairs, each expanded over _nat on both sides.
     """
-    mask, maskp = step.Z.table.mask, step.Zp.table.mask
     r, rp = step.removed_masks()
-    full, reduced = Counter(), Counter()
-    for lam, lamp in relation_set(step.Z, step.Zp, kind).pairs:
-        m, mp = mask[lam], maskp[lamp]
-        full[m, mp] += 1
+    full = Counter(relation_set(step.Z, step.Zp, kind).masks)
+    reduced = Counter()
+    for m, mp in full:
         if not (m & r or mp & rp):
             for a in _nat(m, r):
                 for b in _nat(mp, rp):

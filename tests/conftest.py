@@ -12,9 +12,12 @@ def planted_b_defect(monkeypatch):
 
     def planted(Z, Zp, kind):
         rel = real(Z, Zp, kind)
-        if kind == "D" or not rel.pairs:
+        if kind == "D" or not rel.masks:
             return rel
-        smallest = min(rel.pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-        return dataclasses.replace(rel, pairs=rel.pairs - {smallest})
+        smallest = min(
+            rel.masks,
+            key=lambda p: (Z.member(p[0]).sort_key(), Zp.member(p[1]).sort_key()),
+        )
+        return dataclasses.replace(rel, masks=rel.masks - {smallest})
 
     monkeypatch.setattr(uniform, "relation_set", planted)

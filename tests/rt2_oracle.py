@@ -11,7 +11,7 @@ Relations are looked up as ``uniform.relation_set`` at call time, so a test
 that patches it (the ``planted_b_defect`` fixture) reaches both paths.
 
 It also holds the rational vector helpers and the cell sums that the tests of
-the rho basis use.
+the rho basis use, and the Symbol form of a step's transport.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from typing import Optional
 
 from dualpairs import uniform
 from dualpairs.cells import Cell, cell_sign
-from dualpairs.derivative import DerivativeStep, transport
-from dualpairs.relations import core_free_family, subsets_of_pairs
-from dualpairs.symbols import SpecialSymbol, Symbol
+from dualpairs.derivative import DerivativeStep
+from dualpairs.relations import b_kind, core_free_family, subsets_of_pairs
+from dualpairs.symbols import SpecialSymbol, Symbol, transport_mask
 from dualpairs.uniform import (
     Space,
     add_to,
@@ -155,6 +155,17 @@ def cell_alternating_r_sum(space: Space, c: Cell) -> dict:
 # -- derivative-step identities in Q + Q*sqrt(2) ------------------------------------
 
 
+def transport(step: DerivativeStep, sym: Symbol, side: str) -> Symbol:
+    """Push a family member through one step's entry map."""
+    base, derived, fmap = (
+        (step.Z, step.Z1, step.fmap) if side == "Z" else (step.Zp, step.Zp1, step.fpmap)
+    )
+    image = transport_mask(base, derived, fmap, base.member_mask(sym))
+    if image is None:
+        raise ValueError("%s uses singles removed by the step" % sym)
+    return derived.member(image)
+
+
 def _natural_vec(
     base: SpecialSymbol, sym: Symbol, removed, kind: Optional[str]
 ) -> dict:
@@ -168,7 +179,7 @@ def _natural_vec(
 
 def step_rho_tensor_pairs(step: DerivativeStep, eps: int = 1):
     """The B pairs supported away from the removed entries."""
-    rel = uniform.relation_set(step.Z, step.Zp, "B+" if eps == 1 else "B-")
+    rel = uniform.relation_set(step.Z, step.Zp, b_kind(eps))
     skip, skipp = step.removed_masks()
     return [
         (lam, lamp)

@@ -5,10 +5,10 @@ from dualpairs.derivative import (
     derive_full,
     derive_once,
     scan_first,
-    transport,
 )
 from dualpairs.relations import relation_set
-from dualpairs.symbols import SpecialSymbol, parse, specials_upto
+from dualpairs.symbols import SpecialSymbol, parse, specials_upto, transport_mask
+from rt2_oracle import transport
 
 ZW = SpecialSymbol.parse("8,5,1;6,3")
 ZPW = SpecialSymbol.parse("8,6,2;6,3,0")
@@ -161,13 +161,12 @@ class TestDeriveFull:
         from dualpairs.relations import b_natural
 
         chain = derive_full(ZW, ZPW)
-        nat = b_natural(ZW, ZPW, 1)
-        image = {
-            (chain.transport(l, "Z"), chain.transport(r, "Zp"))
-            for (l, r) in nat.pairs
-        }
         zt, zpt = chain.terminal
-        assert image == relation_set(zt, zpt, "B+").pairs
+        image = {
+            (transport_mask(ZW, zt, chain.fmap, m), transport_mask(ZPW, zpt, chain.fpmap, mp))
+            for (m, mp) in b_natural(ZW, ZPW, 1).masks
+        }
+        assert image == relation_set(zt, zpt, "B+").masks
 
     def test_stored_maps_compose_the_step_maps(self):
         # oracle: compose every step's entry map, starting from the singles

@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dualpairs.relations import (
+    FAMILIES,
     b_natural,
+    core_free_family,
     cores,
     decompose_consecutive,
     flip_family,
@@ -187,6 +189,49 @@ class TestBNatural:
         nat = b_natural(ZWRK, ZPWRK, 1)
         firsts = [p for (p, _) in nat.pairs]
         assert len(set(firsts)) == len(nat)
+
+
+def _pairs_upto(rank_sum):
+    return [
+        (Z, Zp) for Z in specials_upto(rank_sum, 1) for Zp in specials_upto(rank_sum - Z.rank, 0)
+    ]
+
+
+class TestMaskForm:
+    def test_masks_are_the_product_filter(self):
+        # oracle: every mask pair of the two families, tested on members
+        families = {
+            "D": ("S,1", "S+,0", in_D),
+            "B+": ("S", "S+", lambda l, r: in_B(l, r, 1)),
+            "B-": ("S", "S-", lambda l, r: in_B(l, r, -1)),
+            "Bbar+": ("all", "all", lambda l, r: in_B(l, r, 1)),
+        }
+        assert FAMILIES == {k: v[:2] for k, v in families.items()}
+        for Z, Zp in _pairs_upto(7):
+            for kind, (which, whichp, test) in families.items():
+                want = {
+                    (m, mp)
+                    for m in Z.masks(which)
+                    for mp in Zp.masks(whichp)
+                    if test(Z.member(m), Zp.member(mp))
+                }
+                rel = relation_set(Z, Zp, kind)
+                assert rel.masks == want, (Z, Zp, kind)
+                assert rel.pairs == {(Z.member(m), Zp.member(mp)) for (m, mp) in want}
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_b_natural_is_the_core_free_restriction(self, eps):
+        # oracle: keep the B pairs of Symbols in the core-free sub-families
+        for Z, Zp in _pairs_upto(7):
+            if not in_D(Z.symbol, Zp.symbol):
+                continue
+            cp = cores(Z, Zp)
+            left = set(core_free_family(Z, "S", cp.psi0))
+            right = set(core_free_family(Zp, "S+" if eps == 1 else "S-", cp.psi0p))
+            full = relation_set(Z, Zp, "B+" if eps == 1 else "B-")
+            want = {(l, r) for (l, r) in full.pairs if l in left and r in right}
+            nat = b_natural(Z, Zp, eps)
+            assert nat.masks == {(Z.member_mask(l), Zp.member_mask(r)) for (l, r) in want}
 
 
 class TestMoveback:

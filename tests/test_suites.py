@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dualpairs import relations, suites
+from dualpairs import branching, relations, suites, tables, uniform
 from dualpairs.suites import run_suite
 from dualpairs.symbols import SpecialSymbol, parse
 
@@ -33,6 +33,37 @@ def test_a_raising_check_fails_its_item(monkeypatch):
         assert set(failure) == {"item", "error"}
         assert len(failure["item"]) == 2 and "planted" in failure["error"]
     json.loads(rep.line())
+
+
+@pytest.mark.parametrize("eps", [0, 2])
+def test_a_bad_sign_raises(monkeypatch, eps):
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    Z, Zp = SpecialSymbol.parse("2,0;1"), SpecialSymbol.parse("3,1;2,0")
+    for call in (
+        lambda: relations.b_kind(eps),
+        lambda: relations.b_natural(Z, Zp, eps),
+        lambda: uniform.o_space(Zp, eps),
+        lambda: branching.theta_general(Z, Zp, eps),
+        lambda: tables.correspondence(2, 2, eps),
+    ):
+        with pytest.raises(ValueError, match="eps must be"):
+            call()
+    rep = run_suite("thm0310", max_rank=4, eps=eps)
+    assert rep.checked == len(rep.failures) > 0
+    assert all("ValueError" in failure["error"] for failure in rep.failures)
+
+
+def test_derivative_suite_compares_transported_masks(monkeypatch):
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    rep = run_suite("derivative", max_rank=6)
+    assert rep.ok and rep.checked == 73
+    # a transport that forgets the first single breaks the step and the chain images
+    real = suites.transport_mask
+    monkeypatch.setattr(
+        suites, "transport_mask", lambda src, dst, emap, m: real(src, dst, emap, m & ~1)
+    )
+    kinds = {k for f in run_suite("derivative", max_rank=6).failures for k in f}
+    assert {"bar_transport", "transport"} <= kinds
 
 
 @pytest.mark.usefixtures("planted_b_defect")

@@ -321,6 +321,43 @@ class TestEnumeration:
         for z in enumerate_special(6, 1):
             assert all(v <= 8 for v in z.symbol.entries())
 
+    @pytest.mark.parametrize("defect", [0, 1])
+    def test_matches_filtering_enumerator(self, defect):
+        # oracle: build every chain with entries two apart >= 0, at every size
+        # up to rank + 1, then drop the chains that are not reduced
+        def chains(length, total):
+            def low(s):
+                return sum(j // 2 for j in range(s))
+
+            def rec(prefix, remaining):
+                k = len(prefix)
+                if k == length:
+                    if remaining == 0:
+                        yield tuple(prefix)
+                    return
+                after = length - k - 1
+                hi = remaining - low(after)
+                if k >= 1:
+                    hi = min(hi, prefix[-1])
+                if k >= 2:
+                    hi = min(hi, prefix[-2] - 1)
+                for v in range(hi, after // 2 - 1, -1):
+                    if remaining - v > v * after - low(after):
+                        break
+                    yield from rec(prefix + [v], remaining - v)
+
+            yield from rec([], total)
+
+        for n in range(13):
+            want = {Symbol((), ())} if n == 0 and defect == 0 else set()
+            for m in range(1, n + 2) if defect == 0 else range(n + 2):
+                length = 2 * m + defect
+                for c in chains(length, n + m * m - (m if defect == 0 else 0)):
+                    if not (length >= 2 and c[-1] == 0 and c[-2] == 0):
+                        want.add(Symbol(c[0::2], c[1::2]))
+            got = [z.symbol for z in enumerate_special(n, defect)]
+            assert len(got) == len(set(got)) and set(got) == want, n
+
 
 def _flipped(z, mask):
     """The tagged singles whose bits are set in mask."""

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import rt2_oracle
-from dualpairs import suites, uniform
+from dualpairs import relations, suites, uniform
 from dualpairs.branching import z_cuspidal, zp_cuspidal
 from dualpairs.cells import Arrangement, arrangements, cell, cell_sign
 from dualpairs.derivative import TerminalPair, derive_full, derive_once
@@ -295,6 +295,13 @@ class TestMainIdentity:
             ok, witness = verify_thm0310(Z, Zp, eps)
             assert ok, witness
             assert _dense_thm0310(Z, Zp, eps), (Z, Zp)
+
+    @pytest.mark.usefixtures("planted_b_defect")
+    def test_planted_defect_drops_the_smallest_b_pair(self):
+        real = relations.relation_set(ZW, ZPW, "B-")
+        smallest = min(real.pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+        assert uniform.relation_set(ZW, ZPW, "B-").pairs == real.pairs - {smallest}
+        assert uniform.relation_set(ZW, ZPW, "D") == relations.relation_set(ZW, ZPW, "D")
 
     @pytest.mark.usefixtures("planted_b_defect")
     def test_planted_defect_fails_both_paths_on_the_same_pairs(self):
