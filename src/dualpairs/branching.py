@@ -15,7 +15,17 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from .cells import Arrangement, cell_sign
-from .relations import CheckFailed, Pair, PairSet, core_free_family, cores, in_B, pair_entries
+from .relations import (
+    FAMILIES,
+    CheckFailed,
+    Pair,
+    PairSet,
+    b_kind,
+    core_free_family,
+    cores,
+    in_B,
+    pair_entries,
+)
 from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, transport_mask
 
 
@@ -111,9 +121,7 @@ class ThetaMap:
     def source_family(self) -> Tuple[Symbol, ...]:
         if self.direction == "up":
             return core_free_family(self.Z, "S", self.psi0)
-        return core_free_family(
-            self.Zp, "S+" if self.eps == 1 else "S-", self.psi0p
-        )
+        return core_free_family(self.Zp, FAMILIES[b_kind(self.eps)][1], self.psi0p)
 
     def __call__(self, sym: Symbol) -> Symbol:
         src = self.source_base()

@@ -21,19 +21,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, special_closure
+from .symbols import BOT, TOP, CheckFailed, Entry, SpecialSymbol, Symbol, special_closure
 
 Pair = Tuple[int, int]  # (top single value, bottom single value)
 PairSet = FrozenSet[Pair]
 
 EMPTY_PAIRSET: PairSet = frozenset()
-
-
-class CheckFailed(AssertionError):
-    """A structural statement failed on a concrete input.
-
-    Raised explicitly, so the check survives ``python -O``.
-    """
 
 
 def pair_entries(pairs: Iterable[Pair]) -> FrozenSet[Entry]:
@@ -175,26 +168,51 @@ class RelationSet:
 
 
 def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
-    """Filter the product of the kind's two families by its predicate."""
+    """Filter the product of the kind's two families by its predicate.
+
+    Each test reads the packed records of the family tables.  prec(lam, mu)
+    is ge(mu, lam) and ge(lam, mu >> width), where ge(A, B) is
+    ``((A | H) - B) & H == H`` and H holds the guard bits: a field keeps its
+    guard bit exactly when its part of A is at least that of B.
+    """
     if Z.defect != 1 or Zp.defect != 0:
         raise ValueError("expected a (defect 1, defect 0) special pair")
     if kind not in FAMILIES:
         raise ValueError("unknown relation kind %r" % kind)
     which, whichp = FAMILIES[kind]
-    left, right = Z.family(which), Zp.family(whichp)
-    if kind == "D":
-        test = in_D
-    elif kind == "B-":
-        test = lambda l, r: in_B(l, r, -1)
-    else:
-        # Bbar+ keeps the B+ defect equation: it is exactly the size
-        # normalization the move-back engine assumes on its inputs.
-        test = lambda l, r: in_B(l, r, 1)
-    mask, maskp = Z.table.mask, Zp.table.mask
-    # the predicates read Symbols, and most products keep no pair: only the
-    # kept pairs are looked up as masks
+    table, tablep = Z.table, Zp.table
+    # a member's parts are at most its rank, so they fit below the guard bits
+    width = max(table.rank, tablep.rank).bit_length() + 1
+    fields, left = table.packed(width)
+    fieldsp, right = tablep.packed(width)
+    # the top bit of each of the first `fields` fields; fields past the
+    # longest row compare 0 with 0, so covering more would be harmless
+    fields = max(fields, fieldsp)
+    H = ((1 << fields * width) - 1) // ((1 << width) - 1) << (width - 1)
+    # B+ tests prec(sub, star') and prec(sub', star), B- the same with star
+    # and sub swapped on both sides: with (a, b) the rows of L and (a', b')
+    # those of L', in that order, the test is prec(a, a') and prec(b', b).
+    # D and Bbar+ keep the B+ predicate (D's families fix both defects, and
+    # Bbar+ keeps the defect equation the move-back engine assumes).
+    eps = -1 if kind == "B-" else 1
+    by_defect: Dict[int, list] = {}
+    for mp in tablep.kind(whichp)[0]:
+        dp, star, sub = right[mp]
+        a, b = (star, sub) if eps == 1 else (sub, star)
+        by_defect.setdefault(dp, []).append((mp, a | H, a >> width, b, b | H))
+    lefts = []
+    for m in table.kind(which)[0]:
+        d, star, sub = left[m]
+        a, b = (sub, star) if eps == 1 else (star, sub)
+        # B+: def(L') = -def(L) + 1; B-: def(L') = -def(L) - 1
+        candidates = by_defect.get(eps - d)
+        if candidates:
+            lefts.append((m, a, a | H, b | H, b >> width, candidates))
     masks = frozenset(
-        (mask[lam], maskp[lamp]) for lam in left for lamp in right if test(lam, lamp)
+        (m, mp)
+        for m, a, aH, bH, b_shift, candidates in lefts
+        for mp, aH_p, a_shift_p, b_p, bH_p in candidates
+        if (aH_p - a) & (aH - a_shift_p) & (bH - b_p) & (bH_p - b_shift) & H == H
     )
     return RelationSet(kind, Z, Zp, masks)
 
@@ -253,8 +271,10 @@ def subsets_of_pairs(pairs: PairSet) -> Tuple[PairSet, ...]:
 
 def cores(Z: SpecialSymbol, Zp: SpecialSymbol) -> CorePair:
     """Cores of the D relation, with the structure of both partner sets checked."""
-    d_of_zp = [m for m in Z.masks("S,1") if in_D(Z.member(m), Zp.symbol)]
-    d_of_z = [m for m in Zp.masks("S+,0") if in_D(Z.symbol, Zp.member(m))]
+    # mask 0 is the base itself: the D-partners of Zp and of Z
+    d = relation_set(Z, Zp, "D").masks
+    d_of_zp = [m for (m, mp) in d if not mp]
+    d_of_z = [mp for (m, mp) in d if not m]
     if not d_of_zp or not d_of_z:
         raise ValueError("empty D relation for (%s, %s)" % (Z, Zp))
     psi0 = _core_of(Z, d_of_zp)

@@ -460,6 +460,41 @@ def _check_oracle(item, report: SuiteReport) -> None:
                 report.failures.append({"pair": [str(lam), str(lamp)]})
 
 
+def _product_filter(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> set:
+    """The mask pairs of the kind's two families whose members pass in_D/in_B."""
+    which, whichp = relations.FAMILIES[kind]
+    if kind == "D":
+        test = relations.in_D
+    else:
+        eps = -1 if kind == "B-" else 1
+        test = lambda lam, lamp: relations.in_B(lam, lamp, eps)
+    return {
+        (m, mp)
+        for m in Z.masks(which)
+        for mp in Zp.masks(whichp)
+        if test(Z.member(m), Zp.member(mp))
+    }
+
+
+def _check_kernel(item, report: SuiteReport) -> None:
+    """The packed-field relation sets equal the product filter on Symbols."""
+    Z, Zp = item
+    for kind in relations.KINDS:
+        report.checked += 1
+        got = relations.relation_set(Z, Zp, kind).masks
+        want = _product_filter(Z, Zp, kind)
+        if got != want:
+            report.failures.append(
+                {
+                    "Z": str(Z),
+                    "Zp": str(Zp),
+                    "kind": kind,
+                    "extra": sorted(got - want),
+                    "missing": sorted(want - got),
+                }
+            )
+
+
 def _check_counting(m, report: SuiteReport) -> None:
     """Family sizes of the staircase special symbols are central binomials."""
     report.checked += 1
@@ -510,6 +545,11 @@ SUITES: Dict[str, Suite] = {
     "theta": Suite(_d_pairs, _check_theta, {"max_rank": ("max_rank_sum", 8)}),
     "correspondence": Suite(
         _correspondence_items, _check_correspondence, {"max_rank": ("max_rank_sum", 10)}
+    ),
+    "kernel": Suite(
+        lambda max_rank: _special_pairs(max_rank, summed=True),
+        _check_kernel,
+        {"max_rank": ("max_rank_sum", 9)},
     ),
     "oracle": Suite(
         lambda max_rank: _special_pairs(max_rank, summed=False),

@@ -42,6 +42,13 @@ BOT = 1
 Entry = Tuple[int, int]  # (value, row)
 
 
+class CheckFailed(AssertionError):
+    """A structural statement failed on a concrete input.
+
+    Raised explicitly, so the check survives ``python -O``.
+    """
+
+
 def _entry(v) -> int:
     if isinstance(v, bool):
         raise TypeError("symbol entries must be integers, not bool: %r" % (v,))
@@ -354,12 +361,14 @@ class FamilyTable:
     optionally, a given member defect
     ``d + 2 * (|M & bottom singles| - |M & top singles|)``.  Masks come
     ordered by |M|, then as ``itertools.combinations`` lists the singles.
+    ``packed(width)`` holds each member's interlacing data as integers.
     """
 
-    __slots__ = ("defect", "n", "top", "bot", "members", "mask", "_kinds")
+    __slots__ = ("defect", "rank", "n", "top", "bot", "members", "mask", "_kinds", "_packed")
 
     def __init__(self, z: SpecialSymbol):
         self.defect = z.defect
+        self.rank = z.rank
         self.n = len(z.singles)
         self.top = z.mask_of(e for e in z.singles if e[1] == TOP)
         self.bot = z.mask_of(e for e in z.singles if e[1] == BOT)
@@ -378,6 +387,7 @@ class FamilyTable:
         self.members: Tuple[Symbol, ...] = tuple(members)
         self.mask: Dict[Symbol, int] = {sym: m for m, sym in enumerate(members)}
         self._kinds: Dict[str, Tuple[Tuple[int, ...], Tuple[Symbol, ...]]] = {}
+        self._packed: Dict[int, Tuple[int, Tuple[Tuple[int, int, int], ...]]] = {}
 
     def kind(self, which: str) -> Tuple[Tuple[int, ...], Tuple[Symbol, ...]]:
         """The masks and members of one family kind (see SpecialSymbol.family)."""
@@ -407,6 +417,39 @@ class FamilyTable:
             ) == want
 
         return test
+
+    def packed(self, width: int) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
+        """(fields, records) with every member's bipartition packed into ints.
+
+        ``records[mask]`` is (defect, star, sub) of Lambda_M, where part i of a
+        bipartition row (from 0) sits in bits [i * width, (i + 1) * width - 1)
+        and bit (i + 1) * width - 1, the field's guard bit, is left 0.
+        ``fields`` is the longest row of any member.  Built once per width;
+        raises CheckFailed for a part that does not fit below its guard bit.
+        """
+        got = self._packed.get(width)
+        if got is None:
+            limit = 1 << (width - 1)
+            records = []
+            for sym in self.members:
+                star, sub = (_pack_row(row, width, limit, sym) for row in (sym.top, sym.bot))
+                records.append((sym.defect, star, sub))
+            longest = max(max(r[1].bit_length(), r[2].bit_length()) for r in records)
+            got = self._packed[width] = (-(-longest // width), tuple(records))
+        return got
+
+
+def _pack_row(row: Tuple[int, ...], width: int, limit: int, sym: Symbol) -> int:
+    """A symbol row minus the staircase (a bipartition row), one part per field."""
+    n, packed = len(row), 0
+    for i in range(n - 1, -1, -1):
+        part = row[i] - (n - 1 - i)
+        if part >= limit:
+            raise CheckFailed(
+                "part %d of %s does not fit a %d-bit field" % (part, sym, width)
+            )
+        packed = packed << width | part
+    return packed
 
 
 @lru_cache(maxsize=None)

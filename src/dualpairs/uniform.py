@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 from .derivative import DerivativeStep
-from .relations import b_kind, relation_set
+from .relations import FAMILIES, b_kind, relation_set
 from .symbols import SpecialSymbol, Symbol, transport_mask
 
 
@@ -82,7 +82,7 @@ class Space:
 
     @property
     def kind(self) -> str:
-        return "S" if self.side == "Sp" else ("S+" if self.eps == 1 else "S-")
+        return FAMILIES[b_kind(self.eps)][0 if self.side == "Sp" else 1]
 
     @property
     def r_kind(self) -> str:

@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 
 from dualpairs.relations import (
     FAMILIES,
+    KINDS,
+    CheckFailed,
+    b_kind,
     b_natural,
     core_free_family,
     cores,
@@ -20,7 +23,7 @@ from dualpairs.relations import (
     prec,
     relation_set,
 )
-from dualpairs.symbols import SpecialSymbol, parse, specials_upto
+from dualpairs.symbols import FamilyTable, SpecialSymbol, parse, specials_upto
 
 ZWRK = SpecialSymbol.parse("8,5,1;6,3")
 ZPWRK = SpecialSymbol.parse("8,6,2;6,3,0")
@@ -197,24 +200,39 @@ def _pairs_upto(rank_sum):
     ]
 
 
+# the product filter: every mask pair of the two families, tested on members
+PRODUCT_FILTER = {
+    "D": ("S,1", "S+,0", in_D),
+    "B+": ("S", "S+", lambda l, r: in_B(l, r, 1)),
+    "B-": ("S", "S-", lambda l, r: in_B(l, r, -1)),
+    "Bbar+": ("all", "all", lambda l, r: in_B(l, r, 1)),
+}
+
+
+def _product_filter(Z, Zp, kind):
+    which, whichp, test = PRODUCT_FILTER[kind]
+    return {
+        (m, mp)
+        for m in Z.masks(which)
+        for mp in Zp.masks(whichp)
+        if test(Z.member(m), Zp.member(mp))
+    }
+
+
+def _unpack(packed, width):
+    parts = []
+    while packed:
+        parts.append(packed & ((1 << width) - 1))
+        packed >>= width
+    return tuple(parts)
+
+
 class TestMaskForm:
     def test_masks_are_the_product_filter(self):
-        # oracle: every mask pair of the two families, tested on members
-        families = {
-            "D": ("S,1", "S+,0", in_D),
-            "B+": ("S", "S+", lambda l, r: in_B(l, r, 1)),
-            "B-": ("S", "S-", lambda l, r: in_B(l, r, -1)),
-            "Bbar+": ("all", "all", lambda l, r: in_B(l, r, 1)),
-        }
-        assert FAMILIES == {k: v[:2] for k, v in families.items()}
-        for Z, Zp in _pairs_upto(7):
-            for kind, (which, whichp, test) in families.items():
-                want = {
-                    (m, mp)
-                    for m in Z.masks(which)
-                    for mp in Zp.masks(whichp)
-                    if test(Z.member(m), Zp.member(mp))
-                }
+        assert FAMILIES == {k: v[:2] for k, v in PRODUCT_FILTER.items()}
+        for Z, Zp in _pairs_upto(8):
+            for kind in PRODUCT_FILTER:
+                want = _product_filter(Z, Zp, kind)
                 rel = relation_set(Z, Zp, kind)
                 assert rel.masks == want, (Z, Zp, kind)
                 assert rel.pairs == {(Z.member(m), Zp.member(mp)) for (m, mp) in want}
@@ -227,11 +245,62 @@ class TestMaskForm:
                 continue
             cp = cores(Z, Zp)
             left = set(core_free_family(Z, "S", cp.psi0))
-            right = set(core_free_family(Zp, "S+" if eps == 1 else "S-", cp.psi0p))
-            full = relation_set(Z, Zp, "B+" if eps == 1 else "B-")
+            right = set(core_free_family(Zp, FAMILIES[b_kind(eps)][1], cp.psi0p))
+            full = relation_set(Z, Zp, b_kind(eps))
             want = {(l, r) for (l, r) in full.pairs if l in left and r in right}
             nat = b_natural(Z, Zp, eps)
             assert nat.masks == {(Z.member_mask(l), Zp.member_mask(r)) for (l, r) in want}
+
+
+class TestPackedRecords:
+    @pytest.mark.parametrize("text", ["8,5,1;6,3", "8,6,2;6,3,0", "-;-", "3,0;2"])
+    def test_records_are_the_bipartitions(self, text):
+        table = SpecialSymbol.parse(text).table
+        width = 5
+        fields, records = table.packed(width)
+        assert len(records) == len(table.members)
+        longest = 0
+        for sym, (defect, star, sub) in zip(table.members, records):
+            bip = sym.bipartition()
+            assert (defect, _unpack(star, width), _unpack(sub, width)) == (
+                sym.defect, bip.star, bip.sub
+            )
+            longest = max(longest, len(bip.star), len(bip.sub))
+        assert fields == longest
+        assert table.packed(width) is table.packed(width)
+
+    def test_a_part_too_large_for_its_field_raises(self):
+        # the largest part of 4;- is 4: it fits below the guard bit of a
+        # 4-bit field, and would wrap into the guard bit of a 3-bit one
+        table = SpecialSymbol.parse("4;-").table
+        assert table.packed(4)[1][0] == (1, 4, 0)
+        with pytest.raises(CheckFailed, match="does not fit a 3-bit field"):
+            table.packed(3)
+        with pytest.raises(CheckFailed):
+            ZWRK.table.packed(3)  # parts 6,4,1 | 5,3
+
+    @pytest.mark.parametrize("z,zp", [("3,0;2", "3,1;2,0"), ("3,0;2", "4,2;3,1")])
+    def test_field_count_covers_members_longer_than_the_bases(self, monkeypatch, z, zp):
+        # a member whose row outgrows every row of both bases decides a pair
+        Z, Zp = SpecialSymbol.parse(z), SpecialSymbol.parse(zp)
+        width = max(Z.rank, Zp.rank).bit_length() + 1
+        base_rows = max(
+            len(row)
+            for base in (Z.symbol, Zp.symbol)
+            for row in (base.top, base.bot, base.bipartition().star, base.bipartition().sub)
+        )
+        assert max(Z.table.packed(width)[0], Zp.table.packed(width)[0]) > base_rows
+        for kind in KINDS:
+            assert relation_set(Z, Zp, kind).masks == _product_filter(Z, Zp, kind)
+        # fields sized from the bases alone let a wrong pair through
+        real = FamilyTable.packed
+        monkeypatch.setattr(
+            FamilyTable, "packed", lambda self, w: (base_rows, real(self, w)[1])
+        )
+        assert any(
+            relation_set(Z, Zp, kind).masks != _product_filter(Z, Zp, kind)
+            for kind in KINDS
+        )
 
 
 class TestMoveback:

@@ -1,5 +1,6 @@
 """The suite runner: bounds, exceptions, interpreter flags."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -64,6 +65,29 @@ def test_derivative_suite_compares_transported_masks(monkeypatch):
     )
     kinds = {k for f in run_suite("derivative", max_rank=6).failures for k in f}
     assert {"bar_transport", "transport"} <= kinds
+
+
+def test_kernel_suite_compares_with_the_product_filter(monkeypatch):
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    rep = run_suite("kernel", max_rank=5)
+    assert rep.ok and rep.checked == 4 * len(suites._special_pairs(5, summed=True))
+    # a kernel that loses the base pair fails exactly the relations holding it
+    real = relations.relation_set
+
+    def planted(Z, Zp, kind):
+        rel = real(Z, Zp, kind)
+        return dataclasses.replace(rel, masks=rel.masks - {(0, 0)})
+
+    monkeypatch.setattr(relations, "relation_set", planted)
+    rep = run_suite("kernel", max_rank=5)
+    want = [
+        (str(Z), str(Zp), kind)
+        for Z, Zp in suites._special_pairs(5, summed=True)
+        for kind in relations.KINDS
+        if (0, 0) in real(Z, Zp, kind).masks
+    ]
+    assert want and sorted((f["Z"], f["Zp"], f["kind"]) for f in rep.failures) == sorted(want)
+    assert all(f["missing"] == [(0, 0)] and not f["extra"] for f in rep.failures)
 
 
 @pytest.mark.usefixtures("planted_b_defect")

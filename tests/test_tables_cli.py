@@ -169,6 +169,8 @@ class TestCli:
         assert by_name["counting"]["bounds"] == {"max_m": 3}
         assert by_name["cells"]["bounds"] == {"max_rank": 3, "max_degree": 3}
         assert by_name["thm0310"]["bounds"] == {"max_rank_sum": 3, "epsilon": 1}
+        assert by_name["kernel"]["bounds"] == {"max_rank_sum": 3}
+        assert all(line["ok"] and line["checked"] > 0 for line in lines)
 
     def test_worker_env_round_trips(self, monkeypatch):
         from dualpairs.suites import SUITES, run_suite
