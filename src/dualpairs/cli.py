@@ -21,6 +21,17 @@ def _special(text: str) -> SpecialSymbol:
     return SpecialSymbol(parse(text))
 
 
+def _glue_symbols(argv):
+    """Write "--Z VALUE" as "--Z=VALUE", so argparse takes "-;2,1,0" as a value."""
+    rest, out = list(argv), []
+    while rest:
+        arg = rest.pop(0)
+        if arg in ("--Z", "--Zp", "--symbol") and rest and ";" in rest[0]:
+            arg += "=" + rest.pop(0)
+        out.append(arg)
+    return out
+
+
 def _eps(text: str) -> int:
     if text in ("+", "+1", "1"):
         return 1
@@ -242,7 +253,7 @@ def main(argv=None) -> int:
     )
     p.set_defaults(func=cmd_verify)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_symbols(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -1,10 +1,13 @@
 """Derivative reduction of a special pair toward a regular one-to-one pair.
 
-Scanning the row ends of Z and Z' in an alternating order locates the
-first pair-set whose members are doubles or core pairs; one of three
-surgeries (case I/II/III) then removes it, producing a strictly smaller
-special pair (Z1, Z1') together with entry-level maps f, f' on the
-singles, through which symbols.transport_mask pushes family masks.
+Scanning the row ends of Z = (a; b) and Z' = (c; d) in an alternating
+order locates the first pair-set whose members are doubles or core pairs
+(case I: on both sides, II: on Z only, III: on Z' only).  One positional
+rule removes it in every case (derive_once): split each row at its scanned
+index, lower the heads on a critical side, and in cases II and III
+exchange the tails.  The result is a strictly smaller special pair
+(Z1, Z1') with positional entry maps f, f' on the singles, through which
+symbols.transport_mask pushes family masks.
 Iterating terminates at a pair that is regular with a one-to-one D
 relation, and transports the B relation exactly.
 
@@ -37,38 +40,20 @@ class PairScan:
     zp_kind: Optional[str]
     case: str               # "I" | "II" | "III"
 
-    @property
-    def z_pair_critical(self) -> bool:
-        return self.z_kind is not None
-
-    @property
-    def zp_pair_critical(self) -> bool:
-        return self.zp_kind is not None
-
 
 def _pair_order(m: int, mp: int):
-    """Index pairs ((k, l), (lp, kp)) in the scanning order, largest first.
+    """Index tuples (k, l, l', k', Z live, Z' live) in the scanning order.
 
-    A side whose indices have run off the top of its rows contributes no
-    pair to that set but does not end the scan.
+    Step j scans (k, l) = (m + 1 - ceil(j/2), m - floor(j/2)) of Z and
+    (l', k') = (m' - floor(j/2), m' - ceil(j/2)) of Z', largest first.  A
+    side whose indices have run off the top of its rows (Z from j = 2m, Z'
+    from j = 2m' - 1) contributes no pair but does not end the scan.
     """
     out = []
-    j = 0
-    while True:
-        if j % 2 == 0:
-            k, l = m + 1 - j // 2, m - j // 2
-            lp = kp = mp - j // 2
-        else:
-            k = m + 1 - (j + 1) // 2
-            l = m - (j - 1) // 2
-            lp = mp - (j - 1) // 2
-            kp = mp - (j + 1) // 2
-        z_live = k >= 1 and l >= 1
-        zp_live = lp >= 1 and kp >= 1
-        if not z_live and not zp_live:
-            return out
-        out.append((k, l, lp, kp, z_live, zp_live))
-        j += 1
+    for j in range(max(2 * m, 2 * mp - 1)):
+        lo, hi = j // 2, (j + 1) // 2
+        out.append((m + 1 - hi, m - lo, mp - lo, mp - hi, j < 2 * m, j < 2 * mp - 1))
+    return out
 
 
 def _kind(top_val: int, bot_val: int, core: frozenset) -> Optional[str]:
@@ -145,85 +130,52 @@ class DerivativeStep:
         }
 
 
+def _split(row: Tuple[int, ...], i: int, critical: bool):
+    """Head and tail (the entries after index i, 1-based) of a scanned row."""
+    if critical:
+        return tuple(v - 1 for v in row[: i - 1]), row[i:]
+    return row[:i], row[i:]
+
+
 def derive_once(Z: SpecialSymbol, Zp: SpecialSymbol) -> DerivativeStep:
-    """One derivative step: remove the first critical pair-set."""
+    """One derivative step: remove the first critical pair-set.
+
+    The rows a, b of Z and c, d of Z' split at their scanned indices
+    k, l, l', k' into a head and a tail.  On a critical side the scanned
+    entry leaves and every head entry drops by 1; on the other side the
+    scanned entry stays as the last head entry.  Case I keeps each tail in
+    its row; cases II and III exchange them: Z1 = (head_a + tail_d,
+    head_b + tail_c) and Z'1 = (head_c + tail_b, head_d + tail_a).  The
+    entry maps are positional: in each row the i-th entry left after the
+    removed one goes to the i-th entry of the new row.  C^2 = 2^cexp gains
+    1 per removed core pair.
+    """
     scan = scan_first(Z, Zp)
-    k, l, lp, kp = scan.k, scan.l, scan.lp, scan.kp
-    a, b = Z.symbol.top, Z.symbol.bot
-    c, d = Zp.symbol.top, Zp.symbol.bot
-    m = len(b)
-    mp = len(c)
+    z_crit, zp_crit = scan.z_kind is not None, scan.zp_kind is not None
+    rows = (Z.symbol.top, Z.symbol.bot, Zp.symbol.top, Zp.symbol.bot)
+    index = (scan.k, scan.l, scan.lp, scan.kp)
+    critical = (z_crit, z_crit, zp_crit, zp_crit)
+    heads, tails = zip(*map(_split, rows, index, critical))
+    if scan.case != "I":
+        tails = tails[::-1]
+    new = [h + t for h, t in zip(heads, tails)]
 
-    def val(row, i):  # 1-based
-        return row[i - 1]
-
-    if scan.case == "I":
-        z1_top = [val(a, i) - 1 for i in range(1, k)] + [val(a, i) for i in range(k + 1, m + 2)]
-        z1_bot = [val(b, i) - 1 for i in range(1, l)] + [val(b, i) for i in range(l + 1, m + 1)]
-        zp1_top = [val(c, i) - 1 for i in range(1, lp)] + [val(c, i) for i in range(lp + 1, mp + 1)]
-        zp1_bot = [val(d, i) - 1 for i in range(1, kp)] + [val(d, i) for i in range(kp + 1, mp + 1)]
-        fmap_pairs = (
-            [((val(a, i), TOP), (val(a, i) - 1, TOP)) for i in range(1, k)]
-            + [((val(a, i), TOP), (val(a, i), TOP)) for i in range(k + 1, m + 2)]
-            + [((val(b, i), BOT), (val(b, i) - 1, BOT)) for i in range(1, l)]
-            + [((val(b, i), BOT), (val(b, i), BOT)) for i in range(l + 1, m + 1)]
-        )
-        fpmap_pairs = (
-            [((val(c, i), TOP), (val(c, i) - 1, TOP)) for i in range(1, lp)]
-            + [((val(c, i), TOP), (val(c, i), TOP)) for i in range(lp + 1, mp + 1)]
-            + [((val(d, i), BOT), (val(d, i) - 1, BOT)) for i in range(1, kp)]
-            + [((val(d, i), BOT), (val(d, i), BOT)) for i in range(kp + 1, mp + 1)]
-        )
-        cexp = (scan.z_kind == "core") + (scan.zp_kind == "core")
-    elif scan.case == "II":
-        z1_top = [val(a, i) - 1 for i in range(1, k)] + [val(d, i) for i in range(kp + 1, mp + 1)]
-        z1_bot = [val(b, i) - 1 for i in range(1, l)] + [val(c, i) for i in range(lp + 1, mp + 1)]
-        zp1_top = [val(c, i) for i in range(1, lp + 1)] + [val(b, i) for i in range(l + 1, m + 1)]
-        zp1_bot = [val(d, i) for i in range(1, kp + 1)] + [val(a, i) for i in range(k + 1, m + 2)]
-        fmap_pairs = (
-            [((val(a, i), TOP), (val(a, i) - 1, TOP)) for i in range(1, k)]
-            + [((val(a, i), TOP), (val(d, i - 1), TOP)) for i in range(k + 1, m + 2)]
-            + [((val(b, i), BOT), (val(b, i) - 1, BOT)) for i in range(1, l)]
-            + [((val(b, i), BOT), (val(c, i), BOT)) for i in range(l + 1, m + 1)]
-        )
-        fpmap_pairs = (
-            [((val(c, i), TOP), (val(c, i), TOP)) for i in range(1, lp + 1)]
-            + [((val(c, i), TOP), (val(b, i), TOP)) for i in range(lp + 1, mp + 1)]
-            + [((val(d, i), BOT), (val(d, i), BOT)) for i in range(1, kp + 1)]
-            + [((val(d, i), BOT), (val(a, i + 1), BOT)) for i in range(kp + 1, mp + 1)]
-        )
-        cexp = 0 if scan.z_kind == "doubles" else 1
-    else:  # case III
-        z1_top = [val(a, i) for i in range(1, k + 1)] + [val(d, i) for i in range(kp + 1, mp + 1)]
-        z1_bot = [val(b, i) for i in range(1, l + 1)] + [val(c, i) for i in range(lp + 1, mp + 1)]
-        zp1_top = [val(c, i) - 1 for i in range(1, lp)] + [val(b, i) for i in range(l + 1, m + 1)]
-        zp1_bot = [val(d, i) - 1 for i in range(1, kp)] + [val(a, i) for i in range(k + 1, m + 2)]
-        fmap_pairs = (
-            [((val(a, i), TOP), (val(a, i), TOP)) for i in range(1, k + 1)]
-            + [((val(a, i), TOP), (val(d, i), TOP)) for i in range(k + 1, m + 2)]
-            + [((val(b, i), BOT), (val(b, i), BOT)) for i in range(1, l + 1)]
-            + [((val(b, i), BOT), (val(c, i + 1), BOT)) for i in range(l + 1, m + 1)]
-        )
-        fpmap_pairs = (
-            [((val(c, i), TOP), (val(c, i) - 1, TOP)) for i in range(1, lp)]
-            + [((val(c, i), TOP), (val(b, i - 1), TOP)) for i in range(lp + 1, mp + 1)]
-            + [((val(d, i), BOT), (val(d, i) - 1, BOT)) for i in range(1, kp)]
-            + [((val(d, i), BOT), (val(a, i), BOT)) for i in range(kp + 1, mp + 1)]
-        )
-        cexp = 0 if scan.zp_kind == "doubles" else 1
-
-    Z1 = SpecialSymbol(Symbol(z1_top, z1_bot))      # specialness is a theorem here
-    Zp1 = SpecialSymbol(Symbol(zp1_top, zp1_bot))
+    Z1 = SpecialSymbol(Symbol(new[0], new[1]))      # specialness is a theorem here
+    Zp1 = SpecialSymbol(Symbol(new[2], new[3]))
     if Z1.defect != 1 or Zp1.defect != 0:
         raise CheckFailed(
             "step of (%s, %s) gives defects (%d, %d)" % (Z, Zp, Z1.defect, Zp1.defect)
         )
 
-    removed_z = (val(a, k), val(b, l)) if scan.z_pair_critical else None
-    removed_zp = (val(c, lp), val(d, kp)) if scan.zp_pair_critical else None
-
-    fmap = _restrict_to_singles(dict(fmap_pairs), Z, Z1, removed_z)
-    fpmap = _restrict_to_singles(dict(fpmap_pairs), Zp, Zp1, removed_zp)
+    full = []
+    for row, i, crit, new_row, side in zip(rows, index, critical, new, (TOP, BOT) * 2):
+        left = row[: i - 1] + row[i:] if crit else row
+        full.append({(v, side): (w, side) for v, w in zip(left, new_row, strict=True)})
+    removed_z = (rows[0][scan.k - 1], rows[1][scan.l - 1]) if z_crit else None
+    removed_zp = (rows[2][scan.lp - 1], rows[3][scan.kp - 1]) if zp_crit else None
+    fmap = _restrict_to_singles({**full[0], **full[1]}, Z, Z1, removed_z)
+    fpmap = _restrict_to_singles({**full[2], **full[3]}, Zp, Zp1, removed_zp)
+    cexp = (scan.z_kind == "core") + (scan.zp_kind == "core")
     return DerivativeStep(Z, Zp, Z1, Zp1, scan, cexp, fmap, fpmap, removed_z, removed_zp)
 
 

@@ -116,10 +116,9 @@ def _check_prop0216(item, report: SuiteReport) -> None:
     """D nonempty implies the special pair itself is related."""
     Z, Zp = item
     report.checked += 1
-    if relations.in_D(Z.symbol, Zp.symbol):
-        return
     d = relations.relation_set(Z, Zp, "D")
-    if d.masks:
+    # (0, 0) is the base pair; the kernel suite gates its membership
+    if d.masks and (0, 0) not in d.masks:
         report.failures.append({"Z": str(Z), "Zp": str(Zp), "witness": d.to_json()})
 
 

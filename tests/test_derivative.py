@@ -7,7 +7,7 @@ from dualpairs.derivative import (
     scan_first,
 )
 from dualpairs.relations import relation_set
-from dualpairs.symbols import SpecialSymbol, parse, specials_upto, transport_mask
+from dualpairs.symbols import BOT, TOP, SpecialSymbol, parse, specials_upto, transport_mask
 from rt2_oracle import transport
 
 ZW = SpecialSymbol.parse("8,5,1;6,3")
@@ -47,6 +47,23 @@ class TestScan:
                 if scan.case == "III":
                     assert mp == m + 1
 
+    def test_pair_order_literals(self):
+        from dualpairs.derivative import _pair_order
+
+        assert _pair_order(2, 2) == [
+            (3, 2, 2, 2, True, True),
+            (2, 2, 2, 1, True, True),
+            (2, 1, 1, 1, True, True),
+            (1, 1, 1, 0, True, False),
+        ]
+        assert _pair_order(2, 3) == [
+            (3, 2, 3, 3, True, True),
+            (2, 2, 3, 2, True, True),
+            (2, 1, 2, 2, True, True),
+            (1, 1, 2, 1, True, True),
+            (1, 0, 1, 1, False, True),
+        ]
+
     def test_scan_is_first_in_order(self):
         # nothing before the reported set is a double or core pair
         from dualpairs.derivative import _kind, _pair_order
@@ -80,6 +97,16 @@ class TestDeriveOnce:
         assert (str(s1.Z1), str(s1.Zp1), s1.cexp) == ("7,1;5", "7,5;5,0", 2)
         s2 = derive_once(s1.Z1, s1.Zp1)
         assert (s2.case, str(s2.Z1), str(s2.Zp1), s2.cexp) == ("III", "7,0;5", "6;1", 0)
+
+    def test_case_two_step_by_value(self):
+        # Z doubles at (k, l) = (1, 1); Z' keeps its scanned entries
+        step = derive_once(SpecialSymbol.parse("3,0;3"), SpecialSymbol.parse("3;2"))
+        assert (step.case, step.scan.z_kind, step.scan.zp_kind) == ("II", "doubles", None)
+        assert (str(step.Z1), str(step.Zp1), step.cexp) == ("2;-", "3;0", 0)
+        assert (step.removed_z, step.removed_zp) == ((3, 3), None)
+        # the tails swap: Z1's top row takes the tail 2 of d, Z'1's bottom the tail 0 of a
+        assert step.fmap == {(0, TOP): (2, TOP)}
+        assert step.fpmap == {(2, BOT): (0, BOT), (3, TOP): (3, TOP)}
 
     def test_cardinality_scaling(self):
         # |B+| = C^2 |B+ reduced| at each worked step

@@ -90,6 +90,26 @@ def test_kernel_suite_compares_with_the_product_filter(monkeypatch):
     assert all(f["missing"] == [(0, 0)] and not f["extra"] for f in rep.failures)
 
 
+def test_prop0216_suite_reads_the_base_pair_from_the_d_masks(monkeypatch):
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    assert run_suite("prop0216", max_rank=4).ok
+    # a D set that loses the base pair fails exactly where other pairs remain
+    real = relations.relation_set
+
+    def planted(Z, Zp, kind):
+        rel = real(Z, Zp, kind)
+        return dataclasses.replace(rel, masks=rel.masks - {(0, 0)})
+
+    monkeypatch.setattr(relations, "relation_set", planted)
+    rep = run_suite("prop0216", max_rank=4)
+    want = [
+        (str(Z), str(Zp))
+        for Z, Zp in suites._special_pairs(4, summed=False)
+        if real(Z, Zp, "D").masks - {(0, 0)}
+    ]
+    assert want and sorted((f["Z"], f["Zp"]) for f in rep.failures) == sorted(want)
+
+
 @pytest.mark.usefixtures("planted_b_defect")
 def test_planted_b_defect_fails_thm0310_with_r_index_witnesses(monkeypatch):
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)

@@ -93,6 +93,19 @@ class TestCli:
             {"case": "III", "Z1": "7,0;5", "Zp1": "6;1", "Cexp": 0},
         ]
 
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["symbol", "info", "--Z", "-;2,1,0"], '"symbol": "-;2,1,0"'),
+            (["relation", "D", "--Z", "1;-", "--Zp", "-;-"], "| 1;- | ✓ |"),
+            (["branch", "--symbol", "-;-"], '["1;0", "0;1"]'),
+        ],
+        ids=["symbol", "relation", "branch"],
+    )
+    def test_an_empty_top_row_passes_as_written(self, argv, out, capsys):
+        assert main(argv) == 0
+        assert out in capsys.readouterr().out
+
     def test_symbol_info(self):
         proc = run_cli("symbol", "info", "--Z", "8,5,1;6,3")
         data = json.loads(proc.stdout)
