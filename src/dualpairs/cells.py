@@ -151,14 +151,14 @@ def _psi_containing(Z: SpecialSymbol, phi: Arrangement, sym: Symbol) -> PairSet:
 
 
 def singleton_intersection(
-    Z: SpecialSymbol, lam: Symbol, psi0: PairSet = EMPTY_PAIRSET
+    Z: SpecialSymbol, lam: Symbol, psi0: PairSet = EMPTY_PAIRSET, built: Optional[dict] = None
 ) -> Tuple[Arrangement, PairSet, Arrangement, PairSet]:
     """Two cells whose intersection is exactly {lam}.
 
     Uses the two semi-consecutive arrangements; with a nonempty core psi0
     (and lam avoiding its entries) the arrangements are built on the
     core-free singles and extended by psi0, and the intersection is taken
-    inside the core-free sub-family.
+    inside the core-free sub-family.  Cells in `built`, keyed by (phi, psi), are reused.
     """
     if Z.defect != 1:
         raise ValueError("singleton intersection applies to defect-1 symbols")
@@ -173,7 +173,8 @@ def singleton_intersection(
     phi1, phi2 = phis
     psi1 = _psi_containing(Z, phi1, lam)
     psi2 = _psi_containing(Z, phi2, lam)
-    inter = cell(Z, phi1, psi1).members & cell(Z, phi2, psi2).members
+    c1, c2 = ((built or {}).get(key) or cell(Z, *key) for key in ((phi1, psi1), (phi2, psi2)))
+    inter = c1.members & c2.members
     if psi0:
         banned = Z.pairs_mask(psi0)
         inter = {s for s in inter if not Z.member_mask(s) & banned}

@@ -142,6 +142,10 @@ class RelationSet:
     Zp: SpecialSymbol
     masks: FrozenSet[Tuple[int, int]]
 
+    def __init__(self, kind: str, Z: SpecialSymbol, Zp: SpecialSymbol, masks):
+        # one dict update; the generated frozen __init__ costs twice as much
+        self.__dict__.update(kind=kind, Z=Z, Zp=Zp, masks=masks)
+
     @cached_property
     def pairs(self) -> FrozenSet[Tuple[Symbol, Symbol]]:
         member, memberp = self.Z.table.members, self.Zp.table.members
@@ -170,24 +174,22 @@ class RelationSet:
 def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
     """Filter the product of the kind's two families by its predicate.
 
-    Each test reads the packed records of the family tables.  prec(lam, mu)
-    is ge(mu, lam) and ge(lam, mu >> width), where ge(A, B) is
+    Each test reads the two tables' kernel halves (``FamilyTable.kernel_half``).
+    prec(lam, mu) is ge(mu, lam) and ge(lam, mu >> width), where ge(A, B) is
     ``((A | H) - B) & H == H`` and H holds the guard bits: a field keeps its
     guard bit exactly when its part of A is at least that of B.
     """
-    if Z.defect != 1 or Zp.defect != 0:
+    table, tablep = Z.table, Zp.table
+    if table.defect != 1 or tablep.defect != 0:
         raise ValueError("expected a (defect 1, defect 0) special pair")
     if kind not in FAMILIES:
         raise ValueError("unknown relation kind %r" % kind)
     which, whichp = FAMILIES[kind]
-    table, tablep = Z.table, Zp.table
     # a member's parts are at most its rank, so they fit below the guard bits
     width = max(table.rank, tablep.rank).bit_length() + 1
-    fields, left = table.packed(width)
-    fieldsp, right = tablep.packed(width)
     # the top bit of each of the first `fields` fields; fields past the
     # longest row compare 0 with 0, so covering more would be harmless
-    fields = max(fields, fieldsp)
+    fields = max(table.packed(width)[0], tablep.packed(width)[0])
     H = ((1 << fields * width) - 1) // ((1 << width) - 1) << (width - 1)
     # B+ tests prec(sub, star') and prec(sub', star), B- the same with star
     # and sub swapped on both sides: with (a, b) the rows of L and (a', b')
@@ -195,26 +197,20 @@ def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
     # D and Bbar+ keep the B+ predicate (D's families fix both defects, and
     # Bbar+ keeps the defect equation the move-back engine assumes).
     eps = -1 if kind == "B-" else 1
-    by_defect: Dict[int, list] = {}
-    for mp in tablep.kind(whichp)[0]:
-        dp, star, sub = right[mp]
-        a, b = (star, sub) if eps == 1 else (sub, star)
-        by_defect.setdefault(dp, []).append((mp, a | H, a >> width, b, b | H))
-    lefts = []
-    for m in table.kind(which)[0]:
-        d, star, sub = left[m]
-        a, b = (sub, star) if eps == 1 else (star, sub)
-        # B+: def(L') = -def(L) + 1; B-: def(L') = -def(L) - 1
-        candidates = by_defect.get(eps - d)
-        if candidates:
-            lefts.append((m, a, a | H, b | H, b >> width, candidates))
-    masks = frozenset(
-        (m, mp)
-        for m, a, aH, bH, b_shift, candidates in lefts
-        for mp, aH_p, a_shift_p, b_p, bH_p in candidates
-        if (aH_p - a) & (aH - a_shift_p) & (bH - b_p) & (bH_p - b_shift) & H == H
-    )
-    return RelationSet(kind, Z, Zp, masks)
+    right = tablep.kernel_half(width, whichp, eps)
+    related = []
+    for dp, lefts in table.kernel_half(width, which, eps):
+        for dq, rights in right:
+            if dq != dp:
+                continue
+            for m, a, b in lefts:
+                # the rows hold no guard bits, so A | H = A + H and
+                # (a' | H) - a = a' - (a - H): every H term is on the L side
+                a_H, aH, bH, b_shift_H = a - H, a | H, b | H, (b >> width) - H
+                for mp, ap, ap_shift, bp in rights:
+                    if (ap - a_H) & (aH - ap_shift) & (bH - bp) & (bp - b_shift_H) & H == H:
+                        related.append((m, mp))
+    return RelationSet(kind, Z, Zp, frozenset(related))
 
 
 # -- cores --------------------------------------------------------------------

@@ -246,12 +246,15 @@ def _check_cells(Z, report: SuiteReport) -> None:
     if len(arrs) != expect:
         report.failures.append({"Z": str(Z), "arrangements": [len(arrs), expect]})
     first = None  # the cells of the first arrangement
+    semi = set(cells.semi_consecutive_arrangements(Z)) if Z.defect == 1 else ()
+    by_key = {}  # (phi, psi) -> cell, reused by the singleton intersections
     for phi in arrs:
         report.checked += 1
         built = [
             cells.cell(Z, phi, psi) for psi in relations.subsets_of_pairs(phi.pair_set())
         ]
         first = first or built
+        by_key.update(((phi, c.psi), c) for c in built if phi in semi)
         if not cells.cell_partition_check(Z, built):
             report.failures.append({"Z": str(Z), "phi": str(phi), "partition": False})
         for c in built:
@@ -264,7 +267,7 @@ def _check_cells(Z, report: SuiteReport) -> None:
                     )
     if Z.defect == 1:
         for lam in Z.family("S"):
-            cells.singleton_intersection(Z, lam)
+            cells.singleton_intersection(Z, lam, built=by_key)
             report.checked += 1
     # parity congruence across members of one cell
     for c in first or ():
@@ -594,6 +597,10 @@ def run_suite(name: str, **bounds) -> SuiteReport:
         key: default if bounds.get(key) is None else bounds[key]
         for key, (_, default) in suite.bounds.items()
     }
+    for key, value in values.items():
+        # eps is checked where it is used: b_kind rejects any other sign
+        if key != "eps" and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
+            raise ValueError("suite %r: bound %s must be an int >= 0, got %r" % (name, key, value))
     report = SuiteReport(name, {suite.bounds[key][0]: v for key, v in values.items()})
     items = suite.items(**values)
     work = functools.partial(_check_chunk, name)

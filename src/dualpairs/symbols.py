@@ -361,10 +361,12 @@ class FamilyTable:
     optionally, a given member defect
     ``d + 2 * (|M & bottom singles| - |M & top singles|)``.  Masks come
     ordered by |M|, then as ``itertools.combinations`` lists the singles.
-    ``packed(width)`` holds each member's interlacing data as integers.
+    ``packed(width)`` holds each member's interlacing data as integers, and
+    ``kernel_half`` regroups it for the relation kernel.
     """
 
-    __slots__ = ("defect", "rank", "n", "top", "bot", "members", "mask", "_kinds", "_packed")
+    __slots__ = ("defect", "rank", "n", "top", "bot", "members", "mask", "_kinds", "_packed",
+                 "_halves")
 
     def __init__(self, z: SpecialSymbol):
         self.defect = z.defect
@@ -388,6 +390,7 @@ class FamilyTable:
         self.mask: Dict[Symbol, int] = {sym: m for m, sym in enumerate(members)}
         self._kinds: Dict[str, Tuple[Tuple[int, ...], Tuple[Symbol, ...]]] = {}
         self._packed: Dict[int, Tuple[int, Tuple[Tuple[int, int, int], ...]]] = {}
+        self._halves: Dict[Tuple[int, str, int], Tuple[Tuple[int, tuple], ...]] = {}
 
     def kind(self, which: str) -> Tuple[Tuple[int, ...], Tuple[Symbol, ...]]:
         """The masks and members of one family kind (see SpecialSymbol.family)."""
@@ -436,6 +439,38 @@ class FamilyTable:
                 records.append((sym.defect, star, sub))
             longest = max(max(r[1].bit_length(), r[2].bit_length()) for r in records)
             got = self._packed[width] = (-(-longest // width), tuple(records))
+        return got
+
+    def kernel_half(self, width: int, which: str, eps: int) -> Tuple[Tuple[int, tuple], ...]:
+        """This table's side of the relation kernel for one family and sign.
+
+        (key, records) groups, built once per (width, family, sign); the guard
+        bits depend on both tables and are left to each call.  A Z member
+        (defect 1) keys on the defect its partner needs, eps - defect, and
+        gives (mask, a, b); a Z' member keys on its defect and gives (mask, a,
+        a >> width, b), where (a, b) is (sub, star) on the Z side and (star,
+        sub) on the Z' side at eps = 1, swapped at eps = -1.  A family of one
+        defect ("S,1") is that defect's group of its base family."""
+        key = (width, which, eps)
+        got = self._halves.get(key)
+        if got is None:
+            base, _, beta = which.partition(",")
+            left = self.defect == 1
+            if beta:
+                want = eps - int(beta) if left else int(beta)
+                got = tuple(g for g in self.kernel_half(width, base, eps) if g[0] == want)
+            else:
+                records = self.packed(width)[1]
+                groups: Dict[int, list] = {}
+                for m in self.kind(which)[0]:
+                    d, star, sub = records[m]
+                    a, b = (sub, star) if left == (eps == 1) else (star, sub)
+                    if left:
+                        groups.setdefault(eps - d, []).append((m, a, b))
+                    else:
+                        groups.setdefault(d, []).append((m, a, a >> width, b))
+                got = tuple((d, tuple(g)) for d, g in groups.items())
+            self._halves[key] = got
         return got
 
 

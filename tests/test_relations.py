@@ -269,6 +269,40 @@ class TestPackedRecords:
         assert fields == longest
         assert table.packed(width) is table.packed(width)
 
+    @pytest.mark.parametrize("defect", [1, 0])
+    def test_kernel_halves_regroup_the_records(self, defect):
+        # Z-side families for defect 1, Z'-side families for defect 0
+        side = 0 if defect == 1 else 1
+        families = sorted({pair[side] for pair in FAMILIES.values()})
+        for base in specials_upto(8, defect):
+            table = base.table
+            for width in (base.rank.bit_length() + 1, base.rank.bit_length() + 2):
+                records = table.packed(width)[1]
+                for which, eps in itertools.product(families, (1, -1)):
+                    want = {}
+                    for m in base.masks(which):
+                        d, star, sub = records[m]
+                        if defect == 1:
+                            # the Z rows in the order of prec(a, a') and prec(b', b)
+                            a, b = (sub, star) if eps == 1 else (star, sub)
+                            want.setdefault(eps - d, []).append((m, a, b))
+                        else:
+                            a, b = (star, sub) if eps == 1 else (sub, star)
+                            want.setdefault(d, []).append((m, a, a >> width, b))
+                    half = table.kernel_half(width, which, eps)
+                    assert half == tuple((d, tuple(group)) for d, group in want.items()), (
+                        base, width, which, eps
+                    )
+                    assert table.kernel_half(width, which, eps) is half
+
+    def test_relation_set_rejects_swapped_bases_and_unknown_kinds(self):
+        with pytest.raises(ValueError, match="defect 1, defect 0"):
+            relation_set(ZPWRK, ZWRK, "D")
+        with pytest.raises(ValueError, match="defect 1, defect 0"):
+            relation_set(ZWRK, ZWRK, "B+")
+        with pytest.raises(ValueError, match="unknown relation kind 'Q'"):
+            relation_set(ZWRK, ZPWRK, "Q")
+
     def test_a_part_too_large_for_its_field_raises(self):
         # the largest part of 4;- is 4: it fits below the guard bit of a
         # 4-bit field, and would wrap into the guard bit of a 3-bit one

@@ -20,6 +20,22 @@ def test_misspelt_bound_raises():
         run_suite("counting", max_rank=9)
 
 
+@pytest.mark.parametrize(
+    "name,bounds,bad",
+    [
+        ("prop0216", {"max_rank": -1}, "max_rank"),
+        ("cells", {"max_rank": 3, "max_degree": -2}, "max_degree"),
+        ("prop0216", {"max_rank": True}, "max_rank"),
+        ("thm0310", {"max_rank": 2.0}, "max_rank"),
+        ("counting", {"max_m": "3"}, "max_m"),
+    ],
+)
+def test_a_bad_bound_raises(name, bounds, bad):
+    # each of these used to run 0 checks, or rank 1 for True, and report ok
+    with pytest.raises(ValueError, match="'%s'.*bound %s" % (name, bad)):
+        run_suite(name, **bounds)
+
+
 def test_a_raising_check_fails_its_item(monkeypatch):
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
 
@@ -157,3 +173,21 @@ def test_cell_checks_survive_optimized_mode():
         "cells",
     )
     assert not ok and failures > 0
+
+
+def test_cells_suite_builds_each_cell_once(monkeypatch):
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    from dualpairs import cells
+
+    built = []
+    real = cells.cell
+
+    def counted(Z, phi, psi):
+        built.append((Z, phi, frozenset(psi)))
+        return real(Z, phi, psi)
+
+    monkeypatch.setattr(cells, "cell", counted)
+    rep = run_suite("cells", max_rank=5)
+    assert rep.ok and rep.checked > 0
+    # the singleton intersections reuse the cells of the arrangement loop
+    assert len(built) == len(set(built))

@@ -171,6 +171,12 @@ class TestCli:
         assert proc.returncode == 2
         assert "max_rank" in proc.stderr and proc.stdout == ""
 
+    def test_verify_rejects_a_negative_bound(self):
+        for suite in ("prop0216", "all"):
+            proc = run_cli("verify", suite, "--max-rank", "-1", "--summary")
+            assert proc.returncode == 2
+            assert "max_rank" in proc.stderr and proc.stdout == ""
+
     def test_verify_all_passes_each_suite_its_own_bounds(self):
         from dualpairs.suites import SUITES
 
