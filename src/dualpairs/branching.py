@@ -12,20 +12,10 @@ correspondence relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
-from .cells import Arrangement, cell_sign
-from .relations import (
-    FAMILIES,
-    CheckFailed,
-    Pair,
-    PairSet,
-    b_kind,
-    core_free_family,
-    cores,
-    in_B,
-    pair_entries,
-)
+from .cells import Arrangement, cell_sign, free_values
+from .relations import FAMILIES, CheckFailed, Pair, PairSet, b_kind, cores, in_B
 from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, transport_mask
 
 
@@ -100,7 +90,8 @@ class ThetaMap:
     ``direction`` is "up" when it maps the defect-1 side into the defect-0
     side (core-free degree grows by one) and "down" the other way.  Core
     entries are frozen: the map is defined on the core-free sub-families
-    and extends by the identity on core flips.
+    and extends by the identity on core flips.  Calling the map sends the
+    mask of a source member to the mask of its image.
     """
 
     Z: SpecialSymbol
@@ -118,75 +109,63 @@ class ThetaMap:
     def target_base(self) -> SpecialSymbol:
         return self.Zp if self.direction == "up" else self.Z
 
-    def source_family(self) -> Tuple[Symbol, ...]:
+    def source_masks(self) -> Tuple[int, ...]:
+        """The masks of the core-free source family, the domain of the map."""
         if self.direction == "up":
-            return core_free_family(self.Z, "S", self.psi0)
-        return core_free_family(self.Zp, FAMILIES[b_kind(self.eps)][1], self.psi0p)
+            which, banned = "S", self.Z.pairs_mask(self.psi0)
+        else:
+            which, banned = FAMILIES[b_kind(self.eps)][1], self.Zp.pairs_mask(self.psi0p)
+        return tuple(m for m in self.source_base().masks(which) if not m & banned)
 
-    def __call__(self, sym: Symbol) -> Symbol:
-        src = self.source_base()
+    def __call__(self, mask: int) -> int:
         dst = self.target_base()
-        image = transport_mask(src, dst, self.entry_map, src.member_mask(sym))
+        image = transport_mask(self.source_base(), dst, self.entry_map, mask)
         if image is None:
-            raise ValueError("%s meets the core of the relation" % sym)
+            raise ValueError("mask %d meets the core of the relation" % mask)
         if self.eps == -1:
             image |= dst.mask_of([self.extra])
-        return dst.member(image)
+        return image
+
+    def graph(self) -> FrozenSet[Tuple[int, int]]:
+        """The graph on masks, oriented as (defect-1 side, defect-0 side)."""
+        if self.direction == "up":
+            return frozenset((m, self(m)) for m in self.source_masks())
+        return frozenset((self(m), m) for m in self.source_masks())
 
     def map_arrangement(
         self, phi: Arrangement, psi: Iterable[Pair]
     ) -> Tuple[Arrangement, PairSet]:
-        """Image arrangement and subset of pairs (cores pass through)."""
+        """Image arrangement and subset of pairs (cores pass through).
+
+        A core-free pair (s, t) maps to (theta(t), theta(s)).  Going up, the
+        isolated single pairs with the entry missing from the image; going
+        down, the released largest entry becomes the isolated single.
+        """
         psi = frozenset(psi)
         if not psi <= phi.pair_set():
             raise ValueError("psi must be a subset of pairs of phi")
-        if not self.psi0 and not self.psi0p:
-            return self._map_arrangement_corefree(phi, psi)
-        src_core, dst_core = (
-            (self.psi0, self.psi0p)
-            if self.direction == "up"
-            else (self.psi0p, self.psi0)
-        )
+        up = self.direction == "up"
+        src_core, dst_core = (self.psi0, self.psi0p) if up else (self.psi0p, self.psi0)
         if not src_core <= psi:
             raise ValueError("psi must contain the core pairs")
-        sub_phi = Arrangement(
-            tuple(p for p in phi.pairs if p not in src_core), phi.isolated
-        )
-        sub_psi = psi - src_core
-        phi1, psi1 = self._map_arrangement_corefree(sub_phi, sub_psi)
-        return (
-            Arrangement(phi1.pairs + tuple(dst_core), phi1.isolated),
-            psi1 | dst_core,
-        )
-
-    def _map_arrangement_corefree(self, phi, psi):
-        emap = self.entry_map
-        if self.direction == "up":
-            # pairs (s,t) map to (theta(t), theta(s)); the isolated single
-            # pairs up with the entry missing from the image.
-            pairs = [
-                (emap[(t, BOT)][0], emap[(s, TOP)][0]) for (s, t) in phi.pairs
-            ]
-            iso_pair = (self.extra[0], emap[(phi.isolated, TOP)][0])
-            new_pairs = pairs + [iso_pair]
-            # The image subset keeps |image arrangement \ image subset|
-            # even for eps=+1 and odd for eps=-1.
-            parity_even = (len(phi.pairs) - len(psi)) % 2 == 0
-            take_iso = (self.eps == 1) == parity_even
-            new_psi = {(emap[(t, BOT)][0], emap[(s, TOP)][0]) for (s, t) in psi}
-            if take_iso:
-                new_psi.add(iso_pair)
-            return Arrangement(tuple(new_pairs), None), frozenset(new_psi)
-        # down: pairs (s,t) of the defect-0 side map to (theta(t), theta(s));
-        # the released largest entry becomes the isolated single.
-        if cell_sign(phi, psi) != self.eps:
+        # the core pairs are in psi, so they leave |phi \ psi| unchanged
+        if not up and cell_sign(phi, psi) != self.eps:
             raise ValueError("subset of pairs is not admissible for eps=%+d" % self.eps)
-        pairs = [(emap[(t, BOT)][0], emap[(s, TOP)][0]) for (s, t) in phi.pairs]
-        new_psi = {(emap[(t, BOT)][0], emap[(s, TOP)][0]) for (s, t) in psi}
-        return (
-            Arrangement(tuple(pairs), self.extra[0]),
-            frozenset(new_psi),
-        )
+        emap = self.entry_map
+        image = {
+            (s, t): (emap[(t, BOT)][0], emap[(s, TOP)][0])
+            for (s, t) in phi.pairs
+            if (s, t) not in src_core
+        }
+        pairs = tuple(image.values()) + tuple(dst_core)
+        new_psi = {image[p] for p in psi - src_core} | dst_core
+        if not up:
+            return Arrangement(pairs, self.extra[0]), frozenset(new_psi)
+        iso_pair = (self.extra[0], emap[(phi.isolated, TOP)][0])
+        # |image arrangement \ image subset| is even for eps=+1 and odd for eps=-1
+        if ((len(phi.pairs) - len(psi)) % 2 == 0) == (self.eps == 1):
+            new_psi.add(iso_pair)
+        return Arrangement(pairs + (iso_pair,), None), frozenset(new_psi)
 
 
 def theta_general(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> ThetaMap:
@@ -194,39 +173,29 @@ def theta_general(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> ThetaMap:
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1, got %r" % (eps,))
     cp = cores(Z, Zp)
-    z_free = sorted(
-        (e for e in Z.singles if e not in pair_entries(cp.psi0)),
-        key=lambda e: (e[1], -e[0]),
-    )
-    zp_free = sorted(
-        (e for e in Zp.singles if e not in pair_entries(cp.psi0p)),
-        key=lambda e: (e[1], -e[0]),
-    )
-    a = [e for e in z_free if e[1] == TOP]
-    b = [e for e in z_free if e[1] == BOT]
-    c = [e for e in zp_free if e[1] == TOP]
-    d = [e for e in zp_free if e[1] == BOT]
+    # the core-free singles of each row, by decreasing value
+    a, b = free_values(Z, Z.pairs_mask(cp.psi0))
+    c, d = free_values(Zp, Zp.pairs_mask(cp.psi0p))
     delta, deltap = len(b), len(c)
     if deltap == delta + 1:
         # defect-1 side maps in: a_i -> d_i, b_i -> c_{i+1}; c_1 stays out.
-        entry_map = {a[i]: d[i] for i in range(len(a))}
-        entry_map.update({b[i]: c[i + 1] for i in range(len(b))})
-        return ThetaMap(Z, Zp, eps, "up", entry_map, c[0], cp.psi0, cp.psi0p)
+        entry_map = {(s, TOP): (t, BOT) for s, t in zip(a, d, strict=True)}
+        entry_map.update({(t, BOT): (s, TOP) for t, s in zip(b, c[1:], strict=True)})
+        return ThetaMap(Z, Zp, eps, "up", entry_map, (c[0], TOP), cp.psi0, cp.psi0p)
     if deltap == delta:
         # defect-0 side maps in: c_i -> b_i, d_i -> a_{i+1}; a_1 stays out.
-        entry_map = {c[i]: b[i] for i in range(len(c))}
-        entry_map.update({d[i]: a[i + 1] for i in range(len(d))})
-        return ThetaMap(Z, Zp, eps, "down", entry_map, a[0], cp.psi0, cp.psi0p)
+        entry_map = {(s, TOP): (t, BOT) for s, t in zip(c, b, strict=True)}
+        entry_map.update({(t, BOT): (s, TOP) for t, s in zip(d, a[1:], strict=True)})
+        return ThetaMap(Z, Zp, eps, "down", entry_map, (a[0], TOP), cp.psi0, cp.psi0p)
     raise CheckFailed(
         "core-free degrees %d, %d are not within one step" % (delta, deltap)
     )
 
 
 def theta_graph(tm: ThetaMap) -> frozenset:
-    """The graph of the map, oriented as (defect-1 side, defect-0 side)."""
-    if tm.direction == "up":
-        return frozenset((lam, tm(lam)) for lam in tm.source_family())
-    return frozenset((tm(lamp), lamp) for lamp in tm.source_family())
+    """The graph of the map on family members, a view of ``tm.graph()``."""
+    member, memberp = tm.Z.table.members, tm.Zp.table.members
+    return frozenset((member[m], memberp[mp]) for (m, mp) in tm.graph())
 
 
 # -- branching sets ------------------------------------------------------------

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .relations import EMPTY_PAIRSET, CheckFailed, Pair, PairSet
 from .symbols import BOT, TOP, SpecialSymbol, Symbol
@@ -74,16 +75,23 @@ def semi_consecutive_arrangements(Z: SpecialSymbol) -> Tuple[Arrangement, ...]:
 
 @dataclass(frozen=True)
 class Cell:
+    """A cell, stored as the masks of its members; ``members`` is the Symbol view."""
+
     base: SpecialSymbol
     phi: Arrangement
     psi: PairSet
-    members: FrozenSet[Symbol]
+    masks: FrozenSet[int]
+
+    @cached_property
+    def members(self) -> FrozenSet[Symbol]:
+        member = self.base.table.members
+        return frozenset(member[m] for m in self.masks)
 
     def __contains__(self, sym: Symbol) -> bool:
-        return sym in self.members
+        return self.base.table.mask.get(sym) in self.masks
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.masks)
 
 
 def cell(Z: SpecialSymbol, phi: Arrangement, psi: Iterable[Pair]) -> Cell:
@@ -109,11 +117,8 @@ def cell(Z: SpecialSymbol, phi: Arrangement, psi: Iterable[Pair]) -> Cell:
     if 2 * len(bits) + bool(iso) != len(Z.singles) or used != (1 << len(Z.singles)) - 1:
         raise ValueError("%s is not an arrangement of the singles of %s" % (phi, Z))
     options = [(0, a | b) if p in psi else (a, b) for p, (a, b) in zip(phi.pairs, bits)]
-    members = []
-    for choice in itertools.product(*options):
-        m = sum(choice)
-        members.append(Z.member(m | iso if m.bit_count() & 1 else m))
-    return Cell(Z, phi, psi, frozenset(members))
+    masks = (sum(choice) for choice in itertools.product(*options))
+    return Cell(Z, phi, psi, frozenset(m | iso if m.bit_count() & 1 else m for m in masks))
 
 
 def cell_sign(phi: Arrangement, psi: Iterable[Pair]) -> int:
@@ -133,21 +138,36 @@ def cell_partition_check(Z: SpecialSymbol, cells: Sequence[Cell]) -> bool:
     disjoint and cover the family (split by sign)."""
     seen = set()
     for c in cells:
-        if seen & c.members:
+        if seen & c.masks:
             return False
-        seen |= c.members
+        seen |= c.masks
     if Z.defect == 1:
-        return seen == set(Z.family("S"))
+        return seen == set(Z.masks("S"))
     plus, minus = set(), set()
     for c in cells:
-        (plus if cell_sign(c.phi, c.psi) == 1 else minus).update(c.members)
-    return plus == set(Z.family("S+")) and minus == set(Z.family("S-"))
+        (plus if cell_sign(c.phi, c.psi) == 1 else minus).update(c.masks)
+    return plus == set(Z.masks("S+")) and minus == set(Z.masks("S-"))
 
 
-def _psi_containing(Z: SpecialSymbol, phi: Arrangement, sym: Symbol) -> PairSet:
-    """The unique psi <= phi with sym in the corresponding cell."""
-    m = Z.member_mask(sym)
+def _psi_containing(Z: SpecialSymbol, phi: Arrangement, m: int) -> PairSet:
+    """The unique psi <= phi whose cell holds the member of mask m."""
     return frozenset(p for p in phi.pairs if (m & Z.pairs_mask([p])).bit_count() != 1)
+
+
+def _cell_masks(Z: SpecialSymbol, lams: Sequence[Symbol], banned: int) -> List[int]:
+    """The masks of members that lie in cells avoiding the core entries.
+
+    Raises ValueError for a symbol outside the family of Z, for one with an
+    odd flip set at defect 1 (outside S_Z, so in no cell), and for one
+    whose flip set meets the core entries in `banned`.
+    """
+    masks = [Z.member_mask(lam) for lam in lams]
+    for lam, m in zip(lams, masks):
+        if Z.defect == 1 and m.bit_count() & 1:
+            raise ValueError("%s is not in S_Z for Z = %s" % (lam, Z))
+        if m & banned:
+            raise ValueError("arguments must avoid the core entries")
+    return masks
 
 
 def singleton_intersection(
@@ -156,12 +176,15 @@ def singleton_intersection(
     """Two cells whose intersection is exactly {lam}.
 
     Uses the two semi-consecutive arrangements; with a nonempty core psi0
-    (and lam avoiding its entries) the arrangements are built on the
-    core-free singles and extended by psi0, and the intersection is taken
-    inside the core-free sub-family.  Cells in `built`, keyed by (phi, psi), are reused.
+    the arrangements are built on the core-free singles and extended by
+    psi0, and the intersection is taken inside the core-free sub-family.
+    Raises ValueError unless lam is in S_Z and avoids the entries of psi0.
+    Cells in `built`, keyed by (phi, psi), are reused.
     """
     if Z.defect != 1:
         raise ValueError("singleton intersection applies to defect-1 symbols")
+    banned = Z.pairs_mask(psi0)
+    (m,) = _cell_masks(Z, [lam], banned)
     if psi0:
         sub = _strip_core(Z, psi0)
         phis = [
@@ -171,16 +194,13 @@ def singleton_intersection(
     else:
         phis = list(semi_consecutive_arrangements(Z))
     phi1, phi2 = phis
-    psi1 = _psi_containing(Z, phi1, lam)
-    psi2 = _psi_containing(Z, phi2, lam)
+    psi1 = _psi_containing(Z, phi1, m)
+    psi2 = _psi_containing(Z, phi2, m)
     c1, c2 = ((built or {}).get(key) or cell(Z, *key) for key in ((phi1, psi1), (phi2, psi2)))
-    inter = c1.members & c2.members
-    if psi0:
-        banned = Z.pairs_mask(psi0)
-        inter = {s for s in inter if not Z.member_mask(s) & banned}
-    if inter != {lam}:
+    inter = {x for x in c1.masks & c2.masks if not x & banned}
+    if inter != {m}:
         raise CheckFailed(
-            "intersection %r is not {%s}" % (sorted(map(str, inter)), lam)
+            "intersection %r is not {%s}" % (sorted(str(Z.member(x)) for x in inter), lam)
         )
     return phi1, psi1, phi2, psi2
 
@@ -205,12 +225,11 @@ def separating_pair(
     Requires lam1 != lam2 for defect 1 and lam1 not in {lam2, lam2^t} for
     defect 0 (with transposes the construction is impossible: transposes
     always share every cell).  A core psi0 constrains both cells' psi to
-    contain it.
+    contain it.  Raises ValueError unless, at defect 1, both symbols are in
+    S_Z, and unless both avoid the entries of psi0.
     """
-    m1, m2 = Z.member_mask(lam1), Z.member_mask(lam2)
     banned = Z.pairs_mask(psi0)
-    if (m1 | m2) & banned:
-        raise ValueError("arguments must avoid the core entries")
+    m1, m2 = _cell_masks(Z, [lam1, lam2], banned)
     if lam1 == lam2:
         raise ValueError("cannot separate a symbol from itself")
     core_free = ((1 << len(Z.singles)) - 1) & ~banned
@@ -218,7 +237,7 @@ def separating_pair(
         # The core-free complement plays the role of the transpose here;
         # such a pair shares every core-respecting cell.
         raise ValueError("cannot separate a symbol from its core-free transpose")
-    tops, bots = _free_values(Z, banned)
+    tops, bots = free_values(Z, banned)
     # a pair that M1 and M2 meet with different parities
     diff = m1 ^ m2
     split_pair = next(
@@ -228,20 +247,20 @@ def separating_pair(
     if split_pair is None:
         raise CheckFailed("no splitting pair for %s, %s" % (lam1, lam2))
     phi = _complete_arrangement(Z, frozenset({split_pair}) | psi0)
-    psi1 = _psi_containing(Z, phi, lam1)
-    psi2 = _psi_containing(Z, phi, lam2)
+    psi1 = _psi_containing(Z, phi, m1)
+    psi2 = _psi_containing(Z, phi, m2)
     if not (psi0 <= psi1 and psi0 <= psi2):
         raise CheckFailed(
             "cells of %s, %s in %s miss the core %r" % (lam1, lam2, phi, sorted(psi0))
         )
-    if cell(Z, phi, psi1).members & cell(Z, phi, psi2).members:
+    if cell(Z, phi, psi1).masks & cell(Z, phi, psi2).masks:
         raise CheckFailed("cells of %s and %s in %s overlap" % (lam1, lam2, phi))
     return phi, psi1, psi2
 
 
 def _complete_arrangement(Z: SpecialSymbol, forced: PairSet) -> Arrangement:
     """Any arrangement of Z containing the given disjoint pairs."""
-    tops, bots = _free_values(Z, Z.pairs_mask(forced))
+    tops, bots = free_values(Z, Z.pairs_mask(forced))
     pairs = list(forced)
     if Z.defect == 1:
         isolated = tops[0]
@@ -251,7 +270,7 @@ def _complete_arrangement(Z: SpecialSymbol, forced: PairSet) -> Arrangement:
     return Arrangement(tuple(pairs), None)
 
 
-def _free_values(Z: SpecialSymbol, banned: int) -> Tuple[list, list]:
-    """Values of the top and of the bottom singles outside a mask."""
+def free_values(Z: SpecialSymbol, banned: int) -> Tuple[list, list]:
+    """Values of the top and of the bottom singles outside a mask, each decreasing."""
     free = [e for i, e in enumerate(Z.singles) if not banned >> i & 1]
     return [v for (v, r) in free if r == TOP], [v for (v, r) in free if r == BOT]

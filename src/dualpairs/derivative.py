@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .relations import CheckFailed, CorePair, Pair, cores, pair_entries
+from .relations import CheckFailed, CorePair, Pair, cores
 from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol
 
 
@@ -185,13 +185,12 @@ def _restrict_to_singles(
     derived: SpecialSymbol,
     removed: Optional[Pair],
 ) -> Dict[Entry, Entry]:
-    """Restrict an entry map to singles and check it lands on the singles."""
-    skip = pair_entries([removed]) if removed else frozenset()
-    out = {}
-    for e in base.singles:
-        if e in skip:
-            continue
-        out[e] = full[e]
+    """Restrict an entry map to singles and check it lands on the singles.
+
+    Skips by value: a removed doubles pair's values are no singles' values.
+    """
+    skip = removed or ()
+    out = {e: full[e] for e in base.singles if e[0] not in skip}
     if sorted(out.values()) != sorted(derived.singles):
         raise CheckFailed("entry map does not hit the singles of %s" % derived)
     return out

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .symbols import BOT, TOP, CheckFailed, Entry, SpecialSymbol, Symbol, special_closure
 
@@ -27,10 +27,6 @@ Pair = Tuple[int, int]  # (top single value, bottom single value)
 PairSet = FrozenSet[Pair]
 
 EMPTY_PAIRSET: PairSet = frozenset()
-
-
-def pair_entries(pairs: Iterable[Pair]) -> FrozenSet[Entry]:
-    return frozenset(e for (s, t) in pairs for e in ((s, TOP), (t, BOT)))
 
 
 def _singles_of(Z: SpecialSymbol, mask: int) -> List[Entry]:
@@ -291,23 +287,6 @@ def _core_of(base: SpecialSymbol, masks: List[int]) -> PairSet:
             "D-partner set of %s is not the flip family of %r" % (base, sorted(pairs))
         )
     return pairs
-
-
-def core_free_family(base: SpecialSymbol, which: str, psi: PairSet) -> Tuple[Symbol, ...]:
-    """Members Lambda_M of the family with M avoiding the entries of psi."""
-    banned = base.pairs_mask(psi)
-    return tuple(
-        lam
-        for m, lam in zip(base.masks(which), base.family(which))
-        if not m & banned
-    )
-
-
-def flip_family(base: SpecialSymbol, psi: PairSet) -> Tuple[Symbol, ...]:
-    """Members Lambda_M with M a union of pairs of psi (2^k of them)."""
-    return tuple(
-        base.member(base.pairs_mask(ps)) for ps in subsets_of_pairs(psi)
-    )
 
 
 def b_natural(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> RelationSet:

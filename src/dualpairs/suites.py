@@ -236,7 +236,7 @@ def _cells_items(max_rank: int, max_degree: int) -> List[SpecialSymbol]:
 
 
 def _check_cells(Z, report: SuiteReport) -> None:
-    """Cell sizes, partitions, singleton intersections, parity congruence."""
+    """Cell sizes, partitions, cell sums, singleton intersections, parity congruence."""
     arrs = cells.arrangements(Z)
     # arrangement count against the factorial oracle
     tops, bots = Z.single_values(TOP), Z.single_values(BOT)
@@ -245,6 +245,7 @@ def _check_cells(Z, report: SuiteReport) -> None:
         expect *= len(tops) - i
     if len(arrs) != expect:
         report.failures.append({"Z": str(Z), "arrangements": [len(arrs), expect]})
+    full = (1 << len(Z.singles)) - 1  # at defect 0, XOR with it is the transpose
     first = None  # the cells of the first arrangement
     semi = set(cells.semi_consecutive_arrangements(Z)) if Z.defect == 1 else ()
     by_key = {}  # (phi, psi) -> cell, reused by the singleton intersections
@@ -260,25 +261,48 @@ def _check_cells(Z, report: SuiteReport) -> None:
         for c in built:
             if len(c) != 2**Z.degree:
                 report.failures.append({"Z": str(Z), "phi": str(phi), "size": len(c)})
-            if Z.defect == 0:
-                if any(s.t not in c.members for s in c.members):
-                    report.failures.append(
-                        {"Z": str(Z), "phi": str(phi), "transpose_closed": False}
-                    )
+            if Z.defect == 0 and any(m ^ full not in c.masks for m in c.masks):
+                report.failures.append({"Z": str(Z), "phi": str(phi), "transpose_closed": False})
+        _check_cell_sums(Z, phi, built, report)
     if Z.defect == 1:
         for lam in Z.family("S"):
             cells.singleton_intersection(Z, lam, built=by_key)
             report.checked += 1
     # parity congruence across members of one cell
     for c in first or ():
-        masks = [Z.member_mask(s) for s in c.members]
         for psip in relations.subsets_of_pairs(c.phi.pair_set()):
             ent = Z.pairs_mask(psip)
-            pars = {(m & ent).bit_count() % 2 for m in masks}
+            pars = {(m & ent).bit_count() % 2 for m in c.masks}
             if len(pars) > 1:
                 report.failures.append(
                     {"Z": str(Z), "phi": str(c.phi), "congruence": str(psip)}
                 )
+
+
+def _check_cell_sums(Z: SpecialSymbol, phi, built, report: SuiteReport) -> None:
+    """The cell-sum identity, in integers, for the cells of one arrangement.
+
+    For a cell (phi, psi) and each mask m of its rho family (S at defect 1,
+    S+ or S- by the cell's sign at defect 0), the sum over psi' <= phi of
+    (-1)^(|psi' - psi| + |m & mask(psi')|) is 2^deg if m is in the cell and
+    0 if not.  Bit j of ``signs`` and of ``word[m]`` holds the parity of the
+    first and of the second exponent term for the j-th psi', so the sum is
+    2^deg - 2 |signs ^ word[m]|.
+    """
+    subsets = relations.subsets_of_pairs(phi.pair_set())
+    flips = [Z.pairs_mask(ps) for ps in subsets]
+    word = {
+        m: sum((m & f).bit_count() % 2 << j for j, f in enumerate(flips))
+        for m in Z.masks("S" if Z.defect == 1 else "all")
+    }
+    for c in built:
+        which = "S" if Z.defect == 1 else "S+" if cells.cell_sign(phi, c.psi) == 1 else "S-"
+        signs = sum(len(ps - c.psi) % 2 << j for j, ps in enumerate(subsets))
+        if any(
+            len(subsets) - 2 * (signs ^ word[m]).bit_count() != 2**Z.degree * (m in c.masks)
+            for m in Z.masks(which)
+        ):
+            report.failures.append({"Z": str(Z), "phi": str(phi), "cell_sum": str(sorted(c.psi))})
 
 
 def _check_factorization(item, report: SuiteReport) -> None:
@@ -286,8 +310,9 @@ def _check_factorization(item, report: SuiteReport) -> None:
     Z, Zp = item
     cp = relations.cores(Z, Zp)
     for base, psi0 in ((Z, cp.psi0), (Zp, cp.psi0p)):
-        free = set(relations.core_free_family(base, "all", psi0))
-        flips = relations.flip_family(base, psi0)
+        banned = base.pairs_mask(psi0)
+        free = {m for m in range(1 << len(base.singles)) if not m & banned}
+        flips = [base.pairs_mask(ps) for ps in relations.subsets_of_pairs(psi0)]
         for phi in cells.arrangements(base):
             if not psi0 <= phi.pair_set():
                 continue
@@ -296,16 +321,14 @@ def _check_factorization(item, report: SuiteReport) -> None:
                     continue
                 report.checked += 1
                 c = cells.cell(base, phi, psi)
-                nat = c.members & free
-                rebuilt = {base.add(l, f) for l in nat for f in flips}
-                if rebuilt != c.members:
+                rebuilt = {m ^ f for m in c.masks & free for f in flips}
+                if rebuilt != c.masks:
                     report.failures.append(
                         {"base": str(base), "phi": str(phi), "factorization": False}
                     )
             # membership in a cell forces the core into its psi
-            for lam in free:
-                spsi = cells._psi_containing(base, phi, lam)
-                if not psi0 <= spsi:
+            for m in free:
+                if not psi0 <= cells._psi_containing(base, phi, m):
                     report.failures.append(
                         {"base": str(base), "phi": str(phi), "core_in_psi": False}
                     )
@@ -384,7 +407,7 @@ def _check_theta(item, report: SuiteReport) -> None:
         report.checked += 1
         tm = branching.theta_general(Z, Zp, eps)
         nat = relations.b_natural(Z, Zp, eps)
-        if branching.theta_graph(tm) != nat.pairs:
+        if tm.graph() != nat.masks:
             report.failures.append(
                 {"Z": str(Z), "Zp": str(Zp), "eps": eps, "graph": False}
             )
@@ -401,7 +424,9 @@ def _theta_cells_agree(tm) -> bool:
     dst = tm.target_base()
     src_core = tm.psi0 if tm.direction == "up" else tm.psi0p
     dst_core = tm.psi0p if tm.direction == "up" else tm.psi0
-    free = set(tm.source_family())
+    free = set(tm.source_masks())
+    flips = [dst.pairs_mask(ps) for ps in relations.subsets_of_pairs(dst_core)]
+    full = (1 << len(dst.singles)) - 1  # "up" lands at defect 0: XOR with it transposes
     for phi in cells.arrangements(src):
         if not src_core <= phi.pair_set():
             continue
@@ -411,21 +436,11 @@ def _theta_cells_agree(tm) -> bool:
             if tm.direction == "down" and cells.cell_sign(phi, psi) != tm.eps:
                 continue
             phi1, psi1 = tm.map_arrangement(phi, psi)
-            image_cell = cells.cell(dst, phi1, psi1).members
-            src_cell = cells.cell(src, phi, psi).members & free
+            images = {tm(m) for m in cells.cell(src, phi, psi).masks & free}
             if tm.direction == "up":
-                got = set()
-                for lam in src_cell:
-                    for other in (tm(lam), tm(lam).t):
-                        for flip in relations.flip_family(dst, dst_core):
-                            got.add(dst.add(other, flip))
-            else:
-                got = {
-                    dst.add(tm(lam), flip)
-                    for lam in src_cell
-                    for flip in relations.flip_family(dst, dst_core)
-                }
-            if got != image_cell:
+                images |= {m ^ full for m in images}
+            got = {m ^ f for m in images for f in flips}
+            if got != cells.cell(dst, phi1, psi1).masks:
                 return False
     return True
 

@@ -555,7 +555,7 @@ def enumerate_special(rank_: int, defect_: int) -> Tuple[SpecialSymbol, ...]:
     if defect_ not in (0, 1):
         raise ValueError("defect must be 0 or 1")
     if rank_ < 0:
-        return ()
+        raise ValueError("rank must be non-negative, got %d" % rank_)
     out = []
     for m in itertools.count():
         length = 2 * m + 1 if defect_ == 1 else 2 * m

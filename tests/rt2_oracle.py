@@ -23,7 +23,7 @@ from typing import Optional
 from dualpairs import uniform
 from dualpairs.cells import Cell, cell_sign
 from dualpairs.derivative import DerivativeStep
-from dualpairs.relations import b_kind, core_free_family, subsets_of_pairs
+from dualpairs.relations import b_kind, subsets_of_pairs
 from dualpairs.symbols import SpecialSymbol, Symbol, transport_mask
 from dualpairs.uniform import (
     Space,
@@ -241,9 +241,9 @@ def check_step_pairing_transport(step: DerivativeStep) -> bool:
             space, dspace = sp_space(base), sp_space(derived)
         else:
             space, dspace = o_space(base, 1), o_space(derived, 1)
-        skip = [removed] if kind == "core" else []
-        sigmas = core_free_family(base, space.r_kind, skip)
-        lams = core_free_family(base, space.kind, skip)
+        skip = base.pairs_mask([removed] if kind == "core" else [])
+        sigmas = [base.member(m) for m in base.masks(space.r_kind) if not m & skip]
+        lams = [base.member(m) for m in base.masks(space.kind) if not m & skip]
         for sig in sigmas:
             rv = _r_natural_vec(space, sig, removed, kind)
             rv_t = r_vector(dspace, transport(step, sig, side))

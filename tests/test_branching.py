@@ -203,10 +203,11 @@ class TestThetaGeneral:
 
     def test_cuspidal_specialization(self):
         for m in (0, 1, 2):
-            tm = theta_general(z_cuspidal(m), zp_cuspidal(m + 1), 1)
+            Z, Zp = z_cuspidal(m), zp_cuspidal(m + 1)
+            tm = theta_general(Z, Zp, 1)
             assert tm.direction == "up"
-            for lam in tm.source_family():
-                assert tm(lam) == theta_cuspidal(lam, 1, "up")
+            for mask in tm.source_masks():
+                assert Zp.member(tm(mask)) == theta_cuspidal(Z.member(mask), 1, "up")
 
     def test_graph_equals_restriction_small(self):
         for Z in specials_upto(7, 1):
@@ -227,9 +228,9 @@ class TestThetaGeneral:
                     phi1, psi1 = tm.map_arrangement(phi, psi)
                     got = cell(Zp, phi1, psi1).members
                     want = set()
-                    for lam in cell(Z, phi, psi).members:
-                        want.add(tm(lam))
-                        want.add(tm(lam).t)
+                    for mask in cell(Z, phi, psi).masks:
+                        want.add(Zp.member(tm(mask)))
+                        want.add(Zp.member(tm(mask)).t)
                     assert got == want
 
     def test_equal_degree_requires_admissible(self):

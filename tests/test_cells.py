@@ -140,6 +140,17 @@ class TestSingletonIntersection:
             for lam in z.family("S"):
                 singleton_intersection(z, lam)  # asserts internally
 
+    def test_a_member_outside_S_is_rejected(self):
+        # an odd flip set: the member lies in no cell of Z1
+        with pytest.raises(ValueError, match="not in S_Z"):
+            singleton_intersection(Z1, parse("2,0;4,3,1"))
+
+    def test_a_member_meeting_the_core_is_rejected(self):
+        zw = SpecialSymbol.parse("8,5,1;6,3")
+        cp = cores(zw, SpecialSymbol.parse("8,6,2;6,3,0"))
+        with pytest.raises(ValueError, match="core entries"):
+            singleton_intersection(zw, parse("1;8,6,5,3"), cp.psi0)
+
     def test_core_variant_on_worked_pair(self):
         zw = SpecialSymbol.parse("8,5,1;6,3")
         cp = cores(zw, SpecialSymbol.parse("8,6,2;6,3,0"))
@@ -164,6 +175,11 @@ class TestSeparation:
             phi, psi1, psi2 = separating_pair(Z0, a, b)
             assert not (cell(Z0, phi, psi1).members & cell(Z0, phi, psi2).members)
 
+    def test_a_member_outside_S_is_rejected(self):
+        # an odd flip set lies in no cell, so no arrangement separates it
+        with pytest.raises(ValueError, match="not in S_Z"):
+            separating_pair(Z1, parse("2,0;4,3,1"), Z1.symbol)
+
     def test_transpose_pair_rejected(self):
         lam = Z0.family("S-")[0]
         with pytest.raises(ValueError):
@@ -175,9 +191,8 @@ class TestSeparation:
         zw = SpecialSymbol.parse("8,5,1;6,3")
         zpw = SpecialSymbol.parse("8,6,2;6,3,0")
         cp = cores(zw, zpw)
-        from dualpairs.relations import core_free_family
-
-        free = core_free_family(zw, "S", cp.psi0)
+        banned = zw.pairs_mask(cp.psi0)
+        free = [zw.member(m) for m in zw.masks("S") if not m & banned]
         for a, b in itertools.combinations(free, 2):
             phi, psi1, psi2 = separating_pair(zw, a, b, cp.psi0)
             assert cp.psi0 <= psi1 and cp.psi0 <= psi2

@@ -198,15 +198,16 @@ class TestDeriveFull:
     def test_stored_maps_compose_the_step_maps(self):
         # oracle: compose every step's entry map, starting from the singles
         # of each base that avoid its core pairs
-        from dualpairs.relations import in_D, pair_entries
+        from dualpairs.relations import in_D
 
         for Z in specials_upto(7, 1):
             for Zp in specials_upto(7 - Z.rank, 0):
                 if not in_D(Z.symbol, Zp.symbol):
                     continue
                 chain = derive_full(Z, Zp)
-                g = {e: e for e in Z.singles if e not in pair_entries(chain.core.psi0)}
-                gp = {e: e for e in Zp.singles if e not in pair_entries(chain.core.psi0p)}
+                core, corep = Z.pairs_mask(chain.core.psi0), Zp.pairs_mask(chain.core.psi0p)
+                g = {e: e for i, e in enumerate(Z.singles) if not core >> i & 1}
+                gp = {e: e for i, e in enumerate(Zp.singles) if not corep >> i & 1}
                 for step in chain.steps:
                     g = {orig: step.fmap[cur] for orig, cur in g.items()}
                     gp = {orig: step.fpmap[cur] for orig, cur in gp.items()}

@@ -10,10 +10,8 @@ from dualpairs.relations import (
     CheckFailed,
     b_kind,
     b_natural,
-    core_free_family,
     cores,
     decompose_consecutive,
-    flip_family,
     in_B,
     in_D,
     interlace_oracle,
@@ -22,6 +20,7 @@ from dualpairs.relations import (
     moveback_step,
     prec,
     relation_set,
+    subsets_of_pairs,
 )
 from dualpairs.symbols import FamilyTable, SpecialSymbol, parse, specials_upto
 
@@ -160,10 +159,13 @@ class TestCores:
         # every D-partner of the base is a flip of core pairs, exhaustively
         for Z in specials_upto(6, 1):
             for Zp in specials_upto(6, 0):
-                if not relation_set(Z, Zp, "D").pairs:
+                d = relation_set(Z, Zp, "D").masks
+                if not d:
                     continue
                 cp = cores(Z, Zp)  # raises if the structure fails
-                assert len(flip_family(Z, cp.psi0)) == 2 ** len(cp.psi0)
+                flips = {Z.pairs_mask(ps) for ps in subsets_of_pairs(cp.psi0)}
+                assert len(flips) == 2 ** len(cp.psi0)
+                assert {m for (m, mp) in d if not mp} == flips
 
     def test_empty_relation_raises(self):
         with pytest.raises(ValueError):
@@ -239,17 +241,17 @@ class TestMaskForm:
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_b_natural_is_the_core_free_restriction(self, eps):
-        # oracle: keep the B pairs of Symbols in the core-free sub-families
+        # oracle: keep the B pairs in the core-free sub-families
         for Z, Zp in _pairs_upto(7):
             if not in_D(Z.symbol, Zp.symbol):
                 continue
             cp = cores(Z, Zp)
-            left = set(core_free_family(Z, "S", cp.psi0))
-            right = set(core_free_family(Zp, FAMILIES[b_kind(eps)][1], cp.psi0p))
+            core, corep = Z.pairs_mask(cp.psi0), Zp.pairs_mask(cp.psi0p)
+            left = {m for m in Z.masks("S") if not m & core}
+            right = {m for m in Zp.masks(FAMILIES[b_kind(eps)][1]) if not m & corep}
             full = relation_set(Z, Zp, b_kind(eps))
-            want = {(l, r) for (l, r) in full.pairs if l in left and r in right}
-            nat = b_natural(Z, Zp, eps)
-            assert nat.masks == {(Z.member_mask(l), Zp.member_mask(r)) for (l, r) in want}
+            want = {(l, r) for (l, r) in full.masks if l in left and r in right}
+            assert b_natural(Z, Zp, eps).masks == want
 
 
 class TestPackedRecords:

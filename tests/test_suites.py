@@ -191,3 +191,19 @@ def test_cells_suite_builds_each_cell_once(monkeypatch):
     assert rep.ok and rep.checked > 0
     # the singleton intersections reuse the cells of the arrangement loop
     assert len(built) == len(set(built))
+
+
+def test_cells_suite_catches_a_mislabelled_cell(monkeypatch):
+    # the cell built for phi - psi but labelled psi breaks the cell-sum identity
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    from dualpairs import cells
+
+    real = cells.cell
+
+    def mislabelled(Z, phi, psi):
+        psi = frozenset(psi)
+        return dataclasses.replace(real(Z, phi, phi.pair_set() - psi), psi=psi)
+
+    monkeypatch.setattr(cells, "cell", mislabelled)
+    rep = run_suite("cells", max_rank=5)
+    assert any("cell_sum" in failure for failure in rep.failures)

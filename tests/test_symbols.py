@@ -213,6 +213,11 @@ class TestSpecial:
         for text in ("3,1;2,0", "8,6,2;6,3,0"):
             z = SpecialSymbol.parse(text)
             assert z.member(z.mask_of(z.singles)) == z.symbol.t
+        # every member: the transpose at defect 0 is an XOR with the all-singles mask
+        for z in specials_upto(8, 0):
+            full = (1 << len(z.singles)) - 1
+            for m in range(1 << len(z.singles)):
+                assert z.member(m ^ full) == z.member(m).t
 
     @given(special_symbols())
     def test_add_group_laws(self, z):

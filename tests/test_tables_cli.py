@@ -116,6 +116,11 @@ class TestCli:
         proc = run_cli("enumerate-specials", "--rank", "2", "--defect", "1")
         assert "2,0;1" in proc.stdout.split()
 
+    def test_enumerate_specials_rejects_a_negative_rank(self):
+        proc = run_cli("enumerate-specials", "--rank", "-3", "--defect", "0")
+        assert proc.returncode == 2
+        assert "rank" in proc.stderr and proc.stdout == ""
+
     def test_cells_command(self):
         proc = run_cli(
             "cells", "--Z", "4,2,0;3,1", "--phi", "(4;-),(2;3),(0;1)", "--psi", "(2;3)"
