@@ -194,8 +194,8 @@ def theta_general(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> ThetaMap:
 
 def theta_graph(tm: ThetaMap) -> frozenset:
     """The graph of the map on family members, a view of ``tm.graph()``."""
-    member, memberp = tm.Z.table.members, tm.Zp.table.members
-    return frozenset((member[m], memberp[mp]) for (m, mp) in tm.graph())
+    member, memberp = tm.Z.table.member, tm.Zp.table.member
+    return frozenset((member(m), memberp(mp)) for (m, mp) in tm.graph())
 
 
 # -- branching sets ------------------------------------------------------------

@@ -84,11 +84,10 @@ class Cell:
 
     @cached_property
     def members(self) -> FrozenSet[Symbol]:
-        member = self.base.table.members
-        return frozenset(member[m] for m in self.masks)
+        return frozenset(map(self.base.member, self.masks))
 
     def __contains__(self, sym: Symbol) -> bool:
-        return self.base.table.mask.get(sym) in self.masks
+        return self.base.table.mask(sym) in self.masks
 
     def __len__(self) -> int:
         return len(self.masks)

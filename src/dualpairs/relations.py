@@ -38,13 +38,16 @@ def _singles_of(Z: SpecialSymbol, mask: int) -> List[Entry]:
 
 
 def prec(lam: Sequence[int], mu: Sequence[int]) -> bool:
-    """mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... after zero padding."""
-    n = max(len(lam), len(mu)) + 1
-    lam = tuple(lam) + (0,) * (n - len(lam))
-    mu = tuple(mu) + (0,) * (n - len(mu))
-    return all(mu[i] >= lam[i] for i in range(n)) and all(
-        lam[i] >= mu[i + 1] for i in range(n - 1)
-    )
+    """mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... for partitions; missing parts are 0."""
+    n, i = len(mu), 0
+    for x in lam:
+        if (mu[i] < x) if i < n else (x > 0):
+            return False
+        i += 1
+        if i < n and mu[i] > x:
+            return False
+    # past the end of lam, every part of mu but the next must be 0
+    return not any(mu[i + 1:])
 
 
 def in_B(lam: Symbol, lamp: Symbol, eps: int) -> bool:
@@ -144,8 +147,8 @@ class RelationSet:
 
     @cached_property
     def pairs(self) -> FrozenSet[Tuple[Symbol, Symbol]]:
-        member, memberp = self.Z.table.members, self.Zp.table.members
-        return frozenset((member[m], memberp[mp]) for (m, mp) in self.masks)
+        member, memberp = self.Z.table.member, self.Zp.table.member
+        return frozenset((member(m), memberp(mp)) for (m, mp) in self.masks)
 
     def rows(self) -> Tuple[Symbol, ...]:
         return tuple(sorted({p[0] for p in self.pairs}, key=Symbol.sort_key))

@@ -13,8 +13,9 @@ is carried out on symbols directly.  Core notions:
   symbols sharing the entries of a special symbol Z;
 * Lambda_M, the symbol obtained from Z by flipping the rows of a subset M
   of singles, and the symmetric-difference addition it induces;
-* the family table of Z: every Lambda_M built once, indexed by an int mask
-  over the singles, shared by every copy of Z.
+* the family table of Z, shared by every copy of Z: its singles and
+  doubles, each member's interlacing data computed from an int mask over
+  the singles, and each Lambda_M built as a Symbol only when asked for.
 
 Entries tagged with a row are represented as plain ``(value, row)`` tuples
 with ``row`` 0 for the first (top) row and 1 for the second (bottom) row.
@@ -228,13 +229,13 @@ def _parse_row(part: str) -> Tuple[int, ...]:
 class SpecialSymbol:
     """A defect-0 or defect-1 symbol whose interleaved rows weakly decrease.
 
-    Caches the singles (entries appearing in exactly one row, tagged with
-    their natural row), the doubles (values appearing in both rows) and the
-    degree (number of second-row singles).  The family table is looked up
-    on first use.
+    Its slots refer to the shape held by its family table, which every equal
+    copy shares: the singles (entries in exactly one row, tagged with their
+    natural row), the doubles (values in both rows) and the degree (number
+    of second-row singles).
     """
 
-    __slots__ = ("symbol", "singles", "doubles", "degree", "_single_index", "_table")
+    __slots__ = ("symbol", "table", "singles", "doubles", "degree", "_single_index")
 
     def __init__(self, symbol: Symbol):
         if symbol.defect not in (0, 1):
@@ -243,15 +244,11 @@ class SpecialSymbol:
         if any(chain[i] < chain[i + 1] for i in range(len(chain) - 1)):
             raise ValueError("not special (interleaved rows not weakly decreasing): %s" % symbol)
         self.symbol = symbol
-        doubles = tuple(sorted(set(symbol.top) & set(symbol.bot), reverse=True))
-        self.doubles = doubles
-        dd = set(doubles)
-        self.singles: Tuple[Entry, ...] = tuple(
-            e for e in symbol.tagged() if e[0] not in dd
-        )
-        self.degree = sum(1 for (_, r) in self.singles if r == BOT)
-        self._single_index = {e: i for i, e in enumerate(self.singles)}
-        self._table = None
+        table = self.table = family_table(symbol)
+        self.singles: Tuple[Entry, ...] = table.singles
+        self.doubles = table.doubles
+        self.degree = table.degree
+        self._single_index = table.index
 
     @classmethod
     def parse(cls, text: str) -> "SpecialSymbol":
@@ -292,30 +289,18 @@ class SpecialSymbol:
     def single_values(self, row: int) -> Tuple[int, ...]:
         return tuple(v for (v, r) in self.singles if r == row)
 
-    # -- Lambda_M and the family table ----------------------------------------
-
-    @property
-    def table(self) -> "FamilyTable":
-        """The family table, shared with every special symbol equal to this one."""
-        if self._table is None:
-            self._table = family_table(self)
-        return self._table
+    # -- Lambda_M -------------------------------------------------------------
 
     def member(self, mask: int) -> Symbol:
         """Lambda_M for the flip set M given as a bitmask over the singles."""
-        members = self.table.members
-        if not 0 <= mask < len(members):
-            raise ValueError("mask %r out of range for %s" % (mask, self.symbol))
-        return members[mask]
+        return self.table.member(mask)
 
     def member_mask(self, sym: Symbol) -> int:
         """Bitmask of the flip set M with Lambda_M = sym; raises if `sym` has other entries."""
-        try:
-            return self.table.mask[sym]
-        except KeyError:
-            raise ValueError(
-                "%s does not share the entries of %s" % (sym, self.symbol)
-            ) from None
+        mask = self.table.mask(sym)
+        if mask is None:
+            raise ValueError("%s does not share the entries of %s" % (sym, self.symbol))
+        return mask
 
     def mask_of(self, entries: Iterable[Entry]) -> int:
         """Bitmask of a set of tagged singles over the fixed singles order."""
@@ -341,11 +326,11 @@ class SpecialSymbol:
         ``"S+"``/``"S-"``  defect 0 mod 4 / 2 mod 4 (require defect 0);
         ``"S,<b>"``   subset of S (resp. S+ for defect 0) of defect exactly b.
         """
-        return self.table.kind(which)[1]
+        return self.table.family(which)
 
     def masks(self, which: str) -> Tuple[int, ...]:
         """The masks of the :meth:`family` members (same order)."""
-        return self.table.kind(which)[0]
+        return self.table.kind(which)
 
     def add(self, lam1: Symbol, lam2: Symbol) -> Symbol:
         """Group law on the family: symmetric difference of the M-sets."""
@@ -353,51 +338,85 @@ class SpecialSymbol:
 
 
 class FamilyTable:
-    """Every member Lambda_M of one special symbol's family, indexed by mask.
+    """The shape of one special symbol and its family, shared by equal copies.
 
-    Bit i of a mask stands for ``singles[i]`` of the base.  ``members[mask]``
-    is Lambda_M, built once; ``mask`` maps each member back to its mask.  A
-    family kind is the tuple of masks with a given parity of |M| and,
-    optionally, a given member defect
-    ``d + 2 * (|M & bottom singles| - |M & top singles|)``.  Masks come
-    ordered by |M|, then as ``itertools.combinations`` lists the singles.
-    ``packed(width)`` holds each member's interlacing data as integers, and
-    ``kernel_half`` regroups it for the relation kernel.
+    Bit i of a mask stands for ``singles[i]`` (``index`` maps a single to
+    i); ``top`` and ``bot`` mask the top-row and bottom-row singles.  ``bits``
+    lists the entries in increasing order as (value, row, bit), with the bit
+    that flips the entry's row (0 for a double).  A family kind is the tuple
+    of masks with a given parity of |M| and, optionally, a given member
+    defect ``d + 2 * (|M & bot| - |M & top|)``, ordered by |M|, then as
+    ``itertools.combinations`` lists the singles.  ``packed(width)`` holds
+    each member's interlacing data as integers, computed from the masks, and
+    ``kernel_half`` regroups it.  Lambda_M is built as a ``Symbol`` only for
+    a Symbol view (``member``, ``members``, ``mask``, ``family``), once.
     """
 
-    __slots__ = ("defect", "rank", "n", "top", "bot", "members", "mask", "_kinds", "_packed",
-                 "_halves")
+    __slots__ = ("symbol", "defect", "rank", "singles", "doubles", "degree", "index", "n",
+                 "top", "bot", "bits", "_members", "_kinds", "_families", "_packed", "_halves")
 
-    def __init__(self, z: SpecialSymbol):
-        self.defect = z.defect
-        self.rank = z.rank
-        self.n = len(z.singles)
-        self.top = z.mask_of(e for e in z.singles if e[1] == TOP)
-        self.bot = z.mask_of(e for e in z.singles if e[1] == BOT)
-        # entries in decreasing order, each with the bit that flips its row
-        # (0 for the two copies of a double)
-        bits = [
-            (v, r, 1 << z._single_index[(v, r)] if (v, r) in z._single_index else 0)
-            for (v, r) in sorted(z.symbol.tagged(), reverse=True)
-        ]
-        members = []
-        for mask in range(1 << self.n):
-            rows: Tuple[list, list] = ([], [])
-            for v, r, bit in bits:
-                rows[r ^ 1 if mask & bit else r].append(v)
-            members.append(Symbol(*rows))
-        self.members: Tuple[Symbol, ...] = tuple(members)
-        self.mask: Dict[Symbol, int] = {sym: m for m, sym in enumerate(members)}
-        self._kinds: Dict[str, Tuple[Tuple[int, ...], Tuple[Symbol, ...]]] = {}
+    def __init__(self, symbol: Symbol):
+        self.symbol = symbol
+        self.defect = symbol.defect
+        self.rank = symbol.rank
+        both = set(symbol.top) & set(symbol.bot)
+        self.doubles = tuple(sorted(both, reverse=True))
+        self.singles = tuple(e for e in symbol.tagged() if e[0] not in both)
+        self.degree = sum(1 for (_, r) in self.singles if r == BOT)
+        index = self.index = {e: i for i, e in enumerate(self.singles)}
+        self.n = len(self.singles)
+        self.top = sum(1 << i for i, (_, r) in enumerate(self.singles) if r == TOP)
+        self.bot = (1 << self.n) - 1 ^ self.top
+        self.bits = tuple(
+            (v, r, 1 << index[(v, r)] if (v, r) in index else 0)
+            for (v, r) in sorted(symbol.tagged())
+        )
+        self._members: Dict[int, Symbol] = {}
+        self._kinds: Dict[str, Tuple[int, ...]] = {}
+        self._families: Dict[str, Tuple[Symbol, ...]] = {}
         self._packed: Dict[int, Tuple[int, Tuple[Tuple[int, int, int], ...]]] = {}
         self._halves: Dict[Tuple[int, str, int], Tuple[Tuple[int, tuple], ...]] = {}
 
-    def kind(self, which: str) -> Tuple[Tuple[int, ...], Tuple[Symbol, ...]]:
-        """The masks and members of one family kind (see SpecialSymbol.family)."""
+    def member(self, mask: int) -> Symbol:
+        """Lambda_M, built on first use."""
+        got = self._members.get(mask)
+        if got is None:
+            if not 0 <= mask < 1 << self.n:
+                raise ValueError("mask %r out of range for %s" % (mask, self.symbol))
+            rows: Tuple[list, list] = ([], [])
+            for v, r, bit in reversed(self.bits):
+                rows[r ^ 1 if mask & bit else r].append(v)
+            got = self._members[mask] = Symbol(*rows)
+        return got
+
+    @property
+    def members(self) -> Tuple[Symbol, ...]:
+        """Every Lambda_M, in mask order."""
+        return tuple(map(self.member, range(1 << self.n)))
+
+    def mask(self, sym: Symbol) -> Optional[int]:
+        """The mask M with Lambda_M = sym, or None when sym has other entries."""
+        # M holds the singles that sym has in their other row
+        index, m = self.index, 0
+        for row, natural in ((sym.top, BOT), (sym.bot, TOP)):
+            for v in row:
+                i = index.get((v, natural))
+                if i is not None:
+                    m |= 1 << i
+        return m if self.member(m) == sym else None
+
+    def family(self, which: str) -> Tuple[Symbol, ...]:
+        """The members of one family kind (see SpecialSymbol.family)."""
+        got = self._families.get(which)
+        if got is None:
+            got = self._families[which] = tuple(map(self.member, self.kind(which)))
+        return got
+
+    def kind(self, which: str) -> Tuple[int, ...]:
+        """The masks of one family kind (see SpecialSymbol.family)."""
         got = self._kinds.get(which)
         if got is None:
-            masks = tuple(filter(self._test(which), _mask_order(self.n)))
-            got = self._kinds[which] = (masks, tuple(self.members[m] for m in masks))
+            got = self._kinds[which] = tuple(filter(self._test(which), _mask_order(self.n)))
         return got
 
     def _test(self, which: str) -> Callable[[int], bool]:
@@ -432,11 +451,22 @@ class FamilyTable:
         """
         got = self._packed.get(width)
         if got is None:
-            limit = 1 << (width - 1)
+            limit, bits = 1 << (width - 1), self.bits
             records = []
-            for sym in self.members:
-                star, sub = (_pack_row(row, width, limit, sym) for row in (sym.top, sym.bot))
-                records.append((sym.defect, star, sub))
+            for mask in range(1 << self.n):
+                # in increasing order, an entry's staircase step is the count of
+                # smaller entries in its row, and the largest ends in field 0
+                rows, counts = [0, 0], [0, 0]
+                for v, r, bit in bits:
+                    if mask & bit:
+                        r ^= 1
+                    part = v - counts[r]
+                    if part >= limit:
+                        raise CheckFailed("part %d of %s does not fit a %d-bit field"
+                                          % (part, self.member(mask), width))
+                    rows[r] = rows[r] << width | part
+                    counts[r] += 1
+                records.append((counts[TOP] - counts[BOT], rows[TOP], rows[BOT]))
             longest = max(max(r[1].bit_length(), r[2].bit_length()) for r in records)
             got = self._packed[width] = (-(-longest // width), tuple(records))
         return got
@@ -462,7 +492,7 @@ class FamilyTable:
             else:
                 records = self.packed(width)[1]
                 groups: Dict[int, list] = {}
-                for m in self.kind(which)[0]:
+                for m in self.kind(which):
                     d, star, sub = records[m]
                     a, b = (sub, star) if left == (eps == 1) else (star, sub)
                     if left:
@@ -474,23 +504,10 @@ class FamilyTable:
         return got
 
 
-def _pack_row(row: Tuple[int, ...], width: int, limit: int, sym: Symbol) -> int:
-    """A symbol row minus the staircase (a bipartition row), one part per field."""
-    n, packed = len(row), 0
-    for i in range(n - 1, -1, -1):
-        part = row[i] - (n - 1 - i)
-        if part >= limit:
-            raise CheckFailed(
-                "part %d of %s does not fit a %d-bit field" % (part, sym, width)
-            )
-        packed = packed << width | part
-    return packed
-
-
 @lru_cache(maxsize=None)
-def family_table(z: SpecialSymbol) -> FamilyTable:
-    """The family table of z; equal special symbols get the same table."""
-    return FamilyTable(z)
+def family_table(symbol: Symbol) -> FamilyTable:
+    """The family table of a special symbol; equal symbols get the same table."""
+    return FamilyTable(symbol)
 
 
 @lru_cache(maxsize=None)

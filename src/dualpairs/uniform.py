@@ -268,7 +268,8 @@ def verify_thm0310(
     g, gp = _gram(spz), _gram(spo)
     scale = 1 << (Z.degree + Zp.degree)
     # bounds every entry of either side, and so of their difference
-    width = (scale * len(b) + len(d) * len(spz.family()) * len(spo.family())).bit_length() + 1
+    products = len(Z.masks(spz.kind)) * len(Zp.masks(spo.kind))
+    width = (scale * len(b) + len(d) * products).bit_length() + 1
 
     # m -> sum of the rows chi(m' & tau') of its B partners m'
     chars: Dict[int, int] = {}

@@ -22,7 +22,15 @@ from dualpairs.relations import (
     relation_set,
     subsets_of_pairs,
 )
-from dualpairs.symbols import FamilyTable, SpecialSymbol, parse, specials_upto
+from dualpairs.symbols import (
+    FamilyTable,
+    SpecialSymbol,
+    Symbol,
+    family_table,
+    parse,
+    specials_upto,
+)
+from dualpairs.uniform import verify_thm0310
 
 ZWRK = SpecialSymbol.parse("8,5,1;6,3")
 ZPWRK = SpecialSymbol.parse("8,6,2;6,3,0")
@@ -32,6 +40,16 @@ TABLE_COLS = [
     parse(s) for s in ("8,6,2;6,3,0", "8,6,3;6,2,0", "6,2,0;8,6,3", "6,3,0;8,6,2")
 ]
 TABLE_CHECKS = {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)}
+
+
+def _prec_padded(lam, mu):
+    """prec in its padded form, the oracle for the one-pass form."""
+    n = max(len(lam), len(mu)) + 1
+    lam = tuple(lam) + (0,) * (n - len(lam))
+    mu = tuple(mu) + (0,) * (n - len(mu))
+    return all(mu[i] >= lam[i] for i in range(n)) and all(
+        lam[i] >= mu[i + 1] for i in range(n - 1)
+    )
 
 
 class TestPrec:
@@ -75,6 +93,18 @@ class TestPrec:
         mc += (0,) * (n - len(mc))
         literal = all(mc[i] - 1 <= lc[i] <= mc[i] for i in range(n))
         assert prec(lam, mu) == literal
+
+    def test_one_pass_agrees_with_the_padded_form(self):
+        # every weakly decreasing tuple of parts <= 4 and length <= 4,
+        # trailing zeros included
+        parts = [
+            p
+            for k in range(5)
+            for p in itertools.combinations_with_replacement(range(4, -1, -1), k)
+        ]
+        assert len(parts) == 126
+        for lam, mu in itertools.product(parts, repeat=2):
+            assert prec(lam, mu) == _prec_padded(lam, mu), (lam, mu)
 
 
 class TestMembership:
@@ -254,22 +284,31 @@ class TestMaskForm:
             assert b_natural(Z, Zp, eps).masks == want
 
 
+def _check_records(table, width):
+    fields, records = table.packed(width)
+    assert len(records) == len(table.members)
+    longest = 0
+    for sym, (defect, star, sub) in zip(table.members, records):
+        bip = sym.bipartition()
+        assert (defect, _unpack(star, width), _unpack(sub, width)) == (
+            sym.defect, bip.star, bip.sub
+        ), (table.symbol, width, sym)
+        longest = max(longest, len(bip.star), len(bip.sub))
+    assert fields == longest
+    assert table.packed(width) is table.packed(width)
+
+
 class TestPackedRecords:
     @pytest.mark.parametrize("text", ["8,5,1;6,3", "8,6,2;6,3,0", "-;-", "3,0;2"])
     def test_records_are_the_bipartitions(self, text):
-        table = SpecialSymbol.parse(text).table
-        width = 5
-        fields, records = table.packed(width)
-        assert len(records) == len(table.members)
-        longest = 0
-        for sym, (defect, star, sub) in zip(table.members, records):
-            bip = sym.bipartition()
-            assert (defect, _unpack(star, width), _unpack(sub, width)) == (
-                sym.defect, bip.star, bip.sub
-            )
-            longest = max(longest, len(bip.star), len(bip.sub))
-        assert fields == longest
-        assert table.packed(width) is table.packed(width)
+        _check_records(SpecialSymbol.parse(text).table, 5)
+
+    @pytest.mark.parametrize("defect", [1, 0])
+    def test_records_are_the_bipartitions_up_to_rank_8(self, defect):
+        # the widths relation_set uses, and one more
+        for base in specials_upto(8, defect):
+            for width in (base.rank.bit_length() + 1, base.rank.bit_length() + 2):
+                _check_records(base.table, width)
 
     @pytest.mark.parametrize("defect", [1, 0])
     def test_kernel_halves_regroup_the_records(self, defect):
@@ -312,8 +351,11 @@ class TestPackedRecords:
         assert table.packed(4)[1][0] == (1, 4, 0)
         with pytest.raises(CheckFailed, match="does not fit a 3-bit field"):
             table.packed(3)
-        with pytest.raises(CheckFailed):
+        # the message names the member whose part does not fit
+        with pytest.raises(CheckFailed, match="of 8,5,1;6,3 does not fit a 3-bit field"):
             ZWRK.table.packed(3)  # parts 6,4,1 | 5,3
+        with pytest.raises(CheckFailed, match="part 8 of 8;6,5,3,1 does not fit a 4-bit field"):
+            ZWRK.table.packed(4)  # the base fits; the member 8;6,5,3,1 does not
 
     @pytest.mark.parametrize("z,zp", [("3,0;2", "3,1;2,0"), ("3,0;2", "4,2;3,1")])
     def test_field_count_covers_members_longer_than_the_bases(self, monkeypatch, z, zp):
@@ -337,6 +379,32 @@ class TestPackedRecords:
             relation_set(Z, Zp, kind).masks != _product_filter(Z, Zp, kind)
             for kind in KINDS
         )
+
+
+class TestMaskPathsBuildNoSymbol:
+    def test_relation_sets_and_the_main_identity(self, monkeypatch):
+        family_table.cache_clear()
+        Z, related, unrelated = (
+            SpecialSymbol.parse(t) for t in ("8,5,1;6,3", "8,6,2;6,3,0", "4,2;3,1")
+        )
+        built = []
+        real = Symbol.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(Symbol, "__init__", counting)
+        for Zp in (related, unrelated):
+            for kind in KINDS:
+                relation_set(Z, Zp, kind)
+            for eps in (1, -1):
+                assert verify_thm0310(Z, Zp, eps) == (True, None)
+        empty = relation_set(Z, unrelated, "D")
+        assert not empty.masks and empty.pairs == frozenset()
+        assert built == []
+        # the Symbol view builds members, so the counter sees them
+        assert relation_set(Z, related, "D").pairs and built
 
 
 class TestMoveback:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from math import comb
 
 import pytest
@@ -412,6 +413,15 @@ class TestFamilyTable:
         for x, y in zip(a.family("all"), b.family("all")):
             assert x is y
         assert a.family("S+") is b.family("S+")
+
+    def test_equal_copies_share_their_shape(self):
+        a = SpecialSymbol.parse("8,6,2;6,3,0")
+        shifted = SpecialSymbol(Symbol((9, 7, 3, 0), (7, 4, 1, 0)))
+        for b in (SpecialSymbol.parse("8,6,2;6,3,0"), shifted, pickle.loads(pickle.dumps(a))):
+            assert a == b and a is not b
+            assert a.table is b.table
+            assert a.singles is b.singles and a.doubles is b.doubles
+            assert a._single_index is b._single_index
 
     def test_add_is_xor_of_masks(self):
         z = SpecialSymbol.parse("4,2,0;3,1")
