@@ -170,8 +170,7 @@ class ThetaMap:
 
 def theta_general(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> ThetaMap:
     """The correspondence map attached to a pair with nonempty D."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1, got %r" % (eps,))
+    b_kind(eps)  # rejects any other sign
     cp = cores(Z, Zp)
     # the core-free singles of each row, by decreasing value
     a, b = free_values(Z, Z.pairs_mask(cp.psi0))
@@ -194,7 +193,7 @@ def theta_general(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> ThetaMap:
 
 def theta_graph(tm: ThetaMap) -> frozenset:
     """The graph of the map on family members, a view of ``tm.graph()``."""
-    member, memberp = tm.Z.table.member, tm.Zp.table.member
+    member, memberp = tm.Z.member, tm.Zp.member
     return frozenset((member(m), memberp(mp)) for (m, mp) in tm.graph())
 
 

@@ -87,7 +87,11 @@ class Cell:
         return frozenset(map(self.base.member, self.masks))
 
     def __contains__(self, sym: Symbol) -> bool:
-        return self.base.table.mask(sym) in self.masks
+        try:
+            mask = self.base.member_mask(sym)
+        except ValueError:  # sym has other entries than the base
+            return False
+        return mask in self.masks
 
     def __len__(self) -> int:
         return len(self.masks)

@@ -121,8 +121,8 @@ KINDS = tuple(FAMILIES)
 
 
 def b_kind(eps: int) -> str:
-    """The kind of the B relation of sign eps."""
-    if eps not in (1, -1):
+    """The kind of the B relation of sign eps; the one check that eps is +1 or -1."""
+    if isinstance(eps, bool) or not isinstance(eps, int) or eps not in (1, -1):
         raise ValueError("eps must be +1 or -1, got %r" % (eps,))
     return "B+" if eps > 0 else "B-"
 
@@ -147,7 +147,7 @@ class RelationSet:
 
     @cached_property
     def pairs(self) -> FrozenSet[Tuple[Symbol, Symbol]]:
-        member, memberp = self.Z.table.member, self.Zp.table.member
+        member, memberp = self.Z.member, self.Zp.member
         return frozenset((member(m), memberp(mp)) for (m, mp) in self.masks)
 
     def rows(self) -> Tuple[Symbol, ...]:
@@ -173,22 +173,21 @@ class RelationSet:
 def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
     """Filter the product of the kind's two families by its predicate.
 
-    Each test reads the two tables' kernel halves (``FamilyTable.kernel_half``).
+    Each test reads the kernel halves of Z and Z' (``SpecialSymbol.kernel_half``).
     prec(lam, mu) is ge(mu, lam) and ge(lam, mu >> width), where ge(A, B) is
     ``((A | H) - B) & H == H`` and H holds the guard bits: a field keeps its
     guard bit exactly when its part of A is at least that of B.
     """
-    table, tablep = Z.table, Zp.table
-    if table.defect != 1 or tablep.defect != 0:
+    if Z.defect != 1 or Zp.defect != 0:
         raise ValueError("expected a (defect 1, defect 0) special pair")
     if kind not in FAMILIES:
         raise ValueError("unknown relation kind %r" % kind)
     which, whichp = FAMILIES[kind]
     # a member's parts are at most its rank, so they fit below the guard bits
-    width = max(table.rank, tablep.rank).bit_length() + 1
+    width = max(Z.rank, Zp.rank).bit_length() + 1
     # the top bit of each of the first `fields` fields; fields past the
     # longest row compare 0 with 0, so covering more would be harmless
-    fields = max(table.packed(width)[0], tablep.packed(width)[0])
+    fields = max(Z.packed(width)[0], Zp.packed(width)[0])
     H = ((1 << fields * width) - 1) // ((1 << width) - 1) << (width - 1)
     # B+ tests prec(sub, star') and prec(sub', star), B- the same with star
     # and sub swapped on both sides: with (a, b) the rows of L and (a', b')
@@ -196,9 +195,9 @@ def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
     # D and Bbar+ keep the B+ predicate (D's families fix both defects, and
     # Bbar+ keeps the defect equation the move-back engine assumes).
     eps = -1 if kind == "B-" else 1
-    right = tablep.kernel_half(width, whichp, eps)
+    right = Zp.kernel_half(width, whichp, eps)
     related = []
-    for dp, lefts in table.kernel_half(width, which, eps):
+    for dp, lefts in Z.kernel_half(width, which, eps):
         for dq, rights in right:
             if dq != dp:
                 continue

@@ -13,7 +13,7 @@ is carried out on symbols directly.  Core notions:
   symbols sharing the entries of a special symbol Z;
 * Lambda_M, the symbol obtained from Z by flipping the rows of a subset M
   of singles, and the symmetric-difference addition it induces;
-* the family table of Z, shared by every copy of Z: its singles and
+* one SpecialSymbol object per value, which holds its singles and
   doubles, each member's interlacing data computed from an int mask over
   the singles, and each Lambda_M built as a Symbol only when asked for.
 
@@ -229,33 +229,36 @@ def _parse_row(part: str) -> Tuple[int, ...]:
 class SpecialSymbol:
     """A defect-0 or defect-1 symbol whose interleaved rows weakly decrease.
 
-    Its slots refer to the shape held by its family table, which every equal
-    copy shares: the singles (entries in exactly one row, tagged with their
-    natural row), the doubles (values in both rows) and the degree (number
-    of second-row singles).
+    ``SpecialSymbol(symbol)`` returns the one object for that value in this
+    process (built by ``_special``), which holds the shape and the family.
+    ``singles`` are the entries in exactly one row, tagged with their natural
+    row; bit i of a mask stands for ``singles[i]`` (``index`` maps a single
+    to i), and ``top_mask`` and ``bot_mask`` mask the top-row and bottom-row
+    singles.  ``doubles`` are the values in both rows, ``degree`` is the
+    number of bottom-row singles.  ``bits`` lists the entries in increasing
+    order as (value, row, bit), with the bit that flips the entry's row (0
+    for a double).  A family kind is the tuple of masks with a given parity
+    of |M| and, optionally, a given member defect
+    ``d + 2 * (|M & bot_mask| - |M & top_mask|)``, ordered by |M|, then as
+    ``itertools.combinations`` lists the singles.  ``packed(width)`` holds
+    each member's interlacing data as integers, computed from the masks, and
+    ``kernel_half`` regroups it.  Lambda_M is built as a ``Symbol`` only for
+    a Symbol view (``member``, ``members``, ``member_mask``, ``family``), once.
     """
 
-    __slots__ = ("symbol", "table", "singles", "doubles", "degree", "_single_index")
+    __slots__ = ("symbol", "defect", "rank", "singles", "doubles", "degree", "index", "n",
+                 "top_mask", "bot_mask", "bits",
+                 "_members", "_kinds", "_families", "_packed", "_halves")
 
-    def __init__(self, symbol: Symbol):
-        if symbol.defect not in (0, 1):
-            raise ValueError("special symbol must have defect 0 or 1: %s" % symbol)
-        chain = _interleave(symbol)
-        if any(chain[i] < chain[i + 1] for i in range(len(chain) - 1)):
-            raise ValueError("not special (interleaved rows not weakly decreasing): %s" % symbol)
-        self.symbol = symbol
-        table = self.table = family_table(symbol)
-        self.singles: Tuple[Entry, ...] = table.singles
-        self.doubles = table.doubles
-        self.degree = table.degree
-        self._single_index = table.index
+    def __new__(cls, symbol: Symbol) -> "SpecialSymbol":
+        return _special(symbol)
 
     @classmethod
     def parse(cls, text: str) -> "SpecialSymbol":
         return cls(parse(text))
 
     def __reduce__(self):
-        # rebuilt from the symbol: the table is shared per process, not pickled
+        # rebuilt from the symbol: each process holds its own object per value
         return (SpecialSymbol, (self.symbol,))
 
     def __eq__(self, other) -> bool:
@@ -269,14 +272,6 @@ class SpecialSymbol:
 
     def __str__(self) -> str:
         return str(self.symbol)
-
-    @property
-    def defect(self) -> int:
-        return self.symbol.defect
-
-    @property
-    def rank(self) -> int:
-        return self.symbol.rank
 
     @property
     def is_regular(self) -> bool:
@@ -293,20 +288,39 @@ class SpecialSymbol:
 
     def member(self, mask: int) -> Symbol:
         """Lambda_M for the flip set M given as a bitmask over the singles."""
-        return self.table.member(mask)
+        got = self._members.get(mask)
+        if got is None:
+            if not 0 <= mask < 1 << self.n:
+                raise ValueError("mask %r out of range for %s" % (mask, self.symbol))
+            rows: Tuple[list, list] = ([], [])
+            for v, r, bit in reversed(self.bits):
+                rows[r ^ 1 if mask & bit else r].append(v)
+            got = self._members[mask] = Symbol(*rows)
+        return got
+
+    @property
+    def members(self) -> Tuple[Symbol, ...]:
+        """Every Lambda_M, in mask order."""
+        return tuple(map(self.member, range(1 << self.n)))
 
     def member_mask(self, sym: Symbol) -> int:
         """Bitmask of the flip set M with Lambda_M = sym; raises if `sym` has other entries."""
-        mask = self.table.mask(sym)
-        if mask is None:
+        # M holds the singles that sym has in their other row
+        index, m = self.index, 0
+        for row, natural in ((sym.top, BOT), (sym.bot, TOP)):
+            for v in row:
+                i = index.get((v, natural))
+                if i is not None:
+                    m |= 1 << i
+        if self.member(m) != sym:
             raise ValueError("%s does not share the entries of %s" % (sym, self.symbol))
-        return mask
+        return m
 
     def mask_of(self, entries: Iterable[Entry]) -> int:
         """Bitmask of a set of tagged singles over the fixed singles order."""
         m = 0
         for e in entries:
-            i = self._single_index.get(e)
+            i = self.index.get(e)
             if i is None:
                 raise ValueError("not a single of %s: %r" % (self.symbol, e))
             m |= 1 << i
@@ -326,98 +340,21 @@ class SpecialSymbol:
         ``"S+"``/``"S-"``  defect 0 mod 4 / 2 mod 4 (require defect 0);
         ``"S,<b>"``   subset of S (resp. S+ for defect 0) of defect exactly b.
         """
-        return self.table.family(which)
+        got = self._families.get(which)
+        if got is None:
+            got = self._families[which] = tuple(map(self.member, self.masks(which)))
+        return got
 
     def masks(self, which: str) -> Tuple[int, ...]:
         """The masks of the :meth:`family` members (same order)."""
-        return self.table.kind(which)
-
-    def add(self, lam1: Symbol, lam2: Symbol) -> Symbol:
-        """Group law on the family: symmetric difference of the M-sets."""
-        return self.member(self.member_mask(lam1) ^ self.member_mask(lam2))
-
-
-class FamilyTable:
-    """The shape of one special symbol and its family, shared by equal copies.
-
-    Bit i of a mask stands for ``singles[i]`` (``index`` maps a single to
-    i); ``top`` and ``bot`` mask the top-row and bottom-row singles.  ``bits``
-    lists the entries in increasing order as (value, row, bit), with the bit
-    that flips the entry's row (0 for a double).  A family kind is the tuple
-    of masks with a given parity of |M| and, optionally, a given member
-    defect ``d + 2 * (|M & bot| - |M & top|)``, ordered by |M|, then as
-    ``itertools.combinations`` lists the singles.  ``packed(width)`` holds
-    each member's interlacing data as integers, computed from the masks, and
-    ``kernel_half`` regroups it.  Lambda_M is built as a ``Symbol`` only for
-    a Symbol view (``member``, ``members``, ``mask``, ``family``), once.
-    """
-
-    __slots__ = ("symbol", "defect", "rank", "singles", "doubles", "degree", "index", "n",
-                 "top", "bot", "bits", "_members", "_kinds", "_families", "_packed", "_halves")
-
-    def __init__(self, symbol: Symbol):
-        self.symbol = symbol
-        self.defect = symbol.defect
-        self.rank = symbol.rank
-        both = set(symbol.top) & set(symbol.bot)
-        self.doubles = tuple(sorted(both, reverse=True))
-        self.singles = tuple(e for e in symbol.tagged() if e[0] not in both)
-        self.degree = sum(1 for (_, r) in self.singles if r == BOT)
-        index = self.index = {e: i for i, e in enumerate(self.singles)}
-        self.n = len(self.singles)
-        self.top = sum(1 << i for i, (_, r) in enumerate(self.singles) if r == TOP)
-        self.bot = (1 << self.n) - 1 ^ self.top
-        self.bits = tuple(
-            (v, r, 1 << index[(v, r)] if (v, r) in index else 0)
-            for (v, r) in sorted(symbol.tagged())
-        )
-        self._members: Dict[int, Symbol] = {}
-        self._kinds: Dict[str, Tuple[int, ...]] = {}
-        self._families: Dict[str, Tuple[Symbol, ...]] = {}
-        self._packed: Dict[int, Tuple[int, Tuple[Tuple[int, int, int], ...]]] = {}
-        self._halves: Dict[Tuple[int, str, int], Tuple[Tuple[int, tuple], ...]] = {}
-
-    def member(self, mask: int) -> Symbol:
-        """Lambda_M, built on first use."""
-        got = self._members.get(mask)
-        if got is None:
-            if not 0 <= mask < 1 << self.n:
-                raise ValueError("mask %r out of range for %s" % (mask, self.symbol))
-            rows: Tuple[list, list] = ([], [])
-            for v, r, bit in reversed(self.bits):
-                rows[r ^ 1 if mask & bit else r].append(v)
-            got = self._members[mask] = Symbol(*rows)
-        return got
-
-    @property
-    def members(self) -> Tuple[Symbol, ...]:
-        """Every Lambda_M, in mask order."""
-        return tuple(map(self.member, range(1 << self.n)))
-
-    def mask(self, sym: Symbol) -> Optional[int]:
-        """The mask M with Lambda_M = sym, or None when sym has other entries."""
-        # M holds the singles that sym has in their other row
-        index, m = self.index, 0
-        for row, natural in ((sym.top, BOT), (sym.bot, TOP)):
-            for v in row:
-                i = index.get((v, natural))
-                if i is not None:
-                    m |= 1 << i
-        return m if self.member(m) == sym else None
-
-    def family(self, which: str) -> Tuple[Symbol, ...]:
-        """The members of one family kind (see SpecialSymbol.family)."""
-        got = self._families.get(which)
-        if got is None:
-            got = self._families[which] = tuple(map(self.member, self.kind(which)))
-        return got
-
-    def kind(self, which: str) -> Tuple[int, ...]:
-        """The masks of one family kind (see SpecialSymbol.family)."""
         got = self._kinds.get(which)
         if got is None:
             got = self._kinds[which] = tuple(filter(self._test(which), _mask_order(self.n)))
         return got
+
+    def add(self, lam1: Symbol, lam2: Symbol) -> Symbol:
+        """Group law on the family: symmetric difference of the M-sets."""
+        return self.member(self.member_mask(lam1) ^ self.member_mask(lam2))
 
     def _test(self, which: str) -> Callable[[int], bool]:
         base, _, beta = which.partition(",")
@@ -429,7 +366,7 @@ class FamilyTable:
             raise ValueError("family %s needs defect 0" % base)
         parity = {"all": None, "S": 0, "S+": 0, "S-": 1}[base]
         want = int(beta) if beta else None
-        d, top, bot = self.defect, self.top, self.bot
+        d, top, bot = self.defect, self.top_mask, self.bot_mask
 
         def test(mask: int) -> bool:
             if parity is not None and mask.bit_count() & 1 != parity:
@@ -439,6 +376,8 @@ class FamilyTable:
             ) == want
 
         return test
+
+    # -- the relation kernel's inputs -------------------------------------------
 
     def packed(self, width: int) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
         """(fields, records) with every member's bipartition packed into ints.
@@ -472,10 +411,10 @@ class FamilyTable:
         return got
 
     def kernel_half(self, width: int, which: str, eps: int) -> Tuple[Tuple[int, tuple], ...]:
-        """This table's side of the relation kernel for one family and sign.
+        """This symbol's side of the relation kernel for one family and sign.
 
         (key, records) groups, built once per (width, family, sign); the guard
-        bits depend on both tables and are left to each call.  A Z member
+        bits depend on both symbols and are left to each call.  A Z member
         (defect 1) keys on the defect its partner needs, eps - defect, and
         gives (mask, a, b); a Z' member keys on its defect and gives (mask, a,
         a >> width, b), where (a, b) is (sub, star) on the Z side and (star,
@@ -492,7 +431,7 @@ class FamilyTable:
             else:
                 records = self.packed(width)[1]
                 groups: Dict[int, list] = {}
-                for m in self.kind(which):
+                for m in self.masks(which):
                     d, star, sub = records[m]
                     a, b = (sub, star) if left == (eps == 1) else (star, sub)
                     if left:
@@ -505,9 +444,35 @@ class FamilyTable:
 
 
 @lru_cache(maxsize=None)
-def family_table(symbol: Symbol) -> FamilyTable:
-    """The family table of a special symbol; equal symbols get the same table."""
-    return FamilyTable(symbol)
+def _special(symbol: Symbol) -> SpecialSymbol:
+    """The one SpecialSymbol of a value; a symbol that is not special raises, uncached."""
+    if symbol.defect not in (0, 1):
+        raise ValueError("special symbol must have defect 0 or 1: %s" % symbol)
+    chain = _interleave(symbol)
+    if any(chain[i] < chain[i + 1] for i in range(len(chain) - 1)):
+        raise ValueError("not special (interleaved rows not weakly decreasing): %s" % symbol)
+    z = object.__new__(SpecialSymbol)
+    z.symbol = symbol
+    z.defect = symbol.defect
+    z.rank = symbol.rank
+    both = set(symbol.top) & set(symbol.bot)
+    z.doubles = tuple(sorted(both, reverse=True))
+    z.singles: Tuple[Entry, ...] = tuple(e for e in symbol.tagged() if e[0] not in both)
+    z.degree = sum(1 for (_, r) in z.singles if r == BOT)
+    index = z.index = {e: i for i, e in enumerate(z.singles)}
+    z.n = len(z.singles)
+    z.top_mask = sum(1 << i for i, (_, r) in enumerate(z.singles) if r == TOP)
+    z.bot_mask = (1 << z.n) - 1 ^ z.top_mask
+    z.bits = tuple(
+        (v, r, 1 << index[(v, r)] if (v, r) in index else 0)
+        for (v, r) in sorted(symbol.tagged())
+    )
+    z._members: Dict[int, Symbol] = {}
+    z._kinds: Dict[str, Tuple[int, ...]] = {}
+    z._families: Dict[str, Tuple[Symbol, ...]] = {}
+    z._packed: Dict[int, Tuple[int, Tuple[Tuple[int, int, int], ...]]] = {}
+    z._halves: Dict[Tuple[int, str, int], Tuple[Tuple[int, tuple], ...]] = {}
+    return z
 
 
 @lru_cache(maxsize=None)
@@ -533,19 +498,8 @@ def transport_mask(
             image = emap.get(e)
             if image is None:
                 return None
-            out |= 1 << dst._single_index[image]
+            out |= 1 << dst.index[image]
     return out
-
-
-def _lambda_direct(z: SpecialSymbol, mset: Iterable[Entry]) -> Symbol:
-    """Lambda_M by moving entries between rows; the reference for the table."""
-    rows = {TOP: list(z.symbol.top), BOT: list(z.symbol.bot)}
-    for v, r in mset:
-        rows[r].remove(v)
-        rows[1 - r].append(v)
-    rows[TOP].sort(reverse=True)
-    rows[BOT].sort(reverse=True)
-    return Symbol(rows[TOP], rows[BOT])
 
 
 def _interleave(symbol: Symbol) -> Tuple[int, ...]:

@@ -73,8 +73,7 @@ class Space:
     eps: int = 1         # sign of the orthogonal group, "O" side only
 
     def __post_init__(self):
-        if self.eps not in (1, -1):
-            raise ValueError("eps must be +1 or -1, got %r" % (self.eps,))
+        b_kind(self.eps)  # rejects any other sign
         if self.side == "Sp" and self.base.defect != 1:
             raise ValueError("Sp side needs a defect-1 base")
         if self.side == "O" and self.base.defect != 0:

@@ -2,7 +2,24 @@ import dataclasses
 
 import pytest
 
-from dualpairs import uniform
+from dualpairs import symbols, uniform
+
+
+@pytest.fixture
+def clear_specials():
+    """Forget every SpecialSymbol built so far, and the enumerations that hold them.
+
+    Called once before the test, and returned for the test to call again.
+    Later constructions build new objects, and enumerations list those same
+    objects, so one value still has one object for every new caller.
+    """
+
+    def clear():
+        for cache in (symbols._special, symbols.enumerate_special, symbols.specials_upto):
+            cache.cache_clear()
+
+    clear()
+    return clear
 
 
 @pytest.fixture

@@ -23,10 +23,8 @@ from dualpairs.relations import (
     subsets_of_pairs,
 )
 from dualpairs.symbols import (
-    FamilyTable,
     SpecialSymbol,
     Symbol,
-    family_table,
     parse,
     specials_upto,
 )
@@ -284,31 +282,31 @@ class TestMaskForm:
             assert b_natural(Z, Zp, eps).masks == want
 
 
-def _check_records(table, width):
-    fields, records = table.packed(width)
-    assert len(records) == len(table.members)
+def _check_records(z, width):
+    fields, records = z.packed(width)
+    assert len(records) == len(z.members)
     longest = 0
-    for sym, (defect, star, sub) in zip(table.members, records):
+    for sym, (defect, star, sub) in zip(z.members, records):
         bip = sym.bipartition()
         assert (defect, _unpack(star, width), _unpack(sub, width)) == (
             sym.defect, bip.star, bip.sub
-        ), (table.symbol, width, sym)
+        ), (z.symbol, width, sym)
         longest = max(longest, len(bip.star), len(bip.sub))
     assert fields == longest
-    assert table.packed(width) is table.packed(width)
+    assert z.packed(width) is z.packed(width)
 
 
 class TestPackedRecords:
     @pytest.mark.parametrize("text", ["8,5,1;6,3", "8,6,2;6,3,0", "-;-", "3,0;2"])
     def test_records_are_the_bipartitions(self, text):
-        _check_records(SpecialSymbol.parse(text).table, 5)
+        _check_records(SpecialSymbol.parse(text), 5)
 
     @pytest.mark.parametrize("defect", [1, 0])
     def test_records_are_the_bipartitions_up_to_rank_8(self, defect):
         # the widths relation_set uses, and one more
         for base in specials_upto(8, defect):
             for width in (base.rank.bit_length() + 1, base.rank.bit_length() + 2):
-                _check_records(base.table, width)
+                _check_records(base, width)
 
     @pytest.mark.parametrize("defect", [1, 0])
     def test_kernel_halves_regroup_the_records(self, defect):
@@ -316,9 +314,8 @@ class TestPackedRecords:
         side = 0 if defect == 1 else 1
         families = sorted({pair[side] for pair in FAMILIES.values()})
         for base in specials_upto(8, defect):
-            table = base.table
             for width in (base.rank.bit_length() + 1, base.rank.bit_length() + 2):
-                records = table.packed(width)[1]
+                records = base.packed(width)[1]
                 for which, eps in itertools.product(families, (1, -1)):
                     want = {}
                     for m in base.masks(which):
@@ -330,11 +327,11 @@ class TestPackedRecords:
                         else:
                             a, b = (star, sub) if eps == 1 else (sub, star)
                             want.setdefault(d, []).append((m, a, a >> width, b))
-                    half = table.kernel_half(width, which, eps)
+                    half = base.kernel_half(width, which, eps)
                     assert half == tuple((d, tuple(group)) for d, group in want.items()), (
                         base, width, which, eps
                     )
-                    assert table.kernel_half(width, which, eps) is half
+                    assert base.kernel_half(width, which, eps) is half
 
     def test_relation_set_rejects_swapped_bases_and_unknown_kinds(self):
         with pytest.raises(ValueError, match="defect 1, defect 0"):
@@ -347,15 +344,15 @@ class TestPackedRecords:
     def test_a_part_too_large_for_its_field_raises(self):
         # the largest part of 4;- is 4: it fits below the guard bit of a
         # 4-bit field, and would wrap into the guard bit of a 3-bit one
-        table = SpecialSymbol.parse("4;-").table
-        assert table.packed(4)[1][0] == (1, 4, 0)
+        z = SpecialSymbol.parse("4;-")
+        assert z.packed(4)[1][0] == (1, 4, 0)
         with pytest.raises(CheckFailed, match="does not fit a 3-bit field"):
-            table.packed(3)
+            z.packed(3)
         # the message names the member whose part does not fit
         with pytest.raises(CheckFailed, match="of 8,5,1;6,3 does not fit a 3-bit field"):
-            ZWRK.table.packed(3)  # parts 6,4,1 | 5,3
+            ZWRK.packed(3)  # parts 6,4,1 | 5,3
         with pytest.raises(CheckFailed, match="part 8 of 8;6,5,3,1 does not fit a 4-bit field"):
-            ZWRK.table.packed(4)  # the base fits; the member 8;6,5,3,1 does not
+            ZWRK.packed(4)  # the base fits; the member 8;6,5,3,1 does not
 
     @pytest.mark.parametrize("z,zp", [("3,0;2", "3,1;2,0"), ("3,0;2", "4,2;3,1")])
     def test_field_count_covers_members_longer_than_the_bases(self, monkeypatch, z, zp):
@@ -367,13 +364,13 @@ class TestPackedRecords:
             for base in (Z.symbol, Zp.symbol)
             for row in (base.top, base.bot, base.bipartition().star, base.bipartition().sub)
         )
-        assert max(Z.table.packed(width)[0], Zp.table.packed(width)[0]) > base_rows
+        assert max(Z.packed(width)[0], Zp.packed(width)[0]) > base_rows
         for kind in KINDS:
             assert relation_set(Z, Zp, kind).masks == _product_filter(Z, Zp, kind)
         # fields sized from the bases alone let a wrong pair through
-        real = FamilyTable.packed
+        real = SpecialSymbol.packed
         monkeypatch.setattr(
-            FamilyTable, "packed", lambda self, w: (base_rows, real(self, w)[1])
+            SpecialSymbol, "packed", lambda self, w: (base_rows, real(self, w)[1])
         )
         assert any(
             relation_set(Z, Zp, kind).masks != _product_filter(Z, Zp, kind)
@@ -382,8 +379,7 @@ class TestPackedRecords:
 
 
 class TestMaskPathsBuildNoSymbol:
-    def test_relation_sets_and_the_main_identity(self, monkeypatch):
-        family_table.cache_clear()
+    def test_relation_sets_and_the_main_identity(self, monkeypatch, clear_specials):
         Z, related, unrelated = (
             SpecialSymbol.parse(t) for t in ("8,5,1;6,3", "8,6,2;6,3,0", "4,2;3,1")
         )

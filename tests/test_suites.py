@@ -52,7 +52,7 @@ def test_a_raising_check_fails_its_item(monkeypatch):
     json.loads(rep.line())
 
 
-@pytest.mark.parametrize("eps", [0, 2])
+@pytest.mark.parametrize("eps", [0, 2, True, 1.0])
 def test_a_bad_sign_raises(monkeypatch, eps):
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
     Z, Zp = SpecialSymbol.parse("2,0;1"), SpecialSymbol.parse("3,1;2,0")

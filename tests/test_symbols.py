@@ -11,7 +11,6 @@ from dualpairs.symbols import (
     TOP,
     SpecialSymbol,
     Symbol,
-    _lambda_direct,
     enumerate_special,
     enumerate_symbols,
     parse,
@@ -365,6 +364,17 @@ class TestEnumeration:
             assert len(got) == len(set(got)) and set(got) == want, n
 
 
+def _lambda_direct(z, mset):
+    """Lambda_M by moving entries between rows; the reference for the member masks."""
+    rows = {TOP: list(z.symbol.top), BOT: list(z.symbol.bot)}
+    for v, r in mset:
+        rows[r].remove(v)
+        rows[1 - r].append(v)
+    rows[TOP].sort(reverse=True)
+    rows[BOT].sort(reverse=True)
+    return Symbol(rows[TOP], rows[BOT])
+
+
 def _flipped(z, mask):
     """The tagged singles whose bits are set in mask."""
     return [e for i, e in enumerate(z.singles) if mask >> i & 1]
@@ -389,7 +399,7 @@ class TestFamilyTable:
     def test_members_match_row_flips(self):
         for d in (0, 1):
             for z in specials_upto(8, d):
-                members = z.table.members
+                members = z.members
                 assert len(members) == 2 ** len(z.singles)
                 for mask, lam in enumerate(members):
                     assert lam == _lambda_direct(z, _flipped(z, mask))
@@ -408,8 +418,7 @@ class TestFamilyTable:
     def test_parsed_copies_share_members(self):
         a = SpecialSymbol.parse("8,6,2;6,3,0")
         b = SpecialSymbol(Symbol((9, 7, 3, 0), (7, 4, 1, 0)))  # a shifted copy
-        assert a == b and a is not b
-        assert a.table is b.table
+        assert a == b and a is b
         for x, y in zip(a.family("all"), b.family("all")):
             assert x is y
         assert a.family("S+") is b.family("S+")
@@ -417,11 +426,27 @@ class TestFamilyTable:
     def test_equal_copies_share_their_shape(self):
         a = SpecialSymbol.parse("8,6,2;6,3,0")
         shifted = SpecialSymbol(Symbol((9, 7, 3, 0), (7, 4, 1, 0)))
-        for b in (SpecialSymbol.parse("8,6,2;6,3,0"), shifted, pickle.loads(pickle.dumps(a))):
-            assert a == b and a is not b
-            assert a.table is b.table
+        closure = special_closure(a.member(a.mask_of([(8, TOP), (3, BOT)])))
+        listed = next(z for z in enumerate_special(a.rank, 0) if z == a)
+        for b in (
+            SpecialSymbol.parse("8,6,2;6,3,0"), shifted, pickle.loads(pickle.dumps(a)), closure, listed
+        ):
+            assert a == b and a is b
             assert a.singles is b.singles and a.doubles is b.doubles
-            assert a._single_index is b._single_index
+            assert a.index is b.index
+
+    @pytest.mark.parametrize("text", ["3,1;-", "1;2,0", "1;2", "1,0;2,1"])
+    def test_an_invalid_symbol_raises_on_every_construction(self, text):
+        # defects 2 and -1, then defects 1 and 0 with rows that do not interleave
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                SpecialSymbol.parse(text)
+
+    def test_a_cleared_cache_builds_an_equal_new_object(self, clear_specials):
+        old = SpecialSymbol.parse("8,6,2;6,3,0")
+        clear_specials()
+        new = SpecialSymbol.parse("8,6,2;6,3,0")
+        assert new is not old and new == old and hash(new) == hash(old)
 
     def test_add_is_xor_of_masks(self):
         z = SpecialSymbol.parse("4,2,0;3,1")
