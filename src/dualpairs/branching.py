@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .cells import Arrangement, cell_sign, free_values
-from .relations import FAMILIES, CheckFailed, Pair, PairSet, b_kind, cores, in_B
+from .relations import FAMILIES, CheckFailed, CorePair, Pair, PairSet, b_kind, cores, in_B
 from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, transport_mask
 
 
@@ -66,6 +66,7 @@ def theta_cuspidal(sym: Symbol, eps: int, direction: str) -> Symbol:
     ``down`` (entries 0..2m-1)         -> new largest entry 2m.
     The new entry joins the first row for eps=+1, the second for eps=-1.
     """
+    b_kind(eps)  # rejects any other sign
     entries = sym.entries()
     n = len(entries)
     if list(entries) != list(range(n - 1, -1, -1)):
@@ -90,8 +91,9 @@ class ThetaMap:
     ``direction`` is "up" when it maps the defect-1 side into the defect-0
     side (core-free degree grows by one) and "down" the other way.  Core
     entries are frozen: the map is defined on the core-free sub-families
-    and extends by the identity on core flips.  Calling the map sends the
-    mask of a source member to the mask of its image.
+    and extends by the identity on core flips (``core``, the pair's
+    ``CorePair``).  Calling the map sends the mask of a source member to the
+    mask of its image.
     """
 
     Z: SpecialSymbol
@@ -100,8 +102,7 @@ class ThetaMap:
     direction: str
     entry_map: Dict[Entry, Entry]     # core-free singles, source -> target
     extra: Optional[Entry]            # the entry outside the image (eps = -1 use)
-    psi0: PairSet
-    psi0p: PairSet
+    core: CorePair
 
     def source_base(self) -> SpecialSymbol:
         return self.Z if self.direction == "up" else self.Zp
@@ -112,9 +113,9 @@ class ThetaMap:
     def source_masks(self) -> Tuple[int, ...]:
         """The masks of the core-free source family, the domain of the map."""
         if self.direction == "up":
-            which, banned = "S", self.Z.pairs_mask(self.psi0)
+            which, banned = "S", self.core.mask
         else:
-            which, banned = FAMILIES[b_kind(self.eps)][1], self.Zp.pairs_mask(self.psi0p)
+            which, banned = FAMILIES[b_kind(self.eps)][1], self.core.maskp
         return tuple(m for m in self.source_base().masks(which) if not m & banned)
 
     def __call__(self, mask: int) -> int:
@@ -145,7 +146,8 @@ class ThetaMap:
         if not psi <= phi.pair_set():
             raise ValueError("psi must be a subset of pairs of phi")
         up = self.direction == "up"
-        src_core, dst_core = (self.psi0, self.psi0p) if up else (self.psi0p, self.psi0)
+        core = self.core
+        src_core, dst_core = (core.psi0, core.psi0p) if up else (core.psi0p, core.psi0)
         if not src_core <= psi:
             raise ValueError("psi must contain the core pairs")
         # the core pairs are in psi, so they leave |phi \ psi| unchanged
@@ -173,19 +175,19 @@ def theta_general(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> ThetaMap:
     b_kind(eps)  # rejects any other sign
     cp = cores(Z, Zp)
     # the core-free singles of each row, by decreasing value
-    a, b = free_values(Z, Z.pairs_mask(cp.psi0))
-    c, d = free_values(Zp, Zp.pairs_mask(cp.psi0p))
+    a, b = free_values(Z, cp.mask)
+    c, d = free_values(Zp, cp.maskp)
     delta, deltap = len(b), len(c)
     if deltap == delta + 1:
         # defect-1 side maps in: a_i -> d_i, b_i -> c_{i+1}; c_1 stays out.
         entry_map = {(s, TOP): (t, BOT) for s, t in zip(a, d, strict=True)}
         entry_map.update({(t, BOT): (s, TOP) for t, s in zip(b, c[1:], strict=True)})
-        return ThetaMap(Z, Zp, eps, "up", entry_map, (c[0], TOP), cp.psi0, cp.psi0p)
+        return ThetaMap(Z, Zp, eps, "up", entry_map, (c[0], TOP), cp)
     if deltap == delta:
         # defect-0 side maps in: c_i -> b_i, d_i -> a_{i+1}; a_1 stays out.
         entry_map = {(s, TOP): (t, BOT) for s, t in zip(c, b, strict=True)}
         entry_map.update({(t, BOT): (s, TOP) for t, s in zip(d, a[1:], strict=True)})
-        return ThetaMap(Z, Zp, eps, "down", entry_map, (a[0], TOP), cp.psi0, cp.psi0p)
+        return ThetaMap(Z, Zp, eps, "down", entry_map, (a[0], TOP), cp)
     raise CheckFailed(
         "core-free degrees %d, %d are not within one step" % (delta, deltap)
     )

@@ -17,9 +17,10 @@ pushes any Bbar+ pair to one with first component Z.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .symbols import BOT, TOP, CheckFailed, Entry, SpecialSymbol, Symbol, special_closure
 
@@ -53,19 +54,17 @@ def prec(lam: Sequence[int], mu: Sequence[int]) -> bool:
 def in_B(lam: Symbol, lamp: Symbol, eps: int) -> bool:
     """Membership in the full correspondence relation, either sign."""
     u, up = lam.bipartition(), lamp.bipartition()
-    if eps == 1:
+    if b_kind(eps) == "B+":
         return (
             lamp.defect == -lam.defect + 1
             and prec(u.sub, up.star)
             and prec(up.sub, u.star)
         )
-    if eps == -1:
-        return (
-            lamp.defect == -lam.defect - 1
-            and prec(u.star, up.sub)
-            and prec(up.star, u.sub)
-        )
-    raise ValueError("eps must be +1 or -1")
+    return (
+        lamp.defect == -lam.defect - 1
+        and prec(u.star, up.sub)
+        and prec(up.star, u.sub)
+    )
 
 
 def in_D(sig: Symbol, sigp: Symbol) -> bool:
@@ -216,41 +215,39 @@ def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
 
 @dataclass(frozen=True)
 class CorePair:
-    """The consecutive-pair supports of the D-partner sets of Z and Z'."""
+    """The consecutive-pair supports of the D-partner sets of Z and Z', as
+    pair sets, as masks of their singles and as the masks of every flip."""
 
     psi0: PairSet   # pairs of singles of Z,  flips of which give D_{Z'}
     psi0p: PairSet  # pairs of singles of Z', flips of which give D_Z
+    mask: int       # the singles of the psi0 pairs
+    maskp: int
+    flips: Tuple[int, ...]   # the 2^k unions of psi0 pairs, D_{Z'} as masks
+    flipsp: Tuple[int, ...]  # the same for psi0p: D_Z
 
     @property
     def is_trivial(self) -> bool:
         return not self.psi0 and not self.psi0p
 
 
-def is_consecutive(Z: SpecialSymbol, pair: Pair) -> bool:
-    """No entry of Z lies strictly between the two values of the pair."""
-    s, t = pair
-    lo, hi = min(s, t), max(s, t)
-    return all(not (lo < v < hi) for v in Z.symbol.entries())
-
-
 def decompose_consecutive(Z: SpecialSymbol, mask: int) -> PairSet:
     """Split the singles of a mask into disjoint consecutive pairs.
 
-    The decomposition is unique when it exists; raises otherwise.
+    Walking the entries of Z upward, each single of the mask must be
+    followed directly by a single of the mask in the other row.  The
+    decomposition is unique when it exists; raises otherwise.
     """
-    remaining = sorted(_singles_of(Z, mask), reverse=True)
-    pairs = set()
-    while remaining:
-        if len(remaining) == 1:
-            raise ValueError("odd leftover %r, not a union of pairs" % (remaining,))
-        a, b = remaining[0], remaining[1]
-        if a[1] == b[1]:
-            raise ValueError("two adjacent entries in one row: %r, %r" % (a, b))
-        pair = (a[0], b[0]) if a[1] == TOP else (b[0], a[0])
-        if not is_consecutive(Z, pair):
-            raise ValueError("pair %r is not consecutive in %s" % (pair, Z))
-        pairs.add(pair)
-        remaining = remaining[2:]
+    pairs, low = set(), None
+    for v, r, bit in Z.bits:
+        if low is not None:
+            if not bit & mask or r == low[1]:
+                raise ValueError("single %r of %s has no consecutive partner" % (low, Z))
+            pairs.add((low[0], v) if low[1] == TOP else (v, low[0]))
+            low = None
+        elif bit & mask:
+            low = (v, r)
+    if low is not None:
+        raise ValueError("odd leftover %r, not a union of pairs" % (low,))
     return frozenset(pairs)
 
 
@@ -267,28 +264,30 @@ def cores(Z: SpecialSymbol, Zp: SpecialSymbol) -> CorePair:
     """Cores of the D relation, with the structure of both partner sets checked."""
     # mask 0 is the base itself: the D-partners of Zp and of Z
     d = relation_set(Z, Zp, "D").masks
-    d_of_zp = [m for (m, mp) in d if not mp]
-    d_of_z = [mp for (m, mp) in d if not m]
+    d_of_zp = {m for (m, mp) in d if not mp}
+    d_of_z = {mp for (m, mp) in d if not m}
     if not d_of_zp or not d_of_z:
         raise ValueError("empty D relation for (%s, %s)" % (Z, Zp))
-    psi0 = _core_of(Z, d_of_zp)
-    psi0p = _core_of(Zp, d_of_z)
-    return CorePair(psi0, psi0p)
+    psi0, mask, flips = _core_of(Z, d_of_zp)
+    psi0p, maskp, flipsp = _core_of(Zp, d_of_z)
+    return CorePair(psi0, psi0p, mask, maskp, flips, flipsp)
 
 
-def _core_of(base: SpecialSymbol, masks: List[int]) -> PairSet:
-    """The consecutive pairs whose flips give exactly the given masks."""
-    masks = set(masks)
+def _core_of(base: SpecialSymbol, masks: Set[int]) -> Tuple[PairSet, int, Tuple[int, ...]]:
+    """The consecutive pairs whose flips give exactly the masks; their mask; the flips."""
     support = 0
     for m in masks:
         support |= m
     pairs = decompose_consecutive(base, support)
-    expected = {base.pairs_mask(ps) for ps in subsets_of_pairs(pairs)}
-    if masks != expected:
+    flips = [0]
+    for pair in sorted(pairs):
+        bit = base.pairs_mask([pair])
+        flips += [f | bit for f in flips]
+    if masks != set(flips):
         raise CheckFailed(
             "D-partner set of %s is not the flip family of %r" % (base, sorted(pairs))
         )
-    return pairs
+    return pairs, support, tuple(flips)
 
 
 def b_natural(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> RelationSet:
@@ -301,12 +300,9 @@ def b_natural(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> RelationSet:
     kind = b_kind(eps)
     full = relation_set(Z, Zp, kind).masks
     cp = cores(Z, Zp)
-    core, corep = Z.pairs_mask(cp.psi0), Zp.pairs_mask(cp.psi0p)
-    nat = frozenset((m, mp) for (m, mp) in full if not (m & core or mp & corep))
-    flips = [Z.pairs_mask(ps) for ps in subsets_of_pairs(cp.psi0)]
-    flipsp = [Zp.pairs_mask(ps) for ps in subsets_of_pairs(cp.psi0p)]
+    nat = frozenset((m, mp) for (m, mp) in full if not (m & cp.mask or mp & cp.maskp))
     rebuilt = frozenset(
-        (m ^ f, mp ^ fp) for (m, mp) in nat for f in flips for fp in flipsp
+        (m ^ f, mp ^ fp) for (m, mp) in nat for f in cp.flips for fp in cp.flipsp
     )
     if rebuilt != full:
         raise CheckFailed(
@@ -320,9 +316,12 @@ def b_natural(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> RelationSet:
 def moveback_step(lam: Symbol, lamp: Symbol) -> Tuple[Symbol, Symbol, str]:
     """One normalization move on a Bbar+ pair with displaced entries.
 
-    Classifies the largest displaced entry of the first component and moves
-    it (and the forced partner entries) back toward natural position; the
-    output pair stays in Bbar+ with a strictly smaller largest displacement.
+    x, the largest displaced entry of L, is the k-th entry of its row o of L.
+    With P the row o of L', Q its other row and R the other row of L, read
+    p = P_{k-1}, q = Q_{k-1+o}, q+ = Q_{k+o}, r = R_{k-1+o} (1-based).  x
+    moves with q in L' if p < x or P ran out at its tail; else with q+ in L'
+    if q+ >= r or R ran out; else with r in L.  At m' = m + 1, < is <= and
+    >= is >.  The output pair stays in Bbar+ with a smaller x.
     """
     Z = special_closure(lam)
     Zp = special_closure(lamp)
@@ -334,59 +333,35 @@ def moveback_step(lam: Symbol, lamp: Symbol) -> Tuple[Symbol, Symbol, str]:
     if not mask:
         raise ValueError("first component already equals its special symbol")
     x = max(v for (v, _) in _singles_of(Z, mask))
-    tight = mp == m + 1  # strictness pattern flips with the size regime
+    # "less than" in the size regime: strict at m' = m, weak at m' = m + 1
+    lt = operator.le if mp == m + 1 else operator.lt
 
-    a, b, c, d = lam.top, lam.bot, lamp.top, lamp.bot
+    # rows are indexed by TOP = 0 and BOT = 1: x sits in row o of lam
+    o = TOP if x in lam.top else BOT
+    k = lam.row(o).index(x) + 1
+    if o == TOP and k < 2:
+        raise CheckFailed("largest displaced entry cannot head the first row")
+    P, Q, R = lamp.row(o), lamp.row(1 - o), lam.row(1 - o)
 
-    def get(row, k):  # 1-based, None when out of range
-        return row[k - 1] if 1 <= k <= len(row) else None
+    def get(row, i):  # 1-based, None when out of range
+        return row[i - 1] if 1 <= i <= len(row) else None
 
-    def ge(u, v):
-        return u >= v if not tight else u > v
-
-    def lt(u, v):
-        return u < v if not tight else u <= v
-
-    if x in a:
-        k = a.index(x) + 1
-        if k < 2:
-            raise CheckFailed("largest displaced entry cannot head the first row")
-        ck1, dk, bk1 = get(c, k - 1), get(d, k), get(b, k - 1)
-        if ck1 is None or lt(ck1, x):
-            case = "a"
-            dk1 = get(d, k - 1)
-            if dk1 is None:
-                raise CheckFailed("no entry to move back alongside %d" % x)
-            out = lam.flip(x, TOP), lamp.flip(dk1, BOT)
-        elif bk1 is None or (dk is not None and ge(dk, bk1)):
-            case = "b"
-            if dk is None:
-                raise CheckFailed("no entry to move back alongside %d" % x)
-            out = lam.flip(x, TOP), lamp.flip(dk, BOT)
-        else:
-            case = "c"
-            out = lam.flip(x, TOP).flip(bk1, BOT), lamp
+    p, q, q_next, r = get(P, k - 1), get(Q, k - 1 + o), get(Q, k + o), get(R, k - 1 + o)
+    # an index out of range at the head of P (k = 1) dominates every entry,
+    # unlike P running out at its tail
+    if (k >= 2 if p is None else lt(p, x)):
+        rule, partner = 0, q
+    elif r is None or (q_next is not None and not lt(q_next, r)):
+        rule, partner = 1, q_next
     else:
-        k = b.index(x) + 1
-        dk1, ak, ck2 = get(d, k - 1), get(a, k), get(c, k + 1)
-        # An out-of-range index at the head of a row (k = 1) dominates
-        # every entry, unlike a row running out at its tail.
-        dk1_small = dk1 is None and k >= 2
-        if dk1_small or (dk1 is not None and lt(dk1, x)):
-            case = "d"
-            ck = get(c, k)
-            if ck is None:
-                raise CheckFailed("no entry to move back alongside %d" % x)
-            out = lam.flip(x, BOT), lamp.flip(ck, TOP)
-        elif ak is None or (ck2 is not None and ge(ck2, ak)):
-            case = "e"
-            if ck2 is None:
-                raise CheckFailed("no entry to move back alongside %d" % x)
-            out = lam.flip(x, BOT), lamp.flip(ck2, TOP)
-        else:
-            case = "f"
-            out = lam.flip(x, BOT).flip(ak, TOP), lamp
-    new_lam, new_lamp = out
+        rule, partner = 2, r
+    case = "abcdef"[rule + 3 * o]
+    if rule == 2:
+        new_lam, new_lamp = lam.flip(x, o).flip(r, 1 - o), lamp
+    elif partner is None:
+        raise CheckFailed("no entry to move back alongside %d" % x)
+    else:
+        new_lam, new_lamp = lam.flip(x, o), lamp.flip(partner, 1 - o)
     new_mask = Z.member_mask(new_lam)
     if new_mask and max(v for (v, _) in _singles_of(Z, new_mask)) >= x:
         raise CheckFailed(

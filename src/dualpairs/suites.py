@@ -191,8 +191,10 @@ def _check_lemma1112(item, report: SuiteReport) -> None:
 def _check_lemma0616(item, report: SuiteReport) -> None:
     """Partner count bound |B+_L| <= |D_Z| and injectivity of normalization."""
     Z, Zp = item
-    d_z = [s for s in Zp.family("S+,0") if relations.in_D(Z.symbol, s)]
     bbar = relations.relation_set(Z, Zp, "Bbar+")
+    if not bbar.masks:
+        return
+    d_z = {mp for (m, mp) in relations.relation_set(Z, Zp, "D").masks if not m}
     by_first: Dict[Symbol, List[Symbol]] = {}
     for (lam, lamp) in bbar.pairs:
         by_first.setdefault(lam, []).append(lamp)
@@ -208,7 +210,7 @@ def _check_lemma0616(item, report: SuiteReport) -> None:
             report.failures.append(
                 {"Z": str(Z), "Zp": str(Zp), "lam": str(lam), "collision": True}
             )
-        bad = [t for t in terminal if not relations.in_D(Z.symbol, t)]
+        bad = [t for t in terminal if Zp.member_mask(t) not in d_z]
         if bad:
             report.failures.append(
                 {"Z": str(Z), "Zp": str(Zp), "lam": str(lam),
@@ -309,10 +311,9 @@ def _check_factorization(item, report: SuiteReport) -> None:
     """Core-constrained cell statements on pairs with nonempty cores."""
     Z, Zp = item
     cp = relations.cores(Z, Zp)
-    for base, psi0 in ((Z, cp.psi0), (Zp, cp.psi0p)):
-        banned = base.pairs_mask(psi0)
+    for base, psi0, banned, flips in ((Z, cp.psi0, cp.mask, cp.flips),
+                                      (Zp, cp.psi0p, cp.maskp, cp.flipsp)):
         free = {m for m in range(1 << len(base.singles)) if not m & banned}
-        flips = [base.pairs_mask(ps) for ps in relations.subsets_of_pairs(psi0)]
         for phi in cells.arrangements(base):
             if not psi0 <= phi.pair_set():
                 continue
@@ -422,10 +423,9 @@ def _theta_cells_agree(tm) -> bool:
     """Cell images under the map match the cells of the image arrangement."""
     src = tm.source_base()
     dst = tm.target_base()
-    src_core = tm.psi0 if tm.direction == "up" else tm.psi0p
-    dst_core = tm.psi0p if tm.direction == "up" else tm.psi0
+    cp = tm.core
+    src_core, flips = (cp.psi0, cp.flipsp) if tm.direction == "up" else (cp.psi0p, cp.flips)
     free = set(tm.source_masks())
-    flips = [dst.pairs_mask(ps) for ps in relations.subsets_of_pairs(dst_core)]
     full = (1 << len(dst.singles)) - 1  # "up" lands at defect 0: XOR with it transposes
     for phi in cells.arrangements(src):
         if not src_core <= phi.pair_set():
@@ -550,7 +550,7 @@ SUITES: Dict[str, Suite] = {
     "lemma0616": Suite(
         lambda max_rank: _special_pairs(max_rank, summed=True),
         _check_lemma0616,
-        {"max_rank": ("max_rank_sum", 6)},
+        {"max_rank": ("max_rank_sum", 10)},
     ),
     "cells": Suite(
         _cells_items,

@@ -186,6 +186,11 @@ class TestCuspidal:
         assert theta_cuspidal(Zp.symbol, 1, "down") == parse("2,0;1")
         assert theta_cuspidal(Zp.symbol, -1, "down") == parse("0;2,1")
 
+    @pytest.mark.parametrize("eps", [0, 2, True, 1.0, -1.0])
+    def test_rejects_any_other_sign(self, eps):
+        with pytest.raises(ValueError, match="eps must be"):
+            theta_cuspidal(parse("2,0;1"), eps, "up")
+
     def test_rejects_wrong_base(self):
         with pytest.raises(ValueError):
             theta_cuspidal(parse("3,1;2,0"), 1, "up")

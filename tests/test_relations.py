@@ -1,8 +1,11 @@
+import collections
+import functools
 import itertools
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from moveback_oracle import moveback_step_cases
 
 from dualpairs.relations import (
     FAMILIES,
@@ -28,6 +31,7 @@ from dualpairs.symbols import (
     parse,
     specials_upto,
 )
+from dualpairs.suites import _special_pairs
 from dualpairs.uniform import verify_thm0310
 
 ZWRK = SpecialSymbol.parse("8,5,1;6,3")
@@ -117,6 +121,11 @@ class TestMembership:
         with pytest.raises(ValueError):
             in_D(parse("8,5,1;6,3"), parse("8,5,1;6,3"))
 
+    @pytest.mark.parametrize("eps", [0, 2, True, 1.0, -1.0])
+    def test_in_B_rejects_any_other_sign(self, eps):
+        with pytest.raises(ValueError, match="eps must be"):
+            in_B(parse("2,0;1"), parse("3,1;2,0"), eps)
+
     def test_defect_condition(self):
         lam, lamp = parse("2,1,0;-"), parse("4,3,1,0;2,1")
         # the minus relation pins def(lamp) = -def(lam) - 1 = -4
@@ -194,6 +203,14 @@ class TestCores:
                 flips = {Z.pairs_mask(ps) for ps in subsets_of_pairs(cp.psi0)}
                 assert len(flips) == 2 ** len(cp.psi0)
                 assert {m for (m, mp) in d if not mp} == flips
+                # the masks and flips a CorePair carries, on both sides
+                for base, psi0, mask, got in (
+                    (Z, cp.psi0, cp.mask, cp.flips),
+                    (Zp, cp.psi0p, cp.maskp, cp.flipsp),
+                ):
+                    want = {base.pairs_mask(ps) for ps in subsets_of_pairs(psi0)}
+                    assert set(got) == want, (Z, Zp)
+                    assert mask == functools.reduce(int.__or__, want), (Z, Zp)
 
     def test_empty_relation_raises(self):
         with pytest.raises(ValueError):
@@ -411,6 +428,45 @@ class TestMoveback:
         l2, p2, case2 = moveback_step(l1, p1)
         assert (case2, l2, p2) == ("e", parse("8,5,1;6,3"), parse("8,6,3;6,2,0"))
         assert moveback_normalize(lam, lamp) == parse("8,6,3;6,2,0")
+
+    @pytest.mark.parametrize(
+        "case,lam,lamp,new_lam,new_lamp",
+        [
+            ("b", "2,1,0;-", "2;2,1,0", "2,0;1", "2,1;2,0"),
+            ("c", "2,1;0", "1;1", "2,0;1", "1;1"),
+            ("d", "1;1,0", "1,0;-", "1,0;1", "1;0"),
+            ("f", "1,0;2", "2;0", "2,0;1", "2;0"),
+        ],
+    )
+    def test_worked_step_per_case(self, case, lam, lamp, new_lam, new_lamp):
+        got = moveback_step(parse(lam), parse(lamp))
+        assert got == (parse(new_lam), parse(new_lamp), case)
+
+    def test_one_rule_agrees_with_the_six_cases(self):
+        # every distinct step input of every Bbar+ chain at rank sum <= 10,
+        # the chains walked by the oracle; settled inputs raise on both sides
+        def outcome(step, lam, lamp):
+            try:
+                return step(lam, lamp)
+            except (ValueError, CheckFailed) as exc:
+                return type(exc)
+
+        oracle = {}  # step input -> the oracle's outcome
+        for Z, Zp in _special_pairs(10, summed=True):
+            for cur in relation_set(Z, Zp, "Bbar+").pairs:
+                while cur not in oracle:
+                    out = oracle[cur] = outcome(moveback_step_cases, *cur)
+                    if isinstance(out, type):
+                        break
+                    cur = out[:2]
+        cases = collections.Counter()
+        for (lam, lamp), want in oracle.items():
+            assert outcome(moveback_step, lam, lamp) == want, (lam, lamp)
+            cases[want[2] if isinstance(want, tuple) else want.__name__] += 1
+        assert len(oracle) == 2237
+        assert cases == {
+            "ValueError": 778, "a": 322, "b": 178, "c": 70, "d": 268, "e": 461, "f": 160
+        }
 
     def test_rejects_settled_first_component(self):
         with pytest.raises(ValueError):
