@@ -17,10 +17,6 @@ from .symbols import SpecialSymbol, enumerate_special, parse, render, special_cl
 RANK_CAP = 24  # family sizes grow like 4^degree; refuse big sweeps without --force
 
 
-def _special(text: str) -> SpecialSymbol:
-    return SpecialSymbol(parse(text))
-
-
 def _glue_symbols(argv):
     """Write "--Z VALUE" as "--Z=VALUE", so argparse takes "-;2,1,0" as a value."""
     rest, out = list(argv), []
@@ -75,20 +71,23 @@ def cmd_enumerate_specials(args) -> int:
 
 
 def cmd_relation(args) -> int:
-    rel = relations.relation_set(_special(args.Z), _special(args.Zp), args.kind)
+    Z, Zp = SpecialSymbol.parse(args.Z), SpecialSymbol.parse(args.Zp)
+    rel = relations.relation_set(Z, Zp, args.kind)
     sys.stdout.write(tables.render_table(rel, args.format))
     return 0
 
 
 def cmd_derive(args) -> int:
-    chain = derivative.derive_full(_special(args.Z), _special(args.Zp))
+    chain = derivative.derive_full(SpecialSymbol.parse(args.Z), SpecialSymbol.parse(args.Zp))
     print(json.dumps(chain.to_json()))
     return 0
 
 
 def cmd_cells(args) -> int:
-    Z = _special(args.Z)
+    Z = SpecialSymbol.parse(args.Z)
     if args.phi is None:
+        if args.psi is not None:
+            raise ValueError("--psi needs --phi")
         out = [str(phi) for phi in cells.arrangements(Z)]
         print(json.dumps(out))
         return 0
@@ -132,7 +131,8 @@ def _parse_arrangement(text: str) -> cells.Arrangement:
 
 
 def cmd_theta(args) -> int:
-    tm = branching.theta_general(_special(args.Z), _special(args.Zp), args.epsilon)
+    Z, Zp = SpecialSymbol.parse(args.Z), SpecialSymbol.parse(args.Zp)
+    tm = branching.theta_general(Z, Zp, args.epsilon)
     out = {
         "direction": tm.direction,
         "pairs": sorted(

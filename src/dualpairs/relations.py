@@ -184,9 +184,9 @@ def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
     which, whichp = FAMILIES[kind]
     # a member's parts are at most its rank, so they fit below the guard bits
     width = max(Z.rank, Zp.rank).bit_length() + 1
-    # the top bit of each of the first `fields` fields; fields past the
-    # longest row compare 0 with 0, so covering more would be harmless
-    fields = max(Z.packed(width)[0], Zp.packed(width)[0])
+    # the top bit of each field up to the longest row any member can have;
+    # fields past a member's row compare 0 with 0
+    fields = max(Z.longest, Zp.longest)
     H = ((1 << fields * width) - 1) // ((1 << width) - 1) << (width - 1)
     # B+ tests prec(sub, star') and prec(sub', star), B- the same with star
     # and sub swapped on both sides: with (a, b) the rows of L and (a', b')
@@ -196,17 +196,17 @@ def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
     eps = -1 if kind == "B-" else 1
     right = Zp.kernel_half(width, whichp, eps)
     related = []
-    for dp, lefts in Z.kernel_half(width, which, eps):
-        for dq, rights in right:
-            if dq != dp:
-                continue
-            for m, a, b in lefts:
-                # the rows hold no guard bits, so A | H = A + H and
-                # (a' | H) - a = a' - (a - H): every H term is on the L side
-                a_H, aH, bH, b_shift_H = a - H, a | H, b | H, (b >> width) - H
-                for mp, ap, ap_shift, bp in rights:
-                    if (ap - a_H) & (aH - ap_shift) & (bH - bp) & (bp - b_shift_H) & H == H:
-                        related.append((m, mp))
+    for d, lefts in Z.kernel_half(width, which, eps).items():
+        rights = right.get(d)
+        if rights is None:
+            continue
+        for m, a, b in lefts:
+            # the rows hold no guard bits, so A | H = A + H and
+            # (a' | H) - a = a' - (a - H): every H term is on the L side
+            a_H, aH, bH, b_shift_H = a - H, a | H, b | H, (b >> width) - H
+            for mp, ap, ap_shift, bp in rights:
+                if (ap - a_H) & (aH - ap_shift) & (bH - bp) & (bp - b_shift_H) & H == H:
+                    related.append((m, mp))
     return RelationSet(kind, Z, Zp, frozenset(related))
 
 

@@ -24,7 +24,6 @@ from .symbols import (
     TOP,
     SpecialSymbol,
     Symbol,
-    enumerate_symbols,
     specials_upto,
     transport_mask,
 )
@@ -142,50 +141,34 @@ def _check_thm0310(item, report: SuiteReport) -> None:
     report.records.append(record)
 
 
-def _lemma1112_items(max_rank: int) -> List[Tuple[Symbol, int]]:
-    return [
-        (lam, max_rank - n)
-        for n in range(max_rank + 1)
-        for lam in enumerate_symbols(n, 1)
-    ]
-
-
 def _check_lemma1112(item, report: SuiteReport) -> None:
-    """Growth-count identity and the emptiness dichotomy for related pairs."""
-    lam, cap = item
-    for npr in range(cap + 1):
-        for lamp in enumerate_symbols(npr, 0):
-            if not relations.in_B(lam, lamp, 1):
-                continue
-            report.checked += 1
-            lhs1 = len(branching.theta_set(lam, branching.omega_plus(lamp)))
-            rhs1 = 1 + len(branching.theta_set(lamp, branching.omega_minus(lam)))
-            lhs2 = len(branching.theta_set(lamp, branching.omega_plus(lam)))
-            rhs2 = 1 + len(branching.theta_set(lam, branching.omega_minus(lamp)))
-            if lhs1 != rhs1 or lhs2 != rhs2:
-                report.failures.append(
-                    {
-                        "pair": [str(lam), str(lamp)],
-                        "counts": [lhs1, rhs1, lhs2, rhs2],
-                    }
-                )
-            # dichotomy: a smaller partner exists on the appropriate side
-            m = len(lam.bot)
-            mp = len(lamp.top)
-            if mp not in (m, m + 1):
-                report.failures.append(
-                    {"pair": [str(lam), str(lamp)], "sizes": [m, mp]}
-                )
-            elif mp == m + 1:
-                if not branching.theta_set(lam, branching.omega_minus(lamp)):
-                    report.failures.append(
-                        {"pair": [str(lam), str(lamp)], "empty": "Omega-(lamp)"}
-                    )
-            elif not branching.theta_set(lamp, branching.omega_minus(lam)):
-                if lam != Symbol((0,), ()):
-                    report.failures.append(
-                        {"pair": [str(lam), str(lamp)], "empty": "Omega-(lam)"}
-                    )
+    """Growth-count identity and the emptiness dichotomy for related pairs.
+
+    At defects (1, 0) the B+ predicate is the D predicate, and a symbol of
+    defect 1 or 0 lies in S_{Z,1} or S^+_{Z',0} of its special closure, so
+    the D pairs of the special pairs within the bound are all B+ pairs.
+    """
+    Z, Zp = item
+    for lam, lamp in relations.relation_set(Z, Zp, "D").pairs:
+        report.checked += 1
+        pair = [str(lam), str(lamp)]
+        lhs1 = len(branching.theta_set(lam, branching.omega_plus(lamp)))
+        rhs1 = 1 + len(branching.theta_set(lamp, branching.omega_minus(lam)))
+        lhs2 = len(branching.theta_set(lamp, branching.omega_plus(lam)))
+        rhs2 = 1 + len(branching.theta_set(lam, branching.omega_minus(lamp)))
+        if lhs1 != rhs1 or lhs2 != rhs2:
+            report.failures.append({"pair": pair, "counts": [lhs1, rhs1, lhs2, rhs2]})
+        # dichotomy: a smaller partner exists on the appropriate side
+        m = len(lam.bot)
+        mp = len(lamp.top)
+        if mp not in (m, m + 1):
+            report.failures.append({"pair": pair, "sizes": [m, mp]})
+        elif mp == m + 1:
+            if not branching.theta_set(lam, branching.omega_minus(lamp)):
+                report.failures.append({"pair": pair, "empty": "Omega-(lamp)"})
+        elif not branching.theta_set(lamp, branching.omega_minus(lam)):
+            if lam != Symbol((0,), ()):
+                report.failures.append({"pair": pair, "empty": "Omega-(lam)"})
 
 
 def _check_lemma0616(item, report: SuiteReport) -> None:
@@ -546,7 +529,11 @@ SUITES: Dict[str, Suite] = {
         _check_thm0310,
         {"max_rank": ("max_rank_sum", 12), "eps": ("epsilon", 1)},
     ),
-    "lemma1112": Suite(_lemma1112_items, _check_lemma1112, {"max_rank": ("max_rank_sum", 9)}),
+    "lemma1112": Suite(
+        lambda max_rank: _special_pairs(max_rank, summed=True),
+        _check_lemma1112,
+        {"max_rank": ("max_rank_sum", 11)},
+    ),
     "lemma0616": Suite(
         lambda max_rank: _special_pairs(max_rank, summed=True),
         _check_lemma0616,

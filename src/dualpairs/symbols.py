@@ -240,15 +240,16 @@ class SpecialSymbol:
     for a double).  A family kind is the tuple of masks with a given parity
     of |M| and, optionally, a given member defect
     ``d + 2 * (|M & bot_mask| - |M & top_mask|)``, ordered by |M|, then as
-    ``itertools.combinations`` lists the singles.  ``packed(width)`` holds
-    each member's interlacing data as integers, computed from the masks, and
-    ``kernel_half`` regroups it.  Lambda_M is built as a ``Symbol`` only for
+    ``itertools.combinations`` lists the singles.  ``longest`` is the
+    longest row any member can have: every double and every single.
+    ``kernel_half`` packs each member's interlacing data into integers,
+    computed from the masks.  Lambda_M is built as a ``Symbol`` only for
     a Symbol view (``member``, ``members``, ``member_mask``, ``family``), once.
     """
 
     __slots__ = ("symbol", "defect", "rank", "singles", "doubles", "degree", "index", "n",
-                 "top_mask", "bot_mask", "bits",
-                 "_members", "_kinds", "_families", "_packed", "_halves")
+                 "top_mask", "bot_mask", "bits", "longest",
+                 "_members", "_kinds", "_families", "_halves")
 
     def __new__(cls, symbol: Symbol) -> "SpecialSymbol":
         return _special(symbol)
@@ -379,47 +380,21 @@ class SpecialSymbol:
 
     # -- the relation kernel's inputs -------------------------------------------
 
-    def packed(self, width: int) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
-        """(fields, records) with every member's bipartition packed into ints.
-
-        ``records[mask]`` is (defect, star, sub) of Lambda_M, where part i of a
-        bipartition row (from 0) sits in bits [i * width, (i + 1) * width - 1)
-        and bit (i + 1) * width - 1, the field's guard bit, is left 0.
-        ``fields`` is the longest row of any member.  Built once per width;
-        raises CheckFailed for a part that does not fit below its guard bit.
-        """
-        got = self._packed.get(width)
-        if got is None:
-            limit, bits = 1 << (width - 1), self.bits
-            records = []
-            for mask in range(1 << self.n):
-                # in increasing order, an entry's staircase step is the count of
-                # smaller entries in its row, and the largest ends in field 0
-                rows, counts = [0, 0], [0, 0]
-                for v, r, bit in bits:
-                    if mask & bit:
-                        r ^= 1
-                    part = v - counts[r]
-                    if part >= limit:
-                        raise CheckFailed("part %d of %s does not fit a %d-bit field"
-                                          % (part, self.member(mask), width))
-                    rows[r] = rows[r] << width | part
-                    counts[r] += 1
-                records.append((counts[TOP] - counts[BOT], rows[TOP], rows[BOT]))
-            longest = max(max(r[1].bit_length(), r[2].bit_length()) for r in records)
-            got = self._packed[width] = (-(-longest // width), tuple(records))
-        return got
-
-    def kernel_half(self, width: int, which: str, eps: int) -> Tuple[Tuple[int, tuple], ...]:
+    def kernel_half(self, width: int, which: str, eps: int) -> Dict[int, tuple]:
         """This symbol's side of the relation kernel for one family and sign.
 
-        (key, records) groups, built once per (width, family, sign); the guard
-        bits depend on both symbols and are left to each call.  A Z member
-        (defect 1) keys on the defect its partner needs, eps - defect, and
-        gives (mask, a, b); a Z' member keys on its defect and gives (mask, a,
-        a >> width, b), where (a, b) is (sub, star) on the Z side and (star,
-        sub) on the Z' side at eps = 1, swapped at eps = -1.  A family of one
-        defect ("S,1") is that defect's group of its base family."""
+        {key: records}, built once per (width, family, sign) from the masks of
+        the family; the guard bits depend on both symbols and are left to each
+        call.  A record packs a member's bipartition rows into ints: part i of
+        a row (from 0, largest first) sits in bits [i * width, (i + 1) * width
+        - 1), and bit (i + 1) * width - 1, the field's guard bit, is left 0.
+        A Z member (defect 1) keys on the defect its partner needs, eps -
+        defect, and gives (mask, a, b); a Z' member keys on its defect and
+        gives (mask, a, a >> width, b), where (a, b) is (sub, star) on the Z
+        side and (star, sub) on the Z' side at eps = 1, swapped at eps = -1.
+        A family of one defect ("S,1") is that defect's group of its base
+        family.  Raises CheckFailed for a part that does not fit below its
+        guard bit."""
         key = (width, which, eps)
         got = self._halves.get(key)
         if got is None:
@@ -427,18 +402,30 @@ class SpecialSymbol:
             left = self.defect == 1
             if beta:
                 want = eps - int(beta) if left else int(beta)
-                got = tuple(g for g in self.kernel_half(width, base, eps) if g[0] == want)
+                got = {k: g for k, g in self.kernel_half(width, base, eps).items() if k == want}
             else:
-                records = self.packed(width)[1]
+                limit, bits, swap = 1 << (width - 1), self.bits, left == (eps == 1)
                 groups: Dict[int, list] = {}
-                for m in self.masks(which):
-                    d, star, sub = records[m]
-                    a, b = (sub, star) if left == (eps == 1) else (star, sub)
+                for mask in self.masks(which):
+                    # in increasing order, an entry's staircase step is the count of
+                    # smaller entries in its row, and the largest ends in field 0
+                    rows, counts = [0, 0], [0, 0]
+                    for v, r, bit in bits:
+                        if mask & bit:
+                            r ^= 1
+                        part = v - counts[r]
+                        if part >= limit:
+                            raise CheckFailed("part %d of %s does not fit a %d-bit field"
+                                              % (part, self.member(mask), width))
+                        rows[r] = rows[r] << width | part
+                        counts[r] += 1
+                    d, (star, sub) = counts[TOP] - counts[BOT], rows
+                    a, b = (sub, star) if swap else (star, sub)
                     if left:
-                        groups.setdefault(eps - d, []).append((m, a, b))
+                        groups.setdefault(eps - d, []).append((mask, a, b))
                     else:
-                        groups.setdefault(d, []).append((m, a, a >> width, b))
-                got = tuple((d, tuple(g)) for d, g in groups.items())
+                        groups.setdefault(d, []).append((mask, a, a >> width, b))
+                got = {k: tuple(g) for k, g in groups.items()}
             self._halves[key] = got
         return got
 
@@ -470,8 +457,8 @@ def _special(symbol: Symbol) -> SpecialSymbol:
     z._members: Dict[int, Symbol] = {}
     z._kinds: Dict[str, Tuple[int, ...]] = {}
     z._families: Dict[str, Tuple[Symbol, ...]] = {}
-    z._packed: Dict[int, Tuple[int, Tuple[Tuple[int, int, int], ...]]] = {}
-    z._halves: Dict[Tuple[int, str, int], Tuple[Tuple[int, tuple], ...]] = {}
+    z.longest = len(z.doubles) + z.n
+    z._halves: Dict[Tuple[int, str, int], Dict[int, tuple]] = {}
     return z
 
 

@@ -299,56 +299,55 @@ class TestMaskForm:
             assert b_natural(Z, Zp, eps).masks == want
 
 
-def _check_records(z, width):
-    fields, records = z.packed(width)
-    assert len(records) == len(z.members)
-    longest = 0
-    for sym, (defect, star, sub) in zip(z.members, records):
-        bip = sym.bipartition()
-        assert (defect, _unpack(star, width), _unpack(sub, width)) == (
-            sym.defect, bip.star, bip.sub
-        ), (z.symbol, width, sym)
-        longest = max(longest, len(bip.star), len(bip.sub))
-    assert fields == longest
-    assert z.packed(width) is z.packed(width)
+def _check_halves(z, width):
+    """Every kernel half of z against the bipartitions of its Symbol members."""
+    left = z.defect == 1
+    for which in sorted({pair[0 if left else 1] for pair in FAMILIES.values()}):
+        for eps in (1, -1):
+            want = {}
+            for m in z.masks(which):
+                sym = z.member(m)
+                bip = sym.bipartition()
+                # the rows in the order of prec(a, a') and prec(b', b)
+                a, b = (bip.sub, bip.star) if left == (eps == 1) else (bip.star, bip.sub)
+                key = eps - sym.defect if left else sym.defect
+                want.setdefault(key, []).append((m, a, b))
+            half = z.kernel_half(width, which, eps)
+            assert half is z.kernel_half(width, which, eps)
+            got = {
+                key: [(r[0], _unpack(r[1], width), _unpack(r[-1], width)) for r in group]
+                for key, group in half.items()
+            }
+            assert got == want, (z.symbol, width, which, eps)
+            assert all(type(group) is tuple for group in half.values())
+            if not left:
+                assert all(r[2] == r[1] >> width for group in half.values() for r in group)
 
 
 class TestPackedRecords:
     @pytest.mark.parametrize("text", ["8,5,1;6,3", "8,6,2;6,3,0", "-;-", "3,0;2"])
     def test_records_are_the_bipartitions(self, text):
-        _check_records(SpecialSymbol.parse(text), 5)
+        _check_halves(SpecialSymbol.parse(text), 5)
 
     @pytest.mark.parametrize("defect", [1, 0])
     def test_records_are_the_bipartitions_up_to_rank_8(self, defect):
         # the widths relation_set uses, and one more
         for base in specials_upto(8, defect):
             for width in (base.rank.bit_length() + 1, base.rank.bit_length() + 2):
-                _check_records(base, width)
+                _check_halves(base, width)
 
     @pytest.mark.parametrize("defect", [1, 0])
     def test_kernel_halves_regroup_the_records(self, defect):
-        # Z-side families for defect 1, Z'-side families for defect 0
-        side = 0 if defect == 1 else 1
-        families = sorted({pair[side] for pair in FAMILIES.values()})
+        # a one-defect family is its defect's group of the base half: D and B+
+        # share the records
+        which, key = ("S,1", "S") if defect == 1 else ("S+,0", "S+")
         for base in specials_upto(8, defect):
             for width in (base.rank.bit_length() + 1, base.rank.bit_length() + 2):
-                records = base.packed(width)[1]
-                for which, eps in itertools.product(families, (1, -1)):
-                    want = {}
-                    for m in base.masks(which):
-                        d, star, sub = records[m]
-                        if defect == 1:
-                            # the Z rows in the order of prec(a, a') and prec(b', b)
-                            a, b = (sub, star) if eps == 1 else (star, sub)
-                            want.setdefault(eps - d, []).append((m, a, b))
-                        else:
-                            a, b = (star, sub) if eps == 1 else (sub, star)
-                            want.setdefault(d, []).append((m, a, a >> width, b))
+                for eps in (1, -1):
+                    want = eps - 1 if defect == 1 else 0
                     half = base.kernel_half(width, which, eps)
-                    assert half == tuple((d, tuple(group)) for d, group in want.items()), (
-                        base, width, which, eps
-                    )
-                    assert base.kernel_half(width, which, eps) is half
+                    group = base.kernel_half(width, key, eps)[want]
+                    assert half == {want: group} and half[want] is group, (base, width, eps)
 
     def test_relation_set_rejects_swapped_bases_and_unknown_kinds(self):
         with pytest.raises(ValueError, match="defect 1, defect 0"):
@@ -362,33 +361,31 @@ class TestPackedRecords:
         # the largest part of 4;- is 4: it fits below the guard bit of a
         # 4-bit field, and would wrap into the guard bit of a 3-bit one
         z = SpecialSymbol.parse("4;-")
-        assert z.packed(4)[1][0] == (1, 4, 0)
+        assert z.kernel_half(4, "all", 1)[0] == ((0, 0, 4),)
         with pytest.raises(CheckFailed, match="does not fit a 3-bit field"):
-            z.packed(3)
+            z.kernel_half(3, "all", 1)
         # the message names the member whose part does not fit
         with pytest.raises(CheckFailed, match="of 8,5,1;6,3 does not fit a 3-bit field"):
-            ZWRK.packed(3)  # parts 6,4,1 | 5,3
+            ZWRK.kernel_half(3, "all", 1)  # parts 6,4,1 | 5,3
         with pytest.raises(CheckFailed, match="part 8 of 8;6,5,3,1 does not fit a 4-bit field"):
-            ZWRK.packed(4)  # the base fits; the member 8;6,5,3,1 does not
+            ZWRK.kernel_half(4, "all", 1)  # the base fits; the member 8;6,5,3,1 does not
 
     @pytest.mark.parametrize("z,zp", [("3,0;2", "3,1;2,0"), ("3,0;2", "4,2;3,1")])
     def test_field_count_covers_members_longer_than_the_bases(self, monkeypatch, z, zp):
         # a member whose row outgrows every row of both bases decides a pair
         Z, Zp = SpecialSymbol.parse(z), SpecialSymbol.parse(zp)
-        width = max(Z.rank, Zp.rank).bit_length() + 1
         base_rows = max(
             len(row)
             for base in (Z.symbol, Zp.symbol)
             for row in (base.top, base.bot, base.bipartition().star, base.bipartition().sub)
         )
-        assert max(Z.packed(width)[0], Zp.packed(width)[0]) > base_rows
+        assert max(len(row) for s in Z.members + Zp.members for row in (s.top, s.bot)) > base_rows
+        assert max(Z.longest, Zp.longest) > base_rows
         for kind in KINDS:
             assert relation_set(Z, Zp, kind).masks == _product_filter(Z, Zp, kind)
         # fields sized from the bases alone let a wrong pair through
-        real = SpecialSymbol.packed
-        monkeypatch.setattr(
-            SpecialSymbol, "packed", lambda self, w: (base_rows, real(self, w)[1])
-        )
+        for base in (Z, Zp):
+            monkeypatch.setattr(base, "longest", base_rows)
         assert any(
             relation_set(Z, Zp, kind).masks != _product_filter(Z, Zp, kind)
             for kind in KINDS

@@ -10,7 +10,7 @@ import pytest
 
 from dualpairs import branching, relations, suites, tables, uniform
 from dualpairs.suites import run_suite
-from dualpairs.symbols import SpecialSymbol, parse
+from dualpairs.symbols import SpecialSymbol, enumerate_symbols, parse
 
 
 def test_misspelt_bound_raises():
@@ -155,6 +155,20 @@ def _run_optimized(planted: str, suite: str) -> tuple:
     debug, ok, failures = proc.stdout.split()
     assert debug == "False"
     return ok == "True", int(failures)
+
+
+def test_lemma1112_checks_every_b_plus_pair(monkeypatch):
+    # oracle: the B+ pairs of all (defect 1, defect 0) symbols within the rank sum
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    want = sum(
+        relations.in_B(lam, lamp, 1)
+        for n in range(8)
+        for lam in enumerate_symbols(n, 1)
+        for npr in range(8 - n)
+        for lamp in enumerate_symbols(npr, 0)
+    )
+    assert want == 249
+    assert run_suite("lemma1112", max_rank=7).checked == want
 
 
 def test_checks_survive_optimized_mode():

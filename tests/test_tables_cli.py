@@ -141,6 +141,12 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    def test_cells_command_rejects_psi_without_phi(self, capsys):
+        assert main(["cells", "--Z", "4,2,0;3,1", "--psi", "(2;3)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "--phi" in captured.err
+
     def test_theta_command(self):
         proc = run_cli("theta", "--Z", "2,0;1", "--Zp", "3,1;2,0", "--epsilon", "+")
         data = json.loads(proc.stdout)
