@@ -24,6 +24,7 @@ from .relations import (
     moveback_normalize,
     moveback_step,
     prec,
+    relation_rows,
     relation_set,
 )
 from .cells import Arrangement, Cell, arrangements, cell, separating_pair, singleton_intersection

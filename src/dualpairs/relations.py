@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .symbols import BOT, TOP, CheckFailed, Entry, SpecialSymbol, Symbol, special_closure
@@ -210,6 +210,72 @@ def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
     return RelationSet(kind, Z, Zp, frozenset(related))
 
 
+def relation_rows(Z: SpecialSymbol, Zps: Sequence[SpecialSymbol], kind: str) -> List[PairSet]:
+    """``relation_set(Z, Zp, kind).masks`` for each Zp of Zps, in one packed pass.
+
+    Each record of Z meets every lane of ``_lanes`` at once in the four ge
+    tests of ``relation_set``, its a, b and b >> w repeated in each lane (w and
+    the field count the largest over Z and Zps).  X, the guard bits kept, is at
+    most HH per lane, so X + SPARE - HH sets the spare bit of exactly the lanes
+    that keep them all, read off one ``to_bytes`` by ``bytes.find``.
+    """
+    if Z.defect != 1:
+        raise ValueError("expected a (defect 1, defect 0) special pair")
+    if kind not in FAMILIES:
+        raise ValueError("unknown relation kind %r" % kind)
+    which, whichp = FAMILIES[kind]
+    width = max(Z.rank, max(map(operator.attrgetter("rank"), Zps), default=0)).bit_length() + 1
+    fields = max(Z.longest, max(map(operator.attrgetter("longest"), Zps), default=0))
+    eps = -1 if kind == "B-" else 1
+    size, groups = _lanes(tuple(Zps), width, fields, whichp, eps)
+    found: Dict[int, list] = {}
+    lefts = Z.kernel_half(width, which, eps)
+    for d, (owners, rep, hh, ap_hh, hh_aps, hh_bp, bp_hh, spare_hh, spare) in groups.items():
+        for m, a, b in lefts.get(d, ()):
+            a_rep = a * rep
+            x = (ap_hh - a_rep) & (a_rep + hh_aps) & (b * rep + hh_bp)
+            rel = ((x & (bp_hh - (b >> width) * rep) & hh) + spare_hh) & spare
+            if rel:
+                # each related lane's top byte is 0x80, every other byte 0
+                buf = rel.to_bytes(len(owners) * size, "little")
+                pos = buf.find(0x80)
+                while pos >= 0:
+                    i, mp = owners[pos // size]
+                    found.setdefault(i, []).append((m, mp))
+                    pos = buf.find(0x80, pos + size)
+    rows = [EMPTY_PAIRSET] * len(Zps)
+    for i, pairs in found.items():
+        rows[i] = frozenset(pairs)
+    return rows
+
+
+@lru_cache(maxsize=16)
+def _lanes(Zps: Tuple[SpecialSymbol, ...], width: int, fields: int, which: str, eps: int):
+    """The Z' side of ``relation_rows``: per defect, lane j of each int holds the
+    j-th record of that defect over Zps, whose (Zp index, mask) is ``owners[j]``.
+    A lane is `size` bytes: `fields` fields, whose guard bits keep every borrow
+    in the lane, and a spare top bit.  Built once per sweep, in linear time."""
+    size = (fields * width + 8) // 8
+    H = ((1 << fields * width) - 1) // ((1 << width) - 1) << (width - 1)
+    records: Dict[int, list] = {}
+    for i, Zp in enumerate(Zps):
+        if Zp.defect != 0:
+            raise ValueError("expected a (defect 1, defect 0) special pair")
+        for d, recs in Zp.kernel_half(width, which, eps).items():
+            records.setdefault(d, []).extend((i, r) for r in recs)
+    groups = {}
+    for d, recs in records.items():
+        rep = int.from_bytes(b"\x01".ljust(size, b"\x00") * len(recs), "little")
+        hh, spare = H * rep, rep << (8 * size - 1)
+        ap, aps, bp = (
+            int.from_bytes(b"".join(r[k].to_bytes(size, "little") for _, r in recs), "little")
+            for k in (1, 2, 3)
+        )
+        owners = [(i, r[0]) for i, r in recs]
+        groups[d] = (owners, rep, hh, ap + hh, hh - aps, hh - bp, bp + hh, spare - hh, spare)
+    return size, groups
+
+
 # -- cores --------------------------------------------------------------------
 
 
@@ -323,8 +389,13 @@ def moveback_step(lam: Symbol, lamp: Symbol) -> Tuple[Symbol, Symbol, str]:
     if q+ >= r or R ran out; else with r in L.  At m' = m + 1, < is <= and
     >= is >.  The output pair stays in Bbar+ with a smaller x.
     """
-    Z = special_closure(lam)
-    Zp = special_closure(lamp)
+    return _moveback_step(lam, lamp, special_closure(lam), special_closure(lamp))
+
+
+def _moveback_step(
+    lam: Symbol, lamp: Symbol, Z: SpecialSymbol, Zp: SpecialSymbol
+) -> Tuple[Symbol, Symbol, str]:
+    """moveback_step with the special closures Z, Z' of lam, lamp given."""
     m = Z.symbol.size[1]
     mp = Zp.symbol.size[0]
     if Z.defect != 1 or Zp.defect != 0 or mp not in (m, m + 1):
@@ -382,11 +453,12 @@ def moveback_chain(
     """Full normalization history, ending with first component special."""
     if not in_B(lam, lamp, 1):
         raise ValueError("(%s, %s) is not in the bar relation" % (lam, lamp))
-    Z = special_closure(lam)
+    # a step stays in the families of Z and Z', so their closures are fixed
+    Z, Zp = special_closure(lam), special_closure(lamp)
     chain: List[Tuple[Symbol, Symbol, Optional[str]]] = [(lam, lamp, None)]
     while Z.member_mask(chain[-1][0]):
         cur, curp, _ = chain[-1]
-        chain.append(moveback_step(cur, curp))
+        chain.append(_moveback_step(cur, curp, Z, Zp))
     return chain
 
 

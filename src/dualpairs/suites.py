@@ -111,14 +111,23 @@ def _worker_count(env_value: Optional[str], n_items: int) -> int:
 # -- checks: one item each, counting into and failing onto the report ------------
 
 
+def _z_items(max_rank: int) -> List[Tuple[SpecialSymbol, int]]:
+    """(Z, max_rank) for each defect-1 special Z in the bound: one row of pairs per item."""
+    return [(Z, max_rank) for Z in specials_upto(max_rank, 1)]
+
+
 def _check_prop0216(item, report: SuiteReport) -> None:
-    """D nonempty implies the special pair itself is related."""
-    Z, Zp = item
-    report.checked += 1
-    d = relations.relation_set(Z, Zp, "D")
-    # (0, 0) is the base pair; the kernel suite gates its membership
-    if d.masks and (0, 0) not in d.masks:
-        report.failures.append({"Z": str(Z), "Zp": str(Zp), "witness": d.to_json()})
+    """D nonempty implies the special pair itself is related (both ranks bounded)."""
+    Z, max_rank = item
+    Zps = specials_upto(max_rank, 0)
+    report.checked += 1  # counted first: an item that raises is one check
+    rows = relations.relation_rows(Z, Zps, "D")
+    report.checked += len(Zps) - 1
+    for Zp, d in zip(Zps, rows):
+        # (0, 0) is the base pair; the kernel suite gates its membership
+        if d and (0, 0) not in d:
+            witness = relations.RelationSet("D", Z, Zp, d).to_json()
+            report.failures.append({"Z": str(Z), "Zp": str(Zp), "witness": witness})
 
 
 def _check_thm0310(item, report: SuiteReport) -> None:
@@ -126,19 +135,23 @@ def _check_thm0310(item, report: SuiteReport) -> None:
 
     A witness is at the R indices (tau, tau') of the first differing entry.
     """
-    Z, Zp, eps = item
-    report.checked += 1
-    ok, witness = uniform.verify_thm0310(Z, Zp, eps)
-    record = {"pair": [str(Z), str(Zp)], "ok": ok}
-    if not ok:
-        tau, taup, got, want = witness
-        record["witness"] = {
-            "at": [str(tau), str(taup)],
-            "got": str(got),
-            "expected": str(want),
-        }
-        report.failures.append({"Z": str(Z), "Zp": str(Zp), **record["witness"]})
-    report.records.append(record)
+    Z, max_rank, eps = item
+    Zps = specials_upto(max_rank - Z.rank, 0)
+    report.checked += 1  # counted first: an item that raises is one check
+    b_rows = relations.relation_rows(Z, Zps, relations.b_kind(eps))
+    d_rows = relations.relation_rows(Z, Zps, "D")
+    report.checked += len(Zps) - 1
+    z = str(Z)
+    for Zp, b, d in zip(Zps, b_rows, d_rows):
+        ok, witness = uniform.thm0310_identity(Z, Zp, eps, b, d)
+        record = {"pair": [z, str(Zp)], "ok": ok}
+        if not ok:
+            tau, taup, got, want = witness
+            record["witness"] = {
+                "at": [str(tau), str(taup)], "got": str(got), "expected": str(want)
+            }
+            report.failures.append({"Z": z, "Zp": str(Zp), **record["witness"]})
+        report.records.append(record)
 
 
 def _check_lemma1112(item, report: SuiteReport) -> None:
@@ -477,22 +490,21 @@ def _product_filter(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> set:
 
 
 def _check_kernel(item, report: SuiteReport) -> None:
-    """The packed-field relation sets equal the product filter on Symbols."""
-    Z, Zp = item
+    """The packed-field relation sets, per pair and as rows over every Z' of
+    the bound, equal the product filter on Symbols."""
+    Z, max_rank = item
+    Zps = specials_upto(max_rank - Z.rank, 0)
     for kind in relations.KINDS:
-        report.checked += 1
-        got = relations.relation_set(Z, Zp, kind).masks
-        want = _product_filter(Z, Zp, kind)
-        if got != want:
-            report.failures.append(
-                {
-                    "Z": str(Z),
-                    "Zp": str(Zp),
-                    "kind": kind,
-                    "extra": sorted(got - want),
-                    "missing": sorted(want - got),
-                }
-            )
+        for Zp, row in zip(Zps, relations.relation_rows(Z, Zps, kind)):
+            report.checked += 1
+            want = _product_filter(Z, Zp, kind)
+            got_set = relations.relation_set(Z, Zp, kind).masks
+            for got, path in ((got_set, {}), (row, {"rows": True})):
+                if got != want:
+                    report.failures.append({
+                        "Z": str(Z), "Zp": str(Zp), "kind": kind, **path,
+                        "extra": sorted(got - want), "missing": sorted(want - got),
+                    })
 
 
 def _check_counting(m, report: SuiteReport) -> None:
@@ -517,17 +529,11 @@ class Suite:
 
 
 SUITES: Dict[str, Suite] = {
-    "prop0216": Suite(
-        lambda max_rank: _special_pairs(max_rank, summed=False),
-        _check_prop0216,
-        {"max_rank": ("max_rank", 10)},
-    ),
+    "prop0216": Suite(_z_items, _check_prop0216, {"max_rank": ("max_rank", 12)}),
     "thm0310": Suite(
-        lambda max_rank, eps: [
-            (Z, Zp, eps) for (Z, Zp) in _special_pairs(max_rank, summed=True)
-        ],
+        lambda max_rank, eps: [item + (eps,) for item in _z_items(max_rank)],
         _check_thm0310,
-        {"max_rank": ("max_rank_sum", 12), "eps": ("epsilon", 1)},
+        {"max_rank": ("max_rank_sum", 14), "eps": ("epsilon", 1)},
     ),
     "lemma1112": Suite(
         lambda max_rank: _special_pairs(max_rank, summed=True),
@@ -550,11 +556,7 @@ SUITES: Dict[str, Suite] = {
     "correspondence": Suite(
         _correspondence_items, _check_correspondence, {"max_rank": ("max_rank_sum", 10)}
     ),
-    "kernel": Suite(
-        lambda max_rank: _special_pairs(max_rank, summed=True),
-        _check_kernel,
-        {"max_rank": ("max_rank_sum", 9)},
-    ),
+    "kernel": Suite(_z_items, _check_kernel, {"max_rank": ("max_rank_sum", 9)}),
     "oracle": Suite(
         lambda max_rank: _special_pairs(max_rank, summed=False),
         _check_oracle,

@@ -248,7 +248,7 @@ class SpecialSymbol:
     """
 
     __slots__ = ("symbol", "defect", "rank", "singles", "doubles", "degree", "index", "n",
-                 "top_mask", "bot_mask", "bits", "longest",
+                 "top_mask", "bot_mask", "bits", "longest", "_hash",
                  "_members", "_kinds", "_families", "_halves")
 
     def __new__(cls, symbol: Symbol) -> "SpecialSymbol":
@@ -266,7 +266,7 @@ class SpecialSymbol:
         return isinstance(other, SpecialSymbol) and self.symbol == other.symbol
 
     def __hash__(self) -> int:
-        return hash(("special", self.symbol))
+        return self._hash
 
     def __repr__(self) -> str:
         return "SpecialSymbol(%s)" % self.symbol
@@ -440,6 +440,7 @@ def _special(symbol: Symbol) -> SpecialSymbol:
         raise ValueError("not special (interleaved rows not weakly decreasing): %s" % symbol)
     z = object.__new__(SpecialSymbol)
     z.symbol = symbol
+    z._hash = hash(("special", symbol))  # computed once: sweeps hash whole tuples of these
     z.defect = symbol.defect
     z.rank = symbol.rank
     both = set(symbol.top) & set(symbol.bot)

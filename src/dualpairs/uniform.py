@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from .derivative import DerivativeStep
 from .relations import FAMILIES, b_kind, relation_set
@@ -238,7 +238,16 @@ def _unpack(x: int, width: int, n: int) -> list:
 def verify_thm0310(
     Z: SpecialSymbol, Zp: SpecialSymbol, eps: int
 ) -> Tuple[bool, Optional[tuple]]:
-    """Sharp of the B indicator equals half the R x R sum over D, exactly.
+    """thm0310_identity on B^eps and D from ``relation_set``."""
+    b = relation_set(Z, Zp, b_kind(eps)).masks
+    return thm0310_identity(Z, Zp, eps, b, relation_set(Z, Zp, "D").masks)
+
+
+def thm0310_identity(
+    Z: SpecialSymbol, Zp: SpecialSymbol, eps: int, b: FrozenSet, d: FrozenSet
+) -> Tuple[bool, Optional[tuple]]:
+    """Sharp of the B indicator equals half the R x R sum over D, exactly,
+    given the mask pairs b of B^eps and d of D on (Z, Z').
 
     Both sides lie in span(R) x span(R'), and sharp is self-adjoint, so they
     are equal exactly when their inner products with every R_tau x R_tau'
@@ -258,11 +267,10 @@ def verify_thm0310(
     is 1/2 (G 1_D G')_{tau, tau'} for the Gram matrices G, G', both exact
     Fractions.
     """
-    spz, spo = sp_space(Z), o_space(Zp, eps)
-    b = relation_set(Z, Zp, b_kind(eps)).masks
-    d = relation_set(Z, Zp, "D").masks
     if not b and not d:
+        b_kind(eps)  # rejects any other sign, here too
         return True, None
+    spz, spo = sp_space(Z), o_space(Zp, eps)
     taus, taups = Z.masks(spz.r_kind), Zp.masks(spo.r_kind)
     g, gp = _gram(spz), _gram(spo)
     scale = 1 << (Z.degree + Zp.degree)

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from dualpairs import symbols, uniform
+from dualpairs import relations, symbols, uniform
 
 
 @pytest.fixture
@@ -24,17 +24,28 @@ def clear_specials():
 
 @pytest.fixture
 def planted_b_defect(monkeypatch):
-    """Make uniform.relation_set drop the smallest pair of every nonempty B."""
-    real = uniform.relation_set
+    """Make uniform.relation_set and relations.relation_rows drop the smallest
+    pair of every nonempty B."""
+    real, real_rows = uniform.relation_set, relations.relation_rows
+
+    def drop_smallest(Z, Zp, masks):
+        smallest = min(
+            masks,
+            key=lambda p: (Z.member(p[0]).sort_key(), Zp.member(p[1]).sort_key()),
+        )
+        return masks - {smallest}
 
     def planted(Z, Zp, kind):
         rel = real(Z, Zp, kind)
         if kind == "D" or not rel.masks:
             return rel
-        smallest = min(
-            rel.masks,
-            key=lambda p: (Z.member(p[0]).sort_key(), Zp.member(p[1]).sort_key()),
-        )
-        return dataclasses.replace(rel, masks=rel.masks - {smallest})
+        return dataclasses.replace(rel, masks=drop_smallest(Z, Zp, rel.masks))
+
+    def planted_rows(Z, Zps, kind):
+        rows = real_rows(Z, Zps, kind)
+        if kind == "D":
+            return rows
+        return [drop_smallest(Z, Zp, m) if m else m for Zp, m in zip(Zps, rows)]
 
     monkeypatch.setattr(uniform, "relation_set", planted)
+    monkeypatch.setattr(relations, "relation_rows", planted_rows)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from moveback_oracle import moveback_step_cases
 
+from dualpairs import relations
 from dualpairs.relations import (
     FAMILIES,
     KINDS,
@@ -22,6 +23,7 @@ from dualpairs.relations import (
     moveback_normalize,
     moveback_step,
     prec,
+    relation_rows,
     relation_set,
     subsets_of_pairs,
 )
@@ -392,6 +394,87 @@ class TestPackedRecords:
         )
 
 
+def _rows_oracle(Z, Zps, kind):
+    return [relation_set(Z, Zp, kind).masks for Zp in Zps]
+
+
+class TestRelationRows:
+    """relation_rows against relation_set, its per-pair oracle."""
+
+    def test_every_kind_at_rank_sum_10(self):
+        cases = 0
+        for Z in specials_upto(10, 1):
+            Zps = specials_upto(10 - Z.rank, 0)
+            for kind in KINDS:
+                assert relation_rows(Z, Zps, kind) == _rows_oracle(Z, Zps, kind), (Z, kind)
+                cases += len(Zps)
+        assert cases == 4 * 4400
+
+    def test_d_with_both_ranks_up_to_8(self):
+        Zps = specials_upto(8, 0)
+        for Z in specials_upto(8, 1):
+            assert relation_rows(Z, Zps, "D") == _rows_oracle(Z, Zps, "D"), Z
+
+    def test_no_partners_give_no_rows(self):
+        for kind in KINDS:
+            assert relation_rows(ZWRK, (), kind) == []
+            assert relation_rows(ZWRK, [], kind) == []
+
+    def test_the_largest_rank_sets_the_width(self):
+        # 8,6,2;6,3,0 (rank 17) needs 6-bit fields; the small symbols alone fit in 3 bits
+        small = [SpecialSymbol.parse(t) for t in ("-;-", "1;0", "2;1", "2,1;2,0")]
+        for Zps in (small + [ZPWRK], [ZPWRK] + small, small[:2] + [ZPWRK] + small[2:]):
+            for Z in specials_upto(3, 1):
+                for kind in KINDS:
+                    assert relation_rows(Z, Zps, kind) == _rows_oracle(Z, Zps, kind), (Z, kind)
+
+    def test_the_rank_0_pair_in_one_bit_fields(self):
+        Z, Zp = SpecialSymbol.parse("0;-"), SpecialSymbol.parse("-;-")
+        assert (Z.rank, Zp.rank) == (0, 0)
+        for n in (1, 2, 5):
+            assert relation_rows(Z, [Zp] * n, "D") == [frozenset({(0, 0)})] * n
+
+    def test_the_first_and_the_last_lane(self):
+        # -;- has one member, so at both ends of the row it holds the first
+        # and the last lane; the unrelated symbols between set w = 6
+        Z, Zp = SpecialSymbol.parse("0;-"), SpecialSymbol.parse("-;-")
+        unrelated = [ZPWRK, SpecialSymbol.parse("4,2;3,1")]
+        for Zps in ([Zp] + unrelated + [Zp], [Zp, Zp] + unrelated, unrelated + [Zp, Zp]):
+            rows = relation_rows(Z, Zps, "D")
+            assert rows == _rows_oracle(Z, Zps, "D")
+            assert [bool(r) for r in rows] == [Zp == z for z in Zps]
+
+    def test_families_of_several_defects(self):
+        # S and all hold members of several defects, so a record of Z meets
+        # the lanes of one key among several
+        assert len(ZWRK.kernel_half(6, "S", 1)) > 1 and len(ZWRK.kernel_half(6, "all", 1)) > 1
+        Zps = [ZPWRK, SpecialSymbol.parse("4,2;3,1"), SpecialSymbol.parse("3,1;2,0"), ZPWRK]
+        for kind in ("B+", "B-", "Bbar+"):
+            rows = relation_rows(ZWRK, Zps, kind)
+            assert rows == _rows_oracle(ZWRK, Zps, kind) and rows[0], kind
+
+    def test_a_part_too_large_for_its_field_raises(self, monkeypatch):
+        Z, Zp = SpecialSymbol.parse("4;-"), SpecialSymbol.parse("-;-")
+        assert relation_rows(Z, [Zp], "Bbar+") == _rows_oracle(Z, [Zp], "Bbar+")
+        # a rank read too small gives 3-bit fields, and the part 4 of Z does not fit
+        monkeypatch.setattr(Z, "rank", 3)
+        with pytest.raises(CheckFailed, match="part 4 of 4;- does not fit a 3-bit field"):
+            relation_rows(Z, [Zp], "Bbar+")
+        # the same on the Z' side, for the last of two partners
+        big = SpecialSymbol.parse("3;0")
+        monkeypatch.setattr(big, "rank", 1)
+        with pytest.raises(CheckFailed, match="part 3 of 3;0 does not fit a 2-bit field"):
+            relation_rows(SpecialSymbol.parse("0;-"), [Zp, big], "D")
+
+    def test_rejects_swapped_bases_and_unknown_kinds(self):
+        with pytest.raises(ValueError, match="defect 1, defect 0"):
+            relation_rows(ZPWRK, [ZPWRK], "D")
+        with pytest.raises(ValueError, match="defect 1, defect 0"):
+            relation_rows(ZWRK, [ZPWRK, ZWRK], "B+")
+        with pytest.raises(ValueError, match="unknown relation kind 'Q'"):
+            relation_rows(ZWRK, [ZPWRK], "Q")
+
+
 class TestMaskPathsBuildNoSymbol:
     def test_relation_sets_and_the_main_identity(self, monkeypatch, clear_specials):
         Z, related, unrelated = (
@@ -464,6 +547,30 @@ class TestMoveback:
         assert cases == {
             "ValueError": 778, "a": 322, "b": 178, "c": 70, "d": 268, "e": 461, "f": 160
         }
+
+    def test_a_chain_takes_the_special_closures_once(self, monkeypatch):
+        # Z and Z' are fixed along a chain: two closures per chain, none per step
+        calls = []
+        real = relations.special_closure
+
+        def counted(sym):
+            calls.append(sym)
+            return real(sym)
+
+        monkeypatch.setattr(relations, "special_closure", counted)
+        chains = steps = 0
+        for Z, Zp in _special_pairs(7, summed=True):
+            for lam, lamp in relation_set(Z, Zp, "Bbar+").pairs:
+                chains += 1
+                steps += len(moveback_chain(lam, lamp)) - 1
+        assert steps > 0 and chains > 0 and len(calls) == 2 * chains
+        # the public step still takes both closures itself
+        lam, lamp = next(
+            p for p in relation_set(ZWRK, ZPWRK, "Bbar+").pairs if ZWRK.member_mask(p[0])
+        )
+        del calls[:]
+        moveback_step(lam, lamp)
+        assert calls == [lam, lamp]
 
     def test_rejects_settled_first_component(self):
         with pytest.raises(ValueError):

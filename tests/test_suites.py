@@ -106,17 +106,37 @@ def test_kernel_suite_compares_with_the_product_filter(monkeypatch):
     assert all(f["missing"] == [(0, 0)] and not f["extra"] for f in rep.failures)
 
 
+def test_kernel_suite_compares_the_rows_with_the_product_filter(monkeypatch):
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    # rows that lose the base pair fail exactly the relations holding it
+    real_rows = relations.relation_rows
+
+    def planted(Z, Zps, kind):
+        return [masks - {(0, 0)} for masks in real_rows(Z, Zps, kind)]
+
+    monkeypatch.setattr(relations, "relation_rows", planted)
+    rep = run_suite("kernel", max_rank=5)
+    want = [
+        (str(Z), str(Zp), kind)
+        for Z, Zp in suites._special_pairs(5, summed=True)
+        for kind in relations.KINDS
+        if (0, 0) in relations.relation_set(Z, Zp, kind).masks
+    ]
+    assert want and sorted((f["Z"], f["Zp"], f["kind"]) for f in rep.failures) == sorted(want)
+    assert all(f["rows"] and f["missing"] == [(0, 0)] and not f["extra"] for f in rep.failures)
+    assert rep.checked == 4 * len(suites._special_pairs(5, summed=True))
+
+
 def test_prop0216_suite_reads_the_base_pair_from_the_d_masks(monkeypatch):
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
     assert run_suite("prop0216", max_rank=4).ok
     # a D set that loses the base pair fails exactly where other pairs remain
-    real = relations.relation_set
+    real, real_rows = relations.relation_set, relations.relation_rows
 
-    def planted(Z, Zp, kind):
-        rel = real(Z, Zp, kind)
-        return dataclasses.replace(rel, masks=rel.masks - {(0, 0)})
+    def planted(Z, Zps, kind):
+        return [masks - {(0, 0)} for masks in real_rows(Z, Zps, kind)]
 
-    monkeypatch.setattr(relations, "relation_set", planted)
+    monkeypatch.setattr(relations, "relation_rows", planted)
     rep = run_suite("prop0216", max_rank=4)
     want = [
         (str(Z), str(Zp))
