@@ -248,7 +248,7 @@ class SpecialSymbol:
     """
 
     __slots__ = ("symbol", "defect", "rank", "singles", "doubles", "degree", "index", "n",
-                 "top_mask", "bot_mask", "bits", "longest", "_hash",
+                 "top_mask", "bot_mask", "bits", "longest", "_hash", "_text",
                  "_members", "_kinds", "_families", "_halves")
 
     def __new__(cls, symbol: Symbol) -> "SpecialSymbol":
@@ -272,7 +272,7 @@ class SpecialSymbol:
         return "SpecialSymbol(%s)" % self.symbol
 
     def __str__(self) -> str:
-        return str(self.symbol)
+        return self._text
 
     @property
     def is_regular(self) -> bool:
@@ -441,6 +441,7 @@ def _special(symbol: Symbol) -> SpecialSymbol:
     z = object.__new__(SpecialSymbol)
     z.symbol = symbol
     z._hash = hash(("special", symbol))  # computed once: sweeps hash whole tuples of these
+    z._text = render(symbol)  # rendered once: every suite record of a pair names both
     z.defect = symbol.defect
     z.rank = symbol.rank
     both = set(symbol.top) & set(symbol.bot)
@@ -532,8 +533,12 @@ def enumerate_special(rank_: int, defect_: int) -> Tuple[SpecialSymbol, ...]:
 
 
 def _min_chain_sum(length: int) -> int:
-    """The smallest sum of `length` trailing slots of a reduced chain."""
-    return sum((j + 1) // 2 for j in range(length))
+    """The smallest sum of `length` trailing slots of a reduced chain.
+
+    Slot j from the end holds at least ceil(j / 2), and those sum to
+    floor(length^2 / 4).
+    """
+    return length * length // 4
 
 
 def _chains(length: int, total: int) -> Iterator[Tuple[int, ...]]:

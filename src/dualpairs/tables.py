@@ -64,20 +64,19 @@ def global_pairs(n: int, np: int, eps: int) -> FrozenSet[Tuple[Symbol, Symbol]]:
     from .relations import in_B
     from .symbols import enumerate_symbols
 
+    b_kind(eps)  # rejects any other sign before the defect lookup can skip every lam
     out = set()
     # defect d needs rank at least ~ (d^2 - 1) / 4 (a one-row staircase)
     dmax = isqrt(4 * max(n, np) + 2) + 1
     defects = range(-dmax, dmax + 1)
     lams = [s for d in defects if d % 4 == 1 for s in enumerate_symbols(n, d)]
     d_residue = 0 if eps == 1 else 2
-    lamps = [
-        s
-        for d in defects
-        if d % 4 == d_residue
-        for s in enumerate_symbols(np, d)
-    ]
+    lamps_by_defect = {
+        d: enumerate_symbols(np, d) for d in defects if d % 4 == d_residue
+    }
     for lam in lams:
-        for lamp in lamps:
+        # in_B needs defect -lam.defect + eps; it still tests that, and the rest
+        for lamp in lamps_by_defect.get(-lam.defect + eps, ()):
             if in_B(lam, lamp, eps):
                 out.add((lam, lamp))
     return frozenset(out)

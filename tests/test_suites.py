@@ -10,7 +10,7 @@ import pytest
 
 from dualpairs import branching, relations, suites, tables, uniform
 from dualpairs.suites import run_suite
-from dualpairs.symbols import SpecialSymbol, enumerate_symbols, parse
+from dualpairs.symbols import SpecialSymbol, enumerate_symbols, parse, specials_upto
 
 
 def test_misspelt_bound_raises():
@@ -157,6 +157,64 @@ def test_planted_b_defect_fails_thm0310_with_r_index_witnesses(monkeypatch):
         tau, taup = map(parse, failure["at"])
         assert tau in Z.family("S,1") and taup in Zp.family("S+,0")
         assert failure["got"] != failure["expected"]
+
+
+@pytest.mark.usefixtures("planted_b_defect")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_thm0310_records_are_in_json_text_order(monkeypatch, workers):
+    monkeypatch.setenv("DUALPAIRS_WORKERS", workers)
+    rep = run_suite("thm0310", max_rank=6, eps=1)
+    # planted failures give records of both values of ok, with witnesses
+    assert {r["ok"] for r in rep.records} == {True, False}
+    assert sum("witness" in r for r in rep.records) == len(rep.failures) > 0
+    assert rep.records == sorted(rep.records, key=lambda d: json.dumps(d, sort_keys=True))
+
+
+def _thm0310_records_of_every_pair(max_rank: int, eps: int, identity) -> list:
+    """The thm0310 records with the identity run on every pair, empty rows too."""
+    out = []
+    for Z in specials_upto(max_rank, 1):
+        Zps = specials_upto(max_rank - Z.rank, 0)
+        b_rows = relations.relation_rows(Z, Zps, relations.b_kind(eps))
+        d_rows = relations.relation_rows(Z, Zps, "D")
+        for Zp, b, d in zip(Zps, b_rows, d_rows):
+            ok, witness = identity(Z, Zp, eps, b, d)
+            record = {"pair": [str(Z), str(Zp)], "ok": ok}
+            if witness:
+                tau, taup, got, want = witness
+                record["witness"] = {
+                    "at": [str(tau), str(taup)], "got": str(got), "expected": str(want)
+                }
+            out.append(record)
+    return out
+
+
+@pytest.mark.parametrize("planted", [None, "B", "D"])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_thm0310_skips_only_empty_rows_and_keeps_the_records(request, monkeypatch, eps, planted):
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    if planted == "B":
+        request.getfixturevalue("planted_b_defect")
+    elif planted == "D":
+        # every D row empty: each pair with a nonempty B row fails
+        real_rows = relations.relation_rows
+        monkeypatch.setattr(
+            relations, "relation_rows",
+            lambda Z, Zps, kind: [frozenset()] * len(Zps) if kind == "D" else real_rows(Z, Zps, kind),
+        )
+    real = uniform.thm0310_identity
+    called = []
+
+    def identity(Z, Zp, eps, b, d):
+        called.append(bool(b or d))
+        return real(Z, Zp, eps, b, d)
+
+    monkeypatch.setattr(uniform, "thm0310_identity", identity)
+    rep = run_suite("thm0310", max_rank=7, eps=eps)
+    want = _thm0310_records_of_every_pair(7, eps, real)
+    assert all(called) and 0 < len(called) < len(want)
+    assert rep.ok == (planted is None)
+    assert rep.records == sorted(want, key=lambda d: json.dumps(d, sort_keys=True))
 
 
 def _run_optimized(planted: str, suite: str) -> tuple:

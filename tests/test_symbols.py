@@ -15,6 +15,7 @@ from dualpairs.symbols import (
     enumerate_symbols,
     parse,
     render,
+    _min_chain_sum,
     special_closure,
     specials_upto,
 )
@@ -322,6 +323,11 @@ class TestEnumeration:
                             found.add(s)
         assert found == {z.symbol for z in enumerate_special(n, defect)}
 
+    def test_min_chain_sum_is_the_closed_form(self):
+        # oracle: slot j from the end holds at least ceil(j / 2)
+        for length in range(201):
+            assert _min_chain_sum(length) == sum((j + 1) // 2 for j in range(length))
+
     def test_max_entry_is_bounded(self):
         for z in enumerate_special(6, 1):
             assert all(v <= 8 for v in z.symbol.entries())
@@ -447,6 +453,18 @@ class TestFamilyTable:
         clear_specials()
         new = SpecialSymbol.parse("8,6,2;6,3,0")
         assert new is not old and new == old and hash(new) == hash(old)
+
+    def test_text_is_the_symbol_text(self, clear_specials):
+        zs = [z for d in (0, 1) for z in specials_upto(8, d)]
+        assert len(zs) > 100
+        for z in zs:
+            assert str(z) == str(z.symbol) == render(z.symbol)
+        # a round trip into a fresh cache builds new objects with their own text
+        data = pickle.dumps(zs)
+        clear_specials()
+        for old, new in zip(zs, pickle.loads(data)):
+            assert new is not old and new == old
+            assert str(new) == str(new.symbol) == str(old)
 
     def test_add_is_xor_of_masks(self):
         z = SpecialSymbol.parse("4,2,0;3,1")

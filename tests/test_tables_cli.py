@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from dualpairs.cli import main
-from dualpairs.relations import relation_set
-from dualpairs.symbols import SpecialSymbol, parse
+from dualpairs.relations import in_B, relation_set
+from dualpairs.symbols import SpecialSymbol, enumerate_symbols, parse
 from dualpairs.tables import check_table, correspondence, global_pairs, render_table
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -51,6 +51,28 @@ class TestCorrespondence:
 
     def test_blockwise_equals_global(self):
         assert correspondence(3, 2, 1).pairs() == global_pairs(3, 2, 1)
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_global_pairs_equal_the_filter_over_every_defect(self, eps):
+        # oracle: in_B on every lam of defect 1 mod 4 against every lamp, any defect
+        found = 0
+        for n, npr in [(0, 0), (2, 3), (4, 1), (3, 4)]:
+            want = {
+                (lam, lamp)
+                for d in range(-7, 8, 4)
+                for lam in enumerate_symbols(n, d)
+                for dp in range(-7, 8)
+                for lamp in enumerate_symbols(npr, dp)
+                if in_B(lam, lamp, eps)
+            }
+            assert global_pairs(n, npr, eps) == want, (n, npr)
+            found += len(want)
+        assert found > 0
+
+    @pytest.mark.parametrize("eps", [0, 2, -3, 1.0])
+    def test_global_pairs_reject_a_bad_sign(self, eps):
+        with pytest.raises(ValueError, match="eps must be"):
+            global_pairs(2, 2, eps)
 
 
 def Symbolish(n):
