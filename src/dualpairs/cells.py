@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .relations import EMPTY_PAIRSET, CheckFailed, Pair, PairSet
+from .relations import EMPTY_PAIRSET, CheckFailed, Pair, PairSet, per_item
 from .symbols import BOT, TOP, SpecialSymbol, Symbol
 
 
@@ -104,9 +104,13 @@ def cell(Z: SpecialSymbol, phi: Arrangement, psi: Iterable[Pair]) -> Cell:
     keep |M| even (family membership); for defect 0 the member parity, and
     with it the S^+/S^- side, is determined by |phi \\ psi|.  Raises
     ValueError unless phi uses every single of Z exactly once, with an
-    isolated top single exactly when Z has defect 1.
+    isolated top single exactly when Z has defect 1.  Built once per suite
+    item (``relations.item_memo``).
     """
-    psi = frozenset(psi)
+    return per_item(_cell, Z, phi, frozenset(psi))
+
+
+def _cell(Z: SpecialSymbol, phi: Arrangement, psi: PairSet) -> Cell:
     if not psi <= phi.pair_set():
         raise ValueError("psi %r is not a subset of pairs of %s" % (sorted(psi), phi))
     bits = [(Z.mask_of([(s, TOP)]), Z.mask_of([(t, BOT)])) for (s, t) in phi.pairs]

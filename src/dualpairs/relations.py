@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import itertools
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from .symbols import BOT, TOP, CheckFailed, Entry, SpecialSymbol, Symbol, special_closure
 
@@ -28,6 +29,42 @@ Pair = Tuple[int, int]  # (top single value, bottom single value)
 PairSet = FrozenSet[Pair]
 
 EMPTY_PAIRSET: PairSet = frozenset()
+
+
+T = TypeVar("T")
+
+# The results of the suite item being checked, keyed by (function name, args);
+# None outside an item.  See item_memo.
+_memo: Optional[Dict[tuple, object]] = None
+
+
+@contextmanager
+def item_memo() -> Iterator[None]:
+    """Inside the block, each relation_set, cores and cells.cell result is computed once.
+
+    The suite runner opens one block per item and the memo is dropped when
+    it closes, so nothing it holds outlives the item.  Callers still call
+    the functions by name: a function patched over one of them is called
+    every time, and reads the memo through the original.
+    """
+    global _memo
+    outer, _memo = _memo, {}
+    try:
+        yield
+    finally:
+        _memo = outer
+
+
+def per_item(compute: Callable[..., T], *args) -> T:
+    """compute(*args), looked up in the open item's memo (computed every time outside one)."""
+    memo = _memo
+    if memo is None:
+        return compute(*args)
+    key = (compute.__name__, args)
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = compute(*args)
+    return got
 
 
 def _singles_of(Z: SpecialSymbol, mask: int) -> List[Entry]:
@@ -170,13 +207,17 @@ class RelationSet:
 
 
 def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
-    """Filter the product of the kind's two families by its predicate.
+    """Filter the product of the kind's two families by its predicate (once per item).
 
     Each test reads the kernel halves of Z and Z' (``SpecialSymbol.kernel_half``).
     prec(lam, mu) is ge(mu, lam) and ge(lam, mu >> width), where ge(A, B) is
     ``((A | H) - B) & H == H`` and H holds the guard bits: a field keeps its
     guard bit exactly when its part of A is at least that of B.
     """
+    return per_item(_filter_product, Z, Zp, kind)
+
+
+def _filter_product(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
     if Z.defect != 1 or Zp.defect != 0:
         raise ValueError("expected a (defect 1, defect 0) special pair")
     if kind not in FAMILIES:
@@ -327,7 +368,11 @@ def subsets_of_pairs(pairs: PairSet) -> Tuple[PairSet, ...]:
 
 
 def cores(Z: SpecialSymbol, Zp: SpecialSymbol) -> CorePair:
-    """Cores of the D relation, with the structure of both partner sets checked."""
+    """Cores of the D relation, with the structure of both partner sets checked (once per item)."""
+    return per_item(_cores, Z, Zp)
+
+
+def _cores(Z: SpecialSymbol, Zp: SpecialSymbol) -> CorePair:
     # mask 0 is the base itself: the D-partners of Zp and of Z
     d = relation_set(Z, Zp, "D").masks
     d_of_zp = {m for (m, mp) in d if not mp}

@@ -36,6 +36,7 @@ class SuiteReport:
     checked: int = 0
     failures: List[dict] = field(default_factory=list)
     records: List[dict] = field(default_factory=list)  # per-item results
+    keep_records: bool = True  # False: checks leave ``records`` empty
 
     @property
     def ok(self) -> bool:
@@ -147,18 +148,22 @@ def _check_thm0310(item, report: SuiteReport) -> None:
     b_rows = relations.relation_rows(Z, Zps, relations.b_kind(eps))
     d_rows = relations.relation_rows(Z, Zps, "D")
     report.checked += len(Zps) - 1
-    z = str(Z)
+    z, keep = str(Z), report.keep_records
     for Zp, b, d in zip(Zps, b_rows, d_rows):
         # two empty rows hold the identity (b_kind above has checked the sign)
         ok, witness = uniform.thm0310_identity(Z, Zp, eps, b, d) if b or d else (True, None)
-        record = {"pair": [z, str(Zp)], "ok": ok}
-        if not ok:
-            tau, taup, got, want = witness
-            record["witness"] = {
-                "at": [str(tau), str(taup)], "got": str(got), "expected": str(want)
-            }
-            report.failures.append({"Z": z, "Zp": str(Zp), **record["witness"]})
-        report.records.append(record)
+        if ok:
+            if keep:
+                report.records.append({"pair": [z, str(Zp)], "ok": True})
+            continue
+        tau, taup, got, want = witness
+        at = {"at": [str(tau), str(taup)], "got": str(got), "expected": str(want)}
+        report.failures.append({"Z": z, "Zp": str(Zp), **at})
+        if keep:
+            report.records.append({"pair": [z, str(Zp)], "ok": False, "witness": at})
+
+
+_RANK_ZERO = Symbol((0,), ())  # 0;-, the defect-1 symbol of rank 0: its Omega- is empty
 
 
 def _check_lemma1112(item, report: SuiteReport) -> None:
@@ -166,30 +171,33 @@ def _check_lemma1112(item, report: SuiteReport) -> None:
 
     At defects (1, 0) the B+ predicate is the D predicate, and a symbol of
     defect 1 or 0 lies in S_{Z,1} or S^+_{Z',0} of its special closure, so
-    the D pairs of the special pairs within the bound are all B+ pairs.
+    the D pairs of the special pairs within the bound are all B+ pairs.  The
+    Theta sets are counted on bipartitions (``branching.growth_counts``).
     """
-    Z, Zp = item
-    for lam, lamp in relations.relation_set(Z, Zp, "D").pairs:
-        report.checked += 1
-        pair = [str(lam), str(lamp)]
-        lhs1 = len(branching.theta_set(lam, branching.omega_plus(lamp)))
-        rhs1 = 1 + len(branching.theta_set(lamp, branching.omega_minus(lam)))
-        lhs2 = len(branching.theta_set(lamp, branching.omega_plus(lam)))
-        rhs2 = 1 + len(branching.theta_set(lam, branching.omega_minus(lamp)))
-        if lhs1 != rhs1 or lhs2 != rhs2:
-            report.failures.append({"pair": pair, "counts": [lhs1, rhs1, lhs2, rhs2]})
-        # dichotomy: a smaller partner exists on the appropriate side; rhs2 == 1
-        # and rhs1 == 1 say Theta(lam, Omega-(lamp)) and Theta(lamp, Omega-(lam)) are empty
-        m = len(lam.bot)
-        mp = len(lamp.top)
-        if mp not in (m, m + 1):
-            report.failures.append({"pair": pair, "sizes": [m, mp]})
-        elif mp == m + 1:
-            if rhs2 == 1:
-                report.failures.append({"pair": pair, "empty": "Omega-(lamp)"})
-        elif rhs1 == 1:
-            if lam != Symbol((0,), ()):
-                report.failures.append({"pair": pair, "empty": "Omega-(lam)"})
+    Z, max_rank = item
+    Zps = specials_upto(max_rank - Z.rank, 0)
+    for Zp, d in zip(Zps, relations.relation_rows(Z, Zps, "D")):
+        for m, mp in d:
+            report.checked += 1
+            lam, lamp = Z.member(m), Zp.member(mp)
+            lhs1, rhs1, lhs2, rhs2 = branching.growth_counts(lam, lamp)
+            rhs1 += 1
+            rhs2 += 1
+            bad = []
+            if lhs1 != rhs1 or lhs2 != rhs2:
+                bad.append({"counts": [lhs1, rhs1, lhs2, rhs2]})
+            # dichotomy: a smaller partner exists on the appropriate side; rhs2 == 1
+            # and rhs1 == 1 say Theta(lam, Omega-(lamp)) and Theta(lamp, Omega-(lam)) are empty
+            size, sizep = len(lam.bot), len(lamp.top)
+            if sizep not in (size, size + 1):
+                bad.append({"sizes": [size, sizep]})
+            elif sizep == size + 1:
+                if rhs2 == 1:
+                    bad.append({"empty": "Omega-(lamp)"})
+            elif rhs1 == 1 and lam != _RANK_ZERO:
+                bad.append({"empty": "Omega-(lam)"})
+            for failure in bad:
+                report.failures.append({"pair": [str(lam), str(lamp)], **failure})
 
 
 def _check_lemma0616(item, report: SuiteReport) -> None:
@@ -543,11 +551,7 @@ SUITES: Dict[str, Suite] = {
         _check_thm0310,
         {"max_rank": ("max_rank_sum", 14), "eps": ("epsilon", 1)},
     ),
-    "lemma1112": Suite(
-        lambda max_rank: _special_pairs(max_rank, summed=True),
-        _check_lemma1112,
-        {"max_rank": ("max_rank_sum", 11)},
-    ),
+    "lemma1112": Suite(_z_items, _check_lemma1112, {"max_rank": ("max_rank_sum", 14)}),
     "lemma0616": Suite(
         lambda max_rank: _special_pairs(max_rank, summed=True),
         _check_lemma0616,
@@ -582,20 +586,28 @@ def _item_json(item):
     return item if isinstance(item, int) else str(item)
 
 
-def _check_chunk(name: str, chunk: list) -> SuiteReport:
-    """Check every item of one chunk; a raised exception fails only its item."""
+def _check_chunk(name: str, keep_records: bool, chunk: list) -> SuiteReport:
+    """Check every item of one chunk; a raised exception fails only its item.
+
+    Each item runs inside its own ``relations.item_memo``.
+    """
     check = SUITES[name].check
-    sub = SuiteReport(name, {})
+    sub = SuiteReport(name, {}, keep_records=keep_records)
     for item in chunk:
         try:
-            check(item, sub)
+            with relations.item_memo():
+                check(item, sub)
         except Exception as exc:
             sub.failures.append({"item": _item_json(item), "error": repr(exc)})
     return sub
 
 
-def run_suite(name: str, **bounds) -> SuiteReport:
-    """Run one suite; a bound left out (or None) takes the suite's default."""
+def run_suite(name: str, *, keep_records: bool = True, **bounds) -> SuiteReport:
+    """Run one suite; a bound left out (or None) takes the suite's default.
+
+    With keep_records False the report's ``records`` stay empty; its count,
+    failures and ``line()`` are the same.
+    """
     if name not in SUITES:
         raise ValueError("unknown suite %r (have: %s)" % (name, ", ".join(sorted(SUITES))))
     suite = SUITES[name]
@@ -613,9 +625,11 @@ def run_suite(name: str, **bounds) -> SuiteReport:
         # eps is checked where it is used: b_kind rejects any other sign
         if key != "eps" and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
             raise ValueError("suite %r: bound %s must be an int >= 0, got %r" % (name, key, value))
-    report = SuiteReport(name, {suite.bounds[key][0]: v for key, v in values.items()})
+    report = SuiteReport(
+        name, {suite.bounds[key][0]: v for key, v in values.items()}, keep_records=keep_records
+    )
     items = suite.items(**values)
-    work = functools.partial(_check_chunk, name)
+    work = functools.partial(_check_chunk, name, keep_records)
     nworkers = _worker_count(os.environ.get("DUALPAIRS_WORKERS"), len(items))
     if nworkers > 1:
         from concurrent.futures import ProcessPoolExecutor

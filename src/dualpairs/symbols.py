@@ -74,15 +74,21 @@ class Symbol:
     equal; rank and defect are unchanged by it.
     """
 
-    __slots__ = ("top", "bot", "_hash", "_bip")
+    __slots__ = ("top", "bot", "defect", "_hash", "_bip")
 
-    def __init__(self, top: Iterable[int], bot: Iterable[int]):
-        t, b = _as_row(top), _as_row(bot)
-        while t and b and t[-1] == 0 and b[-1] == 0:
-            t = tuple(v - 1 for v in t[:-1])
-            b = tuple(v - 1 for v in b[:-1])
+    def __init__(self, top: Iterable[int], bot: Iterable[int], _rows_checked: bool = False):
+        # _rows_checked: the rows are tuples already known to be valid and
+        # reduced (built inside this module from the rows of other Symbols)
+        if _rows_checked:
+            t, b = top, bot
+        else:
+            t, b = _as_row(top), _as_row(bot)
+            while t and b and t[-1] == 0 and b[-1] == 0:
+                t = tuple(v - 1 for v in t[:-1])
+                b = tuple(v - 1 for v in b[:-1])
         self.top = t
         self.bot = b
+        self.defect = len(t) - len(b)
         self._hash = hash((t, b))
         self._bip = None
 
@@ -120,10 +126,6 @@ class Symbol:
         return (len(self.top), len(self.bot))
 
     @property
-    def defect(self) -> int:
-        return len(self.top) - len(self.bot)
-
-    @property
     def rank(self) -> int:
         n = len(self.top) + len(self.bot)
         k = (n - 1) // 2
@@ -133,7 +135,7 @@ class Symbol:
     @property
     def t(self) -> "Symbol":
         """Transpose: swap the two rows."""
-        return Symbol(self.bot, self.top)
+        return Symbol(self.bot, self.top, True)  # rows checked
 
     def entries(self) -> Tuple[int, ...]:
         """All entries, in weakly decreasing order (doubles appear twice)."""
@@ -146,12 +148,16 @@ class Symbol:
         return self.top if r == TOP else self.bot
 
     def bipartition(self) -> "Bipartition":
-        """Subtract the staircase (len-1, len-2, ..., 0) from each row."""
+        """Subtract the staircase (len-1, len-2, ..., 0) from each row.
+
+        The rows are strictly decreasing and non-negative, so both results
+        are partitions: the Bipartition is built without re-checking them.
+        """
         if self._bip is None:
-            m1, m2 = len(self.top), len(self.bot)
-            star = tuple(a - (m1 - 1 - i) for i, a in enumerate(self.top))
-            sub = tuple(b - (m2 - 1 - i) for i, b in enumerate(self.bot))
-            self._bip = Bipartition(star, sub)
+            star = _strip([a - i for i, a in enumerate(reversed(self.top))][::-1])
+            sub = _strip([b - i for i, b in enumerate(reversed(self.bot))][::-1])
+            bip = self._bip = object.__new__(Bipartition)
+            bip.__dict__.update(star=star, sub=sub)
         return self._bip
 
     def flip(self, value: int, row: int) -> "Symbol":
@@ -192,10 +198,10 @@ class Bipartition:
 
 
 def _strip(part: Sequence[int]) -> Tuple[int, ...]:
-    part = tuple(part)
-    while part and part[-1] == 0:
-        part = part[:-1]
-    return part
+    end = len(part)
+    while end and part[end - 1] == 0:
+        end -= 1
+    return tuple(part[:end])
 
 
 # -- text and JSON forms ----------------------------------------------------
@@ -296,7 +302,9 @@ class SpecialSymbol:
             rows: Tuple[list, list] = ([], [])
             for v, r, bit in reversed(self.bits):
                 rows[r ^ 1 if mask & bit else r].append(v)
-            got = self._members[mask] = Symbol(*rows)
+            # decreasing values, a double in both rows and a single in one:
+            # strictly decreasing rows, and reduced as the base is (no double 0)
+            got = self._members[mask] = Symbol(tuple(rows[TOP]), tuple(rows[BOT]), True)
         return got
 
     @property
@@ -502,8 +510,10 @@ def _interleave(symbol: Symbol) -> Tuple[int, ...]:
 
 def special_closure(sym: Symbol) -> SpecialSymbol:
     """The unique special symbol with the same entry multiset as `sym`."""
+    # a value is in at most two rows and 0 in at most one (sym is reduced),
+    # so every other entry of the sorted multiset gives a valid, reduced row
     entries = sym.entries()
-    return SpecialSymbol(Symbol(entries[0::2], entries[1::2]))
+    return SpecialSymbol(Symbol(entries[0::2], entries[1::2], True))
 
 
 # -- enumeration --------------------------------------------------------------
@@ -576,6 +586,7 @@ def specials_upto(max_rank: int, defect_: int) -> Tuple[SpecialSymbol, ...]:
     return tuple(z for r in range(max_rank + 1) for z in enumerate_special(r, defect_))
 
 
+@lru_cache(maxsize=None)
 def enumerate_symbols(rank_: int, defect_: int) -> Tuple[Symbol, ...]:
     """All reduced symbols of the given rank and defect (any defect value)."""
     out = []

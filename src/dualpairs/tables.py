@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Tuple
 
-from .relations import CheckFailed, RelationSet, b_kind, relation_set
+from . import relations
+from .relations import CheckFailed, RelationSet, b_kind
 from .symbols import SpecialSymbol, Symbol, enumerate_special, special_closure
 
 CHECK = "✓"
@@ -40,16 +41,20 @@ class CorrespondenceTable:
 
 
 def correspondence(n: int, np: int, eps: int) -> CorrespondenceTable:
-    """All related pairs at ranks (n, n'), grouped by special pair."""
+    """All related pairs at ranks (n, n'), grouped by special pair.
+
+    Each Z's blocks come from one ``relation_rows`` pass over every Z'.
+    """
     if n < 0 or np < 0:
         raise ValueError("ranks must be non-negative")
     kind = b_kind(eps)
-    blocks = []
-    for Z in enumerate_special(n, 1):
-        for Zp in enumerate_special(np, 0):
-            rel = relation_set(Z, Zp, kind)
-            if rel.masks:
-                blocks.append(rel)
+    Zps = enumerate_special(np, 0)
+    blocks = [
+        RelationSet(kind, Z, Zp, masks)
+        for Z in enumerate_special(n, 1)
+        for Zp, masks in zip(Zps, relations.relation_rows(Z, Zps, kind))
+        if masks
+    ]
     return CorrespondenceTable(n, np, eps, tuple(blocks))
 
 
@@ -57,7 +62,9 @@ def global_pairs(n: int, np: int, eps: int) -> FrozenSet[Tuple[Symbol, Symbol]]:
     """Independent computation: filter all defect-valid symbol pairs directly.
 
     Cross-check for the blockwise enumeration; also verifies the grouping
-    (each related pair lies in the block of its special closures).
+    (each related pair lies in the block of its special closures).  The
+    symbols of each (rank, defect) are listed once per process
+    (``enumerate_symbols`` is cached).
     """
     from math import isqrt
 

@@ -1,9 +1,13 @@
 import pytest
 
+from dualpairs import branching, relations
 from dualpairs.branching import (
+    add_box,
     cuspidal_symbol,
+    growth_counts,
     omega_minus,
     omega_plus,
+    remove_box,
     theta_cuspidal,
     theta_general,
     theta_graph,
@@ -20,7 +24,7 @@ from dualpairs.relations import (
     relation_set,
     subsets_of_pairs,
 )
-from dualpairs.symbols import SpecialSymbol, enumerate_symbols, parse, specials_upto
+from dualpairs.symbols import SpecialSymbol, Symbol, enumerate_symbols, parse, specials_upto
 
 
 class TestOmega:
@@ -275,3 +279,101 @@ class TestCountingIdentities:
                         assert len(theta_set(lamp, omega_plus(lam))) == 1 + len(
                             theta_set(lam, omega_minus(lamp))
                         )
+
+
+def _box_bipartitions(sym: Symbol, boxes) -> set:
+    """The (star, sub) pairs with one box added or removed, by ``boxes``."""
+    u = sym.bipartition()
+    return {(a, u.sub) for a in boxes(u.star)} | {(u.star, b) for b in boxes(u.sub)}
+
+
+def _box_mismatches(max_rank: int) -> tuple:
+    """Symbols of rank <= max_rank and defect -3..3 whose Omega+/- bipartitions
+    are not the add-a-box/remove-a-box sets; also returns the symbol count."""
+    bad = count = 0
+    for n in range(max_rank + 1):
+        for d in range(-3, 4):
+            for sym in enumerate_symbols(n, d):
+                count += 1
+                for omega, boxes in ((omega_plus, branching.add_box),
+                                     (omega_minus, branching.remove_box)):
+                    want = {(b.star, b.sub) for b in map(Symbol.bipartition, omega(sym))}
+                    bad += _box_bipartitions(sym, boxes) != want
+    return bad, count
+
+
+def _growth_mismatches(max_rank_sum: int) -> tuple:
+    """D pairs at rank sum <= the bound whose growth_counts differ from the
+    theta_set counts on Omega+/-; also returns the pair count."""
+    bad = count = 0
+    for Z in specials_upto(max_rank_sum, 1):
+        for Zp in specials_upto(max_rank_sum - Z.rank, 0):
+            for lam, lamp in relations.relation_set(Z, Zp, "D").pairs:
+                count += 1
+                want = (
+                    len(theta_set(lam, omega_plus(lamp))),
+                    len(theta_set(lamp, omega_minus(lam))),
+                    len(theta_set(lamp, omega_plus(lam))),
+                    len(theta_set(lam, omega_minus(lamp))),
+                )
+                bad += growth_counts(lam, lamp) != want
+    return bad, count
+
+
+def _rems_keeping_zeros(part):
+    """remove_box with a row of one box left as a trailing 0."""
+    return tuple(
+        part[:i] + (v - 1,) + part[i + 1:]
+        for i, v in enumerate(part)
+        if i == len(part) - 1 or v > part[i + 1]
+    )
+
+
+class TestGrowthOnBipartitions:
+    def test_boxes_of_small_partitions(self):
+        assert add_box(()) == ((1,),)
+        assert set(add_box((2, 2, 1))) == {(3, 2, 1), (2, 2, 2), (2, 2, 1, 1)}
+        assert remove_box(()) == ()
+        assert set(remove_box((2, 2, 1))) == {(2, 1, 1), (2, 2)}
+        assert remove_box((1,)) == ((),)
+
+    def test_omega_sets_are_one_box_away(self):
+        # Omega+ and Omega- are the symbols of the same defect one box away
+        bad, count = _box_mismatches(9)
+        assert count == 3568 and bad == 0
+
+    @pytest.mark.parametrize(
+        "name,mutant",
+        [
+            ("add_box", lambda part: add_box(part)[:-1]),  # the new-row box dropped
+            ("remove_box", _rems_keeping_zeros),
+        ],
+    )
+    def test_box_mutants_break_the_omega_comparison(self, monkeypatch, name, mutant):
+        monkeypatch.setattr(branching, name, mutant)
+        assert _box_mismatches(5)[0] > 0
+
+    def test_growth_counts_equal_the_theta_set_counts(self):
+        # the pairs the lemma1112 suite checks at the old default rank sum 11
+        bad, count = _growth_mismatches(11)
+        assert count == 1967 and bad == 0
+
+    @pytest.mark.parametrize(
+        "name,mutant",
+        [
+            ("add_box", lambda part: add_box(part)[:-1]),
+            # a trailing 0 leaves every prec test as it is, so that mutant
+            # shows only in the Omega comparison; here the last row keeps its box
+            ("remove_box", lambda part: remove_box(part)[:-1]),
+        ],
+    )
+    def test_box_mutants_break_the_growth_counts(self, monkeypatch, name, mutant):
+        monkeypatch.setattr(branching, name, mutant)
+        assert _growth_mismatches(7)[0] > 0
+
+    def test_growth_counts_need_defects_d_and_one_minus_d(self):
+        lam, lamp = parse("8,5,1;6,2"), parse("7,4,1;8,5,1")
+        assert growth_counts(lam, lamp) == (3, 2, 6, 5)
+        for a, b in ((lamp, lam), (lam, lam), (lamp, lamp)):
+            with pytest.raises(ValueError, match="defects"):
+                growth_counts(a, b)

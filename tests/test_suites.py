@@ -1,5 +1,6 @@
 """The suite runner: bounds, exceptions, interpreter flags."""
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -249,6 +250,16 @@ def test_lemma1112_checks_every_b_plus_pair(monkeypatch):
     assert run_suite("lemma1112", max_rank=7).checked == want
 
 
+def test_lemma1112_fails_on_a_growth_set_without_new_rows(monkeypatch):
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    real = branching.add_box
+    monkeypatch.setattr(branching, "add_box", lambda part: real(part)[:-1])
+    rep = run_suite("lemma1112", max_rank=7)
+    assert rep.checked == 249 and not rep.ok
+    assert all(set(f) <= {"pair", "counts", "empty"} for f in rep.failures)
+    assert any("counts" in f for f in rep.failures)
+
+
 def test_checks_survive_optimized_mode():
     """A planted table defect is reported when asserts are compiled away."""
     ok, failures = _run_optimized(
@@ -299,3 +310,86 @@ def test_cells_suite_catches_a_mislabelled_cell(monkeypatch):
     monkeypatch.setattr(cells, "cell", mislabelled)
     rep = run_suite("cells", max_rank=5)
     assert any("cell_sum" in failure for failure in rep.failures)
+
+
+def _relations_computed_per_item(monkeypatch, memo: bool) -> list:
+    """The (Z, Z', kind) of every relation set computed in derivative@8, one list per item."""
+    items = []
+    real_memo, real_filter = relations.item_memo, relations._filter_product
+
+    @contextlib.contextmanager
+    def marked():
+        items.append([])
+        with real_memo() if memo else contextlib.nullcontext():
+            yield
+
+    def counted(Z, Zp, kind):
+        items[-1].append((Z, Zp, kind))
+        return real_filter(Z, Zp, kind)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(relations, "item_memo", marked)
+        patch.setattr(relations, "_filter_product", counted)
+        rep = run_suite("derivative", max_rank=8)
+    assert rep.ok and rep.checked == 253
+    return items
+
+
+def test_each_item_computes_each_relation_once(monkeypatch):
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    repeated = _relations_computed_per_item(monkeypatch, memo=False)
+    once = _relations_computed_per_item(monkeypatch, memo=True)
+    assert len(once) == len(repeated) == len(suites._d_pairs(8))
+    for got, every in zip(once, repeated):
+        assert len(got) == len(set(got)) and set(got) == set(every)
+    # without the memo the items repeat relations
+    assert sum(map(len, repeated)) > sum(map(len, once))
+
+
+def test_the_item_memo_is_dropped_after_the_item(monkeypatch):
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    Z, Zp = SpecialSymbol.parse("2,0;1"), SpecialSymbol.parse("3,1;2,0")
+    assert relations._memo is None
+    assert relations.relation_set(Z, Zp, "D") is not relations.relation_set(Z, Zp, "D")
+    with relations.item_memo():
+        d = relations.relation_set(Z, Zp, "D")
+        assert relations.relation_set(Z, Zp, "D") is d
+        assert relations.cores(Z, Zp) is relations.cores(Z, Zp)
+    assert relations._memo is None and relations.relation_set(Z, Zp, "D") is not d
+    with pytest.raises(RuntimeError):
+        with relations.item_memo():
+            raise RuntimeError("an item that raises")
+    assert relations._memo is None
+    run_suite("theta", max_rank=4)
+    assert relations._memo is None
+
+
+@pytest.mark.usefixtures("planted_b_defect")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_report_without_records_has_the_same_line(monkeypatch, workers):
+    monkeypatch.setenv("DUALPAIRS_WORKERS", workers)
+    full = run_suite("thm0310", max_rank=6, eps=1)
+    bare = run_suite("thm0310", max_rank=6, eps=1, keep_records=False)
+    assert full.records and not full.ok  # planted failures, with witnesses
+    assert bare.records == [] and bare.line() == full.line()
+    assert bare.failures == full.failures
+
+
+def test_verify_summary_keeps_no_records(monkeypatch, capsys):
+    from dualpairs import cli
+
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    reports = []
+    real = suites.run_suite
+
+    def kept(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(suites, "run_suite", kept)
+    assert cli.main(["verify", "thm0310", "--max-rank", "6"]) == 0
+    full = capsys.readouterr().out.splitlines()
+    assert cli.main(["verify", "thm0310", "--max-rank", "6", "--summary"]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert len(full) == len(reports[0].records) + 1 > 1
+    assert summary == full[-1:] and reports[1].records == []

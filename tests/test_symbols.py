@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dualpairs.symbols import (
     BOT,
     TOP,
+    Bipartition,
     SpecialSymbol,
     Symbol,
     enumerate_special,
@@ -55,6 +56,37 @@ class TestInvariants:
         assert parse("8,6,2;6,3,0").defect == 0
         for m in range(4):
             assert Symbol(range(2 * m, -1, -1), ()).defect == 2 * m + 1
+
+    def test_symbols_built_without_rechecking_equal_checked_ones(self):
+        # bipartitions, members, transposes and special closures skip the row
+        # checks; each equals what the checked constructors give
+        count = 0
+        for n in range(10):
+            for d in range(-3, 4):
+                for s in enumerate_symbols(n, d):
+                    count += 1
+                    m1, m2 = s.size
+                    staircase = Bipartition(
+                        [a - (m1 - 1 - i) for i, a in enumerate(s.top)],
+                        [b - (m2 - 1 - i) for i, b in enumerate(s.bot)],
+                    )
+                    bip = s.bipartition()
+                    assert bip == staircase and hash(bip) == hash(staircase)
+                    assert type(bip.star) is type(bip.sub) is tuple
+                    assert s.defect == len(s.top) - len(s.bot)
+                    t = Symbol(list(s.bot), list(s.top))
+                    assert s.t == t and (s.t.top, s.t.bot, s.t.defect) == (t.top, t.bot, t.defect)
+                    entries = sorted(s.top + s.bot, reverse=True)
+                    assert special_closure(s).symbol == Symbol(entries[0::2], entries[1::2])
+        assert count == 3568
+        for z in specials_upto(8, 0) + specials_upto(8, 1):
+            for lam in z.members:
+                checked = Symbol(list(lam.top), list(lam.bot))
+                assert (lam.top, lam.bot, lam.defect) == (checked.top, checked.bot, checked.defect)
+                assert lam == checked and hash(lam) == hash(checked)
+
+    def test_the_census_of_a_rank_and_defect_is_built_once(self):
+        assert enumerate_symbols(6, -2) is enumerate_symbols(6, -2)
 
     def test_transpose(self):
         assert parse("8,5,1;6,3").t == parse("6,3;8,5,1")
