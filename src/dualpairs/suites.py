@@ -555,20 +555,20 @@ SUITES: Dict[str, Suite] = {
     "lemma0616": Suite(
         lambda max_rank: _special_pairs(max_rank, summed=True),
         _check_lemma0616,
-        {"max_rank": ("max_rank_sum", 10)},
+        {"max_rank": ("max_rank_sum", 13)},
     ),
     "cells": Suite(
         _cells_items,
         _check_cells,
-        {"max_rank": ("max_rank", 9), "max_degree": ("max_degree", 3)},
+        {"max_rank": ("max_rank", 11), "max_degree": ("max_degree", 3)},
     ),
-    "factorization": Suite(_d_pairs, _check_factorization, {"max_rank": ("max_rank_sum", 8)}),
-    "derivative": Suite(_d_pairs, _check_derivative, {"max_rank": ("max_rank_sum", 10)}),
-    "theta": Suite(_d_pairs, _check_theta, {"max_rank": ("max_rank_sum", 8)}),
+    "factorization": Suite(_d_pairs, _check_factorization, {"max_rank": ("max_rank_sum", 12)}),
+    "derivative": Suite(_d_pairs, _check_derivative, {"max_rank": ("max_rank_sum", 13)}),
+    "theta": Suite(_d_pairs, _check_theta, {"max_rank": ("max_rank_sum", 12)}),
     "correspondence": Suite(
-        _correspondence_items, _check_correspondence, {"max_rank": ("max_rank_sum", 10)}
+        _correspondence_items, _check_correspondence, {"max_rank": ("max_rank_sum", 12)}
     ),
-    "kernel": Suite(_z_items, _check_kernel, {"max_rank": ("max_rank_sum", 9)}),
+    "kernel": Suite(_z_items, _check_kernel, {"max_rank": ("max_rank_sum", 11)}),
     "oracle": Suite(
         lambda max_rank: _special_pairs(max_rank, summed=False),
         _check_oracle,
@@ -587,16 +587,12 @@ def _item_json(item):
 
 
 def _check_chunk(name: str, keep_records: bool, chunk: list) -> SuiteReport:
-    """Check every item of one chunk; a raised exception fails only its item.
-
-    Each item runs inside its own ``relations.item_memo``.
-    """
+    """Check every item of one chunk; a raised exception fails only its item."""
     check = SUITES[name].check
     sub = SuiteReport(name, {}, keep_records=keep_records)
     for item in chunk:
         try:
-            with relations.item_memo():
-                check(item, sub)
+            check(item, sub)
         except Exception as exc:
             sub.failures.append({"item": _item_json(item), "error": repr(exc)})
     return sub

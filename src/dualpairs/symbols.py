@@ -76,16 +76,11 @@ class Symbol:
 
     __slots__ = ("top", "bot", "defect", "_hash", "_bip")
 
-    def __init__(self, top: Iterable[int], bot: Iterable[int], _rows_checked: bool = False):
-        # _rows_checked: the rows are tuples already known to be valid and
-        # reduced (built inside this module from the rows of other Symbols)
-        if _rows_checked:
-            t, b = top, bot
-        else:
-            t, b = _as_row(top), _as_row(bot)
-            while t and b and t[-1] == 0 and b[-1] == 0:
-                t = tuple(v - 1 for v in t[:-1])
-                b = tuple(v - 1 for v in b[:-1])
+    def __init__(self, top: Iterable[int], bot: Iterable[int]):
+        t, b = _as_row(top), _as_row(bot)
+        while t and b and t[-1] == 0 and b[-1] == 0:
+            t = tuple(v - 1 for v in t[:-1])
+            b = tuple(v - 1 for v in b[:-1])
         self.top = t
         self.bot = b
         self.defect = len(t) - len(b)
@@ -135,7 +130,7 @@ class Symbol:
     @property
     def t(self) -> "Symbol":
         """Transpose: swap the two rows."""
-        return Symbol(self.bot, self.top, True)  # rows checked
+        return _from_rows(self.bot, self.top)
 
     def entries(self) -> Tuple[int, ...]:
         """All entries, in weakly decreasing order (doubles appear twice)."""
@@ -171,6 +166,14 @@ class Symbol:
         dst.sort(reverse=True)
         rows = {row: src, 1 - row: dst}
         return Symbol(rows[TOP], rows[BOT])
+
+
+def _from_rows(top: Tuple[int, ...], bot: Tuple[int, ...]) -> Symbol:
+    """Symbol(top, bot) for valid, reduced rows taken from other Symbols, unchecked."""
+    sym = object.__new__(Symbol)
+    sym.top, sym.bot, sym.defect = top, bot, len(top) - len(bot)
+    sym._hash, sym._bip = hash((top, bot)), None
+    return sym
 
 
 @dataclass(frozen=True)
@@ -304,7 +307,7 @@ class SpecialSymbol:
                 rows[r ^ 1 if mask & bit else r].append(v)
             # decreasing values, a double in both rows and a single in one:
             # strictly decreasing rows, and reduced as the base is (no double 0)
-            got = self._members[mask] = Symbol(tuple(rows[TOP]), tuple(rows[BOT]), True)
+            got = self._members[mask] = _from_rows(tuple(rows[TOP]), tuple(rows[BOT]))
         return got
 
     @property
@@ -513,7 +516,7 @@ def special_closure(sym: Symbol) -> SpecialSymbol:
     # a value is in at most two rows and 0 in at most one (sym is reduced),
     # so every other entry of the sorted multiset gives a valid, reduced row
     entries = sym.entries()
-    return SpecialSymbol(Symbol(entries[0::2], entries[1::2], True))
+    return SpecialSymbol(_from_rows(entries[0::2], entries[1::2]))
 
 
 # -- enumeration --------------------------------------------------------------

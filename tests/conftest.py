@@ -5,9 +5,22 @@ import pytest
 from dualpairs import relations, symbols, uniform
 
 
+# taken at import, before any test patches the module attributes
+RELATION_CACHES = (relations.relation_set, relations.cores)
+
+
+@pytest.fixture(autouse=True)
+def clear_relation_caches():
+    """Start every test with empty relation_set and cores caches, so no result
+    computed under another test's patches, or in another order, reaches it."""
+    for cache in RELATION_CACHES:
+        cache.cache_clear()
+
+
 @pytest.fixture
 def clear_specials():
-    """Forget every SpecialSymbol built so far, and the enumerations that hold them.
+    """Forget every SpecialSymbol built so far, and the enumerations and
+    relation caches that hold them.
 
     Called once before the test, and returned for the test to call again.
     Later constructions build new objects, and enumerations list those same
@@ -16,6 +29,8 @@ def clear_specials():
 
     def clear():
         for cache in (symbols._special, symbols.enumerate_special, symbols.specials_upto):
+            cache.cache_clear()
+        for cache in RELATION_CACHES:
             cache.cache_clear()
 
     clear()

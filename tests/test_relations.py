@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from moveback_oracle import moveback_step_cases
 
-from dualpairs import relations
+from dualpairs import relations, symbols
 from dualpairs.relations import (
     FAMILIES,
     KINDS,
@@ -385,9 +385,11 @@ class TestPackedRecords:
         assert max(Z.longest, Zp.longest) > base_rows
         for kind in KINDS:
             assert relation_set(Z, Zp, kind).masks == _product_filter(Z, Zp, kind)
-        # fields sized from the bases alone let a wrong pair through
+        # fields sized from the bases alone let a wrong pair through (the
+        # cache would hand back the sets computed before the patch)
         for base in (Z, Zp):
             monkeypatch.setattr(base, "longest", base_rows)
+        relation_set.cache_clear()
         assert any(
             relation_set(Z, Zp, kind).masks != _product_filter(Z, Zp, kind)
             for kind in KINDS
@@ -481,13 +483,19 @@ class TestMaskPathsBuildNoSymbol:
             SpecialSymbol.parse(t) for t in ("8,5,1;6,3", "8,6,2;6,3,0", "4,2;3,1")
         )
         built = []
-        real = Symbol.__init__
+        real, real_from_rows = Symbol.__init__, symbols._from_rows
 
         def counting(self, *args):
             built.append(args)
             real(self, *args)
 
+        def counting_from_rows(*args):
+            built.append(args)
+            return real_from_rows(*args)
+
+        # members, transposes and closures are built unchecked, by _from_rows
         monkeypatch.setattr(Symbol, "__init__", counting)
+        monkeypatch.setattr(symbols, "_from_rows", counting_from_rows)
         for Zp in (related, unrelated):
             for kind in KINDS:
                 relation_set(Z, Zp, kind)

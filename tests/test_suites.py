@@ -1,6 +1,6 @@
 """The suite runner: bounds, exceptions, interpreter flags."""
 
-import contextlib
+import collections
 import dataclasses
 import json
 import os
@@ -312,56 +312,85 @@ def test_cells_suite_catches_a_mislabelled_cell(monkeypatch):
     assert any("cell_sum" in failure for failure in rep.failures)
 
 
-def _relations_computed_per_item(monkeypatch, memo: bool) -> list:
-    """The (Z, Z', kind) of every relation set computed in derivative@8, one list per item."""
+# taken at import, before any test patches the module attributes
+CACHES = (relations.relation_set, relations.cores)
+
+
+def _work_per_item(patch, name: str, **bounds) -> list:
+    """Run a suite in one process; for each item, the (function, args) of the
+    relation sets and core pairs it asked for, and of those it computed."""
     items = []
-    real_memo, real_filter = relations.item_memo, relations._filter_product
+    real = suites.SUITES[name]
 
-    @contextlib.contextmanager
-    def marked():
-        items.append([])
-        with real_memo() if memo else contextlib.nullcontext():
-            yield
+    def check(item, report):
+        items.append({"asked": set(), "computed": []})
+        real.check(item, report)
 
-    def counted(Z, Zp, kind):
-        items[-1].append((Z, Zp, kind))
-        return real_filter(Z, Zp, kind)
+    def counting(cache):
+        def wrapper(*args):
+            misses = cache.cache_info().misses
+            out = cache(*args)
+            key = (cache.__name__, args)
+            items[-1]["asked"].add(key)
+            if cache.cache_info().misses > misses:
+                items[-1]["computed"].append(key)
+            return out
 
-    with monkeypatch.context() as patch:
-        patch.setattr(relations, "item_memo", marked)
-        patch.setattr(relations, "_filter_product", counted)
-        rep = run_suite("derivative", max_rank=8)
-    assert rep.ok and rep.checked == 253
+        return wrapper
+
+    for cache in CACHES:
+        wrapper = counting(cache)
+        # wherever the package holds it: cores calls relation_set by name too
+        for module in [m for n, m in sys.modules.items() if n.startswith("dualpairs")]:
+            for key, value in list(vars(module).items()):
+                if value is cache:
+                    patch.setattr(module, key, wrapper)
+    patch.setitem(suites.SUITES, name, dataclasses.replace(real, check=check))
+    rep = run_suite(name, **bounds)
+    assert rep.ok
     return items
 
 
-def test_each_item_computes_each_relation_once(monkeypatch):
+@pytest.mark.parametrize(
+    "name,relation_sets,core_pairs",
+    # what the suites computed with one memo per item
+    [("derivative", 1467, 510), ("theta", 737, 257), ("factorization", 771, 257)],
+)
+def test_no_item_computes_a_relation_set_or_core_pair_twice(
+    monkeypatch, name, relation_sets, core_pairs
+):
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
-    repeated = _relations_computed_per_item(monkeypatch, memo=False)
-    once = _relations_computed_per_item(monkeypatch, memo=True)
-    assert len(once) == len(repeated) == len(suites._d_pairs(8))
-    for got, every in zip(once, repeated):
-        assert len(got) == len(set(got)) and set(got) == set(every)
-    # without the memo the items repeat relations
-    assert sum(map(len, repeated)) > sum(map(len, once))
+    items = _work_per_item(monkeypatch, name, max_rank=8)
+    assert len(items) == len(suites._d_pairs(8))
+    for item in items:
+        assert len(item["computed"]) == len(set(item["computed"]))
+    computed = collections.Counter(fn for item in items for fn, _ in item["computed"])
+    assert 0 < computed["relation_set"] <= relation_sets
+    assert 0 < computed["cores"] <= core_pairs
 
 
-def test_the_item_memo_is_dropped_after_the_item(monkeypatch):
+def test_the_caches_stay_within_their_bound(monkeypatch):
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
-    Z, Zp = SpecialSymbol.parse("2,0;1"), SpecialSymbol.parse("3,1;2,0")
-    assert relations._memo is None
-    assert relations.relation_set(Z, Zp, "D") is not relations.relation_set(Z, Zp, "D")
-    with relations.item_memo():
-        d = relations.relation_set(Z, Zp, "D")
-        assert relations.relation_set(Z, Zp, "D") is d
-        assert relations.cores(Z, Zp) is relations.cores(Z, Zp)
-    assert relations._memo is None and relations.relation_set(Z, Zp, "D") is not d
-    with pytest.raises(RuntimeError):
-        with relations.item_memo():
-            raise RuntimeError("an item that raises")
-    assert relations._memo is None
-    run_suite("theta", max_rank=4)
-    assert relations._memo is None
+    run_suite("derivative", max_rank=8)
+    for cache in CACHES:
+        info = cache.cache_info()
+        assert info.maxsize == relations.CACHE_SIZE
+        # the sweep computes more than the bound holds
+        assert info.misses > relations.CACHE_SIZE >= info.currsize > 0
+
+
+def test_the_cache_bound_covers_each_item_at_the_default_bounds(monkeypatch):
+    # An item asking for at most CACHE_SIZE distinct relation sets (core pairs)
+    # computes none twice.  These suites' items ask for some again; the others
+    # ask for each at most once (kernel, lemma0616) or never.
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    largest = collections.Counter()
+    for name in ("derivative", "theta", "factorization"):
+        with monkeypatch.context() as patch:
+            for item in _work_per_item(patch, name):
+                for fn, count in collections.Counter(fn for fn, _ in item["asked"]).items():
+                    largest[fn] = max(largest[fn], count)
+    assert 0 < largest["cores"] <= largest["relation_set"] <= relations.CACHE_SIZE
 
 
 @pytest.mark.usefixtures("planted_b_defect")

@@ -181,6 +181,18 @@ class TestGrammar:
                 Symbol([], bad)
         assert Symbol(range(3, 0, -1), []) == parse("3,2,1;-")
 
+    def test_the_constructor_takes_no_option_to_skip_its_checks(self):
+        # a third argument once built 1,3;- unchecked, with bipartition [0,3 | -]
+        with pytest.raises(TypeError):
+            Symbol((1, 3), (), True)
+        with pytest.raises(TypeError):
+            Symbol((3, 1), (), True)
+        for top, bot in (((1, 3), ()), ((), (2, 2)), ((-1,), ())):
+            with pytest.raises(ValueError):
+                Symbol(top, bot)
+        # shift-reduction still applies
+        assert Symbol((2, 0), (1, 0)) == Symbol((1,), (0,))
+
 
 class TestSpecial:
     def test_singles_doubles(self):
