@@ -8,21 +8,25 @@ relations are computed on the families attached to (Z, Z'):
 * ``B-``   on S_Z x S^-_{Z'}: mirrored interlacings, def(L') = -def(L) - 1;
 * ``Bbar+`` on all of the ambient families, same predicate as B+.
 
-The module also computes the cores of D (the consecutive single pairs
-whose flips enumerate the D-partners of Z and Z'), the restriction of B
-to the core-free sub-families, and the move-back normalization that
-pushes any Bbar+ pair to one with first component Z.
+``relation_rows`` relates one Z to a whole list of Z' in one packed pass,
+reading lane tables kept per Z' family and sign.  The module also computes
+the cores of D (the consecutive single pairs whose flips enumerate the
+D-partners of Z and Z'), the restriction of B to the core-free
+sub-families, and the move-back normalization that pushes any Bbar+ pair to
+one with first component Z.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .symbols import BOT, TOP, CheckFailed, Entry, SpecialSymbol, Symbol, special_closure
+from .symbols import enumerate_special, specials_upto
 
 Pair = Tuple[int, int]  # (top single value, bottom single value)
 PairSet = FrozenSet[Pair]
@@ -220,25 +224,53 @@ def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
 def relation_rows(Z: SpecialSymbol, Zps: Sequence[SpecialSymbol], kind: str) -> List[PairSet]:
     """``relation_set(Z, Zp, kind).masks`` for each Zp of Zps, in one packed pass.
 
-    Each record of Z meets every lane of ``_lanes`` at once in the four ge
-    tests of ``relation_set``, its a, b and b >> w repeated in each lane (w and
-    the field count the largest over Z and Zps).  X, the guard bits kept, is at
-    most HH per lane, so X + SPARE - HH sets the spare bit of exactly the lanes
-    that keep them all, read off one ``to_bytes`` by ``bytes.find``.
+    Each record of Z meets every lane of Zps at once (see ``_LaneTable``) in
+    the four ge tests of ``relation_set``, its a, b and b >> w repeated in each
+    lane.  X, the guard bits kept, is at most HH per lane, so X + SPARE - HH
+    sets the spare bit of exactly the lanes that keep them all, read off one
+    ``to_bytes`` by ``bytes.find``.
     """
     if Z.defect != 1:
         raise ValueError("expected a (defect 1, defect 0) special pair")
     if kind not in FAMILIES:
         raise ValueError("unknown relation kind %r" % kind)
     which, whichp = FAMILIES[kind]
-    width = max(Z.rank, max(map(operator.attrgetter("rank"), Zps), default=0)).bit_length() + 1
-    fields = max(Z.longest, max(map(operator.attrgetter("longest"), Zps), default=0))
-    eps = -1 if kind == "B-" else 1
-    size, groups = _lanes(tuple(Zps), width, fields, whichp, eps)
+    return _packed_rows(Z, Zps, which, whichp, -1 if kind == "B-" else 1, None)[0]
+
+
+def b_and_d_rows(
+    Z: SpecialSymbol, Zps: Sequence[SpecialSymbol], eps: int
+) -> Tuple[List[PairSet], List[PairSet]]:
+    """The rows of B^eps and of D over Zps (``relation_rows`` of both kinds).
+
+    At eps = +1 they come from one pass: D is B+ on S_{Z,1} x S+_{Z',0}, that
+    is, the hits of the records of key 0, where a Z member of defect 1 meets
+    the Z' members of defect 0.
+    """
+    kind = b_kind(eps)
+    if kind == "B-":
+        return relation_rows(Z, Zps, kind), relation_rows(Z, Zps, "D")
+    if Z.defect != 1:
+        raise ValueError("expected a (defect 1, defect 0) special pair")
+    return _packed_rows(Z, Zps, *FAMILIES[kind], 1, 0)
+
+
+def _packed_rows(Z, Zps, which: str, whichp: str, eps: int, split: Optional[int]):
+    """(rows, split rows): the relation rows of Z's family `which` against the
+    Z' family `whichp` over Zps and, for a key `split`, the rows of that key's
+    hits alone (None when split is None).  A family of one defect keeps only
+    that key's records on the Z side, so it reads only those lanes."""
+    table, lo, hi = _table_for(Z, Zps, whichp.partition(",")[0], eps)
+    width, size = table.width, table.size
     found: Dict[int, list] = {}
-    lefts = Z.kernel_half(width, which, eps)
-    for d, (owners, rep, hh, ap_hh, hh_aps, hh_bp, bp_hh, spare_hh, spare) in groups.items():
-        for m, a, b in lefts.get(d, ()):
+    split_found: Dict[int, list] = {}
+    for d, lefts in Z.kernel_half(width, which, eps).items():
+        lanes = table.lanes(lo, hi, d)
+        if lanes is None:
+            continue
+        owners, rep, hh, ap_hh, hh_aps, hh_bp, bp_hh, spare_hh, spare = lanes
+        sink = split_found if d == split else found
+        for m, a, b in lefts:
             a_rep = a * rep
             x = (ap_hh - a_rep) & (a_rep + hh_aps) & (b * rep + hh_bp)
             rel = ((x & (bp_hh - (b >> width) * rep) & hh) + spare_hh) & spare
@@ -248,39 +280,132 @@ def relation_rows(Z: SpecialSymbol, Zps: Sequence[SpecialSymbol], kind: str) -> 
                 pos = buf.find(0x80)
                 while pos >= 0:
                     i, mp = owners[pos // size]
-                    found.setdefault(i, []).append((m, mp))
+                    sink.setdefault(i, []).append((m, mp))
                     pos = buf.find(0x80, pos + size)
     rows = [EMPTY_PAIRSET] * len(Zps)
     for i, pairs in found.items():
         rows[i] = frozenset(pairs)
-    return rows
+    if split is None:
+        return rows, None
+    split_rows = [EMPTY_PAIRSET] * len(Zps)
+    for i, pairs in split_found.items():
+        split_rows[i] = frozenset(pairs)
+        rows[i] = rows[i] | split_rows[i]
+    return rows, split_rows
 
 
-@lru_cache(maxsize=16)
-def _lanes(Zps: Tuple[SpecialSymbol, ...], width: int, fields: int, which: str, eps: int):
-    """The Z' side of ``relation_rows``: per defect, lane j of each int holds the
-    j-th record of that defect over Zps, whose (Zp index, mask) is ``owners[j]``.
-    A lane is `size` bytes: `fields` fields, whose guard bits keep every borrow
-    in the lane, and a spare top bit.  Built once per sweep, in linear time."""
-    size = (fields * width + 8) // 8
-    H = ((1 << fields * width) - 1) // ((1 << width) - 1) << (width - 1)
-    records: Dict[int, list] = {}
-    for i, Zp in enumerate(Zps):
-        if Zp.defect != 0:
-            raise ValueError("expected a (defect 1, defect 0) special pair")
-        for d, recs in Zp.kernel_half(width, which, eps).items():
-            records.setdefault(d, []).extend((i, r) for r in recs)
-    groups = {}
-    for d, recs in records.items():
-        rep = int.from_bytes(b"\x01".ljust(size, b"\x00") * len(recs), "little")
-        hh, spare = H * rep, rep << (8 * size - 1)
-        ap, aps, bp = (
-            int.from_bytes(b"".join(r[k].to_bytes(size, "little") for _, r in recs), "little")
-            for k in (1, 2, 3)
-        )
-        owners = [(i, r[0]) for i, r in recs]
-        groups[d] = (owners, rep, hh, ap + hh, hh - aps, hh - bp, bp + hh, spare - hh, spare)
-    return size, groups
+class _LaneTable:
+    """The Z' side of the row kernel: lane j of the ints of key d holds the
+    j-th record of key d (``kernel_half``) over ``zps``, and ``owners[j]`` is
+    its (index in zps, mask).  A lane is `size` bytes: `fields` fields of
+    `width` bits, whose guard bits keep every borrow in the lane, and a spare
+    top bit.  The lanes of a key are built on first use, in linear time.
+
+    ``lanes(lo, hi, d)`` reads the lanes of the run zps[lo:hi], with owner
+    indices from lo: a key's records are in zps order, so a run's lanes are
+    one bit slice of each int.  Only the last run's slices are kept.  The
+    width fits every part of a symbol of rank up to ``rank``, and ``bound``
+    is the largest rank of zps.
+    """
+
+    def __init__(self, zps: Tuple[SpecialSymbol, ...], rank: int, fields: int, which: str, eps: int):
+        self.zps, self.rank, self.fields, self.which, self.eps = zps, rank, fields, which, eps
+        # a member's parts are at most its rank, so they fit below the guard bits
+        self.width = width = rank.bit_length() + 1
+        self.size = (fields * width + 8) // 8
+        self.H = ((1 << fields * width) - 1) // ((1 << width) - 1) << (width - 1)
+        self.bound = max((Zp.rank for Zp in zps), default=0)
+        self._keys: Dict[int, Optional[tuple]] = {}
+        self._span: Optional[Tuple[int, int]] = None
+        self._cut: Dict[int, Optional[tuple]] = {}
+
+    def lanes(self, lo: int, hi: int, d: int) -> Optional[tuple]:
+        whole = self._key(d)
+        if whole is None or (lo, hi) == (0, len(self.zps)):
+            return whole
+        if (lo, hi) != self._span:
+            self._span, self._cut = (lo, hi), {}
+        if d not in self._cut:
+            owners = whole[0]
+            a, b = bisect_left(owners, (lo, -1)), bisect_left(owners, (hi, -1))
+            bits = self.size * 8
+            shift, keep = a * bits, (1 << (b - a) * bits) - 1
+            self._cut[d] = (
+                [(i - lo, mp) for i, mp in owners[a:b]],
+                *((v >> shift) & keep for v in whole[1:]),
+            ) if a < b else None
+        return self._cut[d]
+
+    def _key(self, d: int) -> Optional[tuple]:
+        if d not in self._keys:
+            recs = [
+                (i, r)
+                for i, Zp in enumerate(self.zps)
+                for r in Zp.kernel_half(self.width, self.which, self.eps).get(d, ())
+            ]
+            got = None
+            if recs:
+                size = self.size
+                rep = int.from_bytes(b"\x01".ljust(size, b"\x00") * len(recs), "little")
+                hh, spare = self.H * rep, rep << (8 * size - 1)
+                ap, aps, bp = (
+                    int.from_bytes(b"".join(r[k].to_bytes(size, "little") for _, r in recs), "little")
+                    for k in (1, 2, 3)
+                )
+                owners = [(i, r[0]) for i, r in recs]
+                got = (owners, rep, hh, ap + hh, hh - aps, hh - bp, bp + hh, spare - hh, spare)
+            self._keys[d] = got
+        return self._keys[d]
+
+
+# one table per (Z' base family, sign): the last built, which serves every
+# call the ones before it served
+_TABLES: Dict[Tuple[str, int], _LaneTable] = {}
+
+
+def _table_for(Z: SpecialSymbol, Zps, which: str, eps: int) -> Tuple[_LaneTable, int, int]:
+    """The lane table for Zps and the run zps[lo:hi] of it that Zps is.
+
+    Zps listed by ``specials_upto(cap, 0)`` or ``enumerate_special(n', 0)``
+    is a run of the held table over ``specials_upto(bound, 0)`` if cap (n')
+    is at most its bound and its fields fit Z.  Otherwise the table is built
+    again, over the larger bound and with fields fitting both Z and every Z
+    the one before fitted.  Any other Zps gets a table of its own, with w and
+    the field count the largest over Z and Zps.
+    """
+    run = _run_of(Zps)
+    if run is None:
+        for Zp in Zps:
+            if Zp.defect != 0:
+                raise ValueError("expected a (defect 1, defect 0) special pair")
+        rank = max(Z.rank, max(map(operator.attrgetter("rank"), Zps), default=0))
+        fields = max(Z.longest, max(map(operator.attrgetter("longest"), Zps), default=0))
+        return _LaneTable(tuple(Zps), rank, fields, which, eps), 0, len(Zps)
+    top, lo, hi = run
+    table = _TABLES.get((which, eps))
+    if table is None or top > table.bound or Z.rank > table.rank or Z.longest > table.fields:
+        rank, longest = Z.rank, Z.longest
+        if table is not None:  # grow, never shrink, so that two sweeps cannot rebuild it in turn
+            top, rank, longest = max(top, table.bound), max(rank, table.rank), max(longest, table.fields)
+        zps = specials_upto(top, 0)
+        fields = max(longest, max(Zp.longest for Zp in zps))
+        table = _TABLES[which, eps] = _LaneTable(zps, max(top, rank), fields, which, eps)
+    return table, lo, hi
+
+
+def _run_of(Zps) -> Optional[Tuple[int, int, int]]:
+    """(r, lo, hi) if Zps is the tuple ``specials_upto(r, 0)`` or
+    ``enumerate_special(r, 0)`` itself, which is zps[lo:hi] of the table over
+    ``specials_upto(bound, 0)`` for every bound >= r; else None."""
+    if type(Zps) is not tuple or not Zps:
+        return None
+    low, top = Zps[0].rank, Zps[-1].rank
+    if low == 0 and Zps is specials_upto(top, 0):
+        return top, 0, len(Zps)
+    if low == top and Zps is enumerate_special(top, 0):
+        lo = len(specials_upto(top - 1, 0)) if top else 0
+        return top, lo, lo + len(Zps)
+    return None
 
 
 # -- cores --------------------------------------------------------------------

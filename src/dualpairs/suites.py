@@ -35,28 +35,38 @@ class SuiteReport:
     bounds: Dict[str, object]
     checked: int = 0
     failures: List[dict] = field(default_factory=list)
-    records: List[dict] = field(default_factory=list)  # per-item results
-    keep_records: bool = True  # False: checks leave ``records`` empty
+    # per-pair results, compact: (ok, Z text, Z' text, witness or None)
+    outcomes: List[tuple] = field(default_factory=list)
+    keep_records: bool = True  # False: checks leave ``outcomes`` empty
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
+    @property
+    def records(self) -> List[dict]:
+        """One record {"ok", "pair"[, "witness"]} per outcome, built on each read."""
+        return [
+            {"pair": [z, zp], "ok": ok} if witness is None
+            else {"pair": [z, zp], "ok": ok, "witness": witness}
+            for ok, z, zp, witness in self.outcomes
+        ]
+
     def merge(self, other: "SuiteReport") -> None:
         self.checked += other.checked
         self.failures.extend(other.failures)
-        self.records.extend(other.records)
+        self.outcomes.extend(other.outcomes)
 
     def finalize(self) -> "SuiteReport":
         """Sort into a worker-count-independent order: each list by the JSON
         text of its entries (sorted keys).
 
-        A record is {"ok", "pair"[, "witness"]} with one record per pair, and
-        symbol text uses only ``0-9 , ; -``, all above '"'; so (ok, pair)
-        orders the records as their JSON text does, without encoding them.
+        Symbol text uses only ``0-9 , ; -``, all above '"', and a suite has one
+        outcome per pair; so sorting the (ok, Z, Z', ...) tuples orders the
+        records as their JSON text does, without encoding them.
         """
         self.failures.sort(key=lambda d: json.dumps(d, sort_keys=True))
-        self.records.sort(key=lambda d: (d["ok"], d["pair"]))
+        self.outcomes.sort()
         return self
 
     def to_json(self) -> dict:
@@ -145,22 +155,21 @@ def _check_thm0310(item, report: SuiteReport) -> None:
     Z, max_rank, eps = item
     Zps = specials_upto(max_rank - Z.rank, 0)
     report.checked += 1  # counted first: an item that raises is one check
-    b_rows = relations.relation_rows(Z, Zps, relations.b_kind(eps))
-    d_rows = relations.relation_rows(Z, Zps, "D")
+    b_rows, d_rows = relations.b_and_d_rows(Z, Zps, eps)
     report.checked += len(Zps) - 1
-    z, keep = str(Z), report.keep_records
+    z, keep, outcomes = str(Z), report.keep_records, report.outcomes
     for Zp, b, d in zip(Zps, b_rows, d_rows):
-        # two empty rows hold the identity (b_kind above has checked the sign)
+        # two empty rows hold the identity (b_and_d_rows has checked the sign)
         ok, witness = uniform.thm0310_identity(Z, Zp, eps, b, d) if b or d else (True, None)
         if ok:
             if keep:
-                report.records.append({"pair": [z, str(Zp)], "ok": True})
+                outcomes.append((True, z, str(Zp), None))
             continue
         tau, taup, got, want = witness
         at = {"at": [str(tau), str(taup)], "got": str(got), "expected": str(want)}
         report.failures.append({"Z": z, "Zp": str(Zp), **at})
         if keep:
-            report.records.append({"pair": [z, str(Zp)], "ok": False, "witness": at})
+            outcomes.append((False, z, str(Zp), at))
 
 
 _RANK_ZERO = Symbol((0,), ())  # 0;-, the defect-1 symbol of rank 0: its Omega- is empty
@@ -414,6 +423,7 @@ def _check_step(step, report: SuiteReport) -> None:
 def _check_theta(item, report: SuiteReport) -> None:
     """The map's graph equals the core-restricted relation; cell images match."""
     Z, Zp = item
+    built = {}  # (base, phi, psi) -> cell, shared by the two signs
     for eps in (1, -1):
         if eps == -1 and Zp.is_degenerate:
             continue
@@ -425,14 +435,23 @@ def _check_theta(item, report: SuiteReport) -> None:
                 {"Z": str(Z), "Zp": str(Zp), "eps": eps, "graph": False}
             )
             continue
-        if not _theta_cells_agree(tm):
+        if not _theta_cells_agree(tm, built):
             report.failures.append(
                 {"Z": str(Z), "Zp": str(Zp), "eps": eps, "cells": False}
             )
 
 
-def _theta_cells_agree(tm) -> bool:
-    """Cell images under the map match the cells of the image arrangement."""
+def _theta_cells_agree(tm, built: dict) -> bool:
+    """Cell images under the map match the cells of the image arrangement.
+
+    Cells are taken from and added to `built`, keyed by (base, phi, psi)."""
+
+    def cell(base, phi, psi):
+        got = built.get((base, phi, psi))
+        if got is None:
+            got = built[base, phi, psi] = cells.cell(base, phi, psi)
+        return got
+
     src = tm.source_base()
     dst = tm.target_base()
     cp = tm.core
@@ -448,11 +467,11 @@ def _theta_cells_agree(tm) -> bool:
             if tm.direction == "down" and cells.cell_sign(phi, psi) != tm.eps:
                 continue
             phi1, psi1 = tm.map_arrangement(phi, psi)
-            images = {tm(m) for m in cells.cell(src, phi, psi).masks & free}
+            images = {tm(m) for m in cell(src, phi, psi).masks & free}
             if tm.direction == "up":
                 images |= {m ^ full for m in images}
             got = {m ^ f for m in images for f in flips}
-            if got != cells.cell(dst, phi1, psi1).masks:
+            if got != cell(dst, phi1, psi1).masks:
                 return False
     return True
 

@@ -252,13 +252,14 @@ class SpecialSymbol:
     ``itertools.combinations`` lists the singles.  ``longest`` is the
     longest row any member can have: every double and every single.
     ``kernel_half`` packs each member's interlacing data into integers,
-    computed from the masks.  Lambda_M is built as a ``Symbol`` only for
-    a Symbol view (``member``, ``members``, ``member_mask``, ``family``), once.
+    computed from the masks, and ``gram`` is a family's Gram table.
+    Lambda_M is built as a ``Symbol`` only for a Symbol view (``member``,
+    ``members``, ``member_mask``, ``family``), once.
     """
 
     __slots__ = ("symbol", "defect", "rank", "singles", "doubles", "degree", "index", "n",
                  "top_mask", "bot_mask", "bits", "longest", "_hash", "_text",
-                 "_members", "_kinds", "_families", "_halves")
+                 "_members", "_kinds", "_families", "_halves", "_grams")
 
     def __new__(cls, symbol: Symbol) -> "SpecialSymbol":
         return _special(symbol)
@@ -362,6 +363,24 @@ class SpecialSymbol:
         got = self._kinds.get(which)
         if got is None:
             got = self._kinds[which] = tuple(filter(self._test(which), _mask_order(self.n)))
+        return got
+
+    def gram(self, which: str) -> Tuple[int, ...]:
+        """g(k) = sum over the masks m of a family of (-1)^|m & k|, for every
+        mask k: the Walsh-Hadamard transform of the family's indicator on
+        (Z/2)^singles, computed once per family."""
+        got = self._grams.get(which)
+        if got is None:
+            g = [0] * (1 << self.n)
+            for m in self.masks(which):
+                g[m] = 1
+            h = 1
+            while h < len(g):
+                for i in range(0, len(g), 2 * h):
+                    for j in range(i, i + h):
+                        g[j], g[j + h] = g[j] + g[j + h], g[j] - g[j + h]
+                h *= 2
+            got = self._grams[which] = tuple(g)
         return got
 
     def add(self, lam1: Symbol, lam2: Symbol) -> Symbol:
@@ -472,6 +491,7 @@ def _special(symbol: Symbol) -> SpecialSymbol:
     z._families: Dict[str, Tuple[Symbol, ...]] = {}
     z.longest = len(z.doubles) + z.n
     z._halves: Dict[Tuple[int, str, int], Dict[int, tuple]] = {}
+    z._grams: Dict[str, Tuple[int, ...]] = {}
     return z
 
 

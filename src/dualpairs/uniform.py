@@ -190,26 +190,6 @@ def d_r_tensor(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> Ten:
     return out
 
 
-@lru_cache(maxsize=None)
-def _gram(space: Space) -> Tuple[int, ...]:
-    """g(k) = sum over the rho family of (-1)^|m & k|, for every mask k.
-
-    Up to the square of the R normalization, <R_sigma, R_tau> is
-    g(sigma ^ tau).  g is the Walsh-Hadamard transform of the family's
-    indicator on (Z/2)^singles.
-    """
-    g = [0] * (1 << len(space.base.singles))
-    for m in space.base.masks(space.kind):
-        g[m] = 1
-    h = 1
-    while h < len(g):
-        for i in range(0, len(g), 2 * h):
-            for j in range(i, i + h):
-                g[j], g[j + h] = g[j] + g[j + h], g[j] - g[j + h]
-        h *= 2
-    return tuple(g)
-
-
 def _pack(values, width: int) -> int:
     """One integer holding `values` in consecutive `width`-bit fields.
 
@@ -252,7 +232,9 @@ def thm0310_identity(
     Both sides lie in span(R) x span(R'), and sharp is self-adjoint, so they
     are equal exactly when their inner products with every R_tau x R_tau'
     are.  With chi(x) = (-1)^|x| and the Gram functions g, g' of the two
-    spaces (see _gram), that is, for every tau, tau' indexing R vectors,
+    spaces (``SpecialSymbol.gram`` of their rho families; up to the square
+    of the R normalization, <R_sigma, R_tau> is g(sigma ^ tau)), that is,
+    for every tau, tau' indexing R vectors,
 
         2^(deg Z + deg Z') * sum over (m, m') in B of chi(m & tau) chi(m' & tau')
             = sum over (sigma, sigma') in D of g(sigma ^ tau) g'(sigma' ^ tau'),
@@ -267,15 +249,16 @@ def thm0310_identity(
     is 1/2 (G 1_D G')_{tau, tau'} for the Gram matrices G, G', both exact
     Fractions.
     """
+    # the families of the two spaces, keyed by the kind: any sign but +1 and -1 raises
+    which, whichp = FAMILIES[b_kind(eps)]
     if not b and not d:
-        b_kind(eps)  # rejects any other sign, here too
         return True, None
-    spz, spo = sp_space(Z), o_space(Zp, eps)
-    taus, taups = Z.masks(spz.r_kind), Zp.masks(spo.r_kind)
-    g, gp = _gram(spz), _gram(spo)
+    # the R indices of sp_space(Z) and o_space(Zp, eps); swapped defects raise here
+    taus, taups = Z.masks("S,1"), Zp.masks("S+,0")
+    g, gp = Z.gram(which), Zp.gram(whichp)
     scale = 1 << (Z.degree + Zp.degree)
     # bounds every entry of either side, and so of their difference
-    products = len(Z.masks(spz.kind)) * len(Zp.masks(spo.kind))
+    products = len(Z.masks(which)) * len(Zp.masks(whichp))
     width = (scale * len(b) + len(d) * products).bit_length() + 1
 
     # m -> sum of the rows chi(m' & tau') of its B partners m'
@@ -366,9 +349,9 @@ def _r_sum_is_zero(spz: Space, spo: Space, coeffs: Counter) -> bool:
 
     It lies in span(R) x span(R'), so it is 0 exactly when its inner product
     with every R_tau x R_tau' is; up to the R normalizations that product is
-    the sum of coeffs[s, s'] * g(s ^ tau) * g'(s' ^ tau') (see _gram).
+    the sum of coeffs[s, s'] * g(s ^ tau) * g'(s' ^ tau') (see thm0310_identity).
     """
-    g, gp = _gram(spz), _gram(spo)
+    g, gp = spz.base.gram(spz.kind), spo.base.gram(spo.kind)
     taups = spo.base.masks(spo.r_kind)
     rows: Dict[int, list] = {}
     for (s, sp), c in coeffs.items():

@@ -11,10 +11,12 @@ RELATION_CACHES = (relations.relation_set, relations.cores)
 
 @pytest.fixture(autouse=True)
 def clear_relation_caches():
-    """Start every test with empty relation_set and cores caches, so no result
-    computed under another test's patches, or in another order, reaches it."""
+    """Start every test with empty relation_set and cores caches and no lane
+    table, so no result computed under another test's patches, or in another
+    order, reaches it."""
     for cache in RELATION_CACHES:
         cache.cache_clear()
+    relations._TABLES.clear()
 
 
 @pytest.fixture
@@ -32,6 +34,7 @@ def clear_specials():
             cache.cache_clear()
         for cache in RELATION_CACHES:
             cache.cache_clear()
+        relations._TABLES.clear()
 
     clear()
     return clear
@@ -39,9 +42,9 @@ def clear_specials():
 
 @pytest.fixture
 def planted_b_defect(monkeypatch):
-    """Make uniform.relation_set and relations.relation_rows drop the smallest
+    """Make uniform.relation_set and relations.b_and_d_rows drop the smallest
     pair of every nonempty B."""
-    real, real_rows = uniform.relation_set, relations.relation_rows
+    real, real_rows = uniform.relation_set, relations.b_and_d_rows
 
     def drop_smallest(Z, Zp, masks):
         smallest = min(
@@ -56,11 +59,9 @@ def planted_b_defect(monkeypatch):
             return rel
         return dataclasses.replace(rel, masks=drop_smallest(Z, Zp, rel.masks))
 
-    def planted_rows(Z, Zps, kind):
-        rows = real_rows(Z, Zps, kind)
-        if kind == "D":
-            return rows
-        return [drop_smallest(Z, Zp, m) if m else m for Zp, m in zip(Zps, rows)]
+    def planted_rows(Z, Zps, eps):
+        b_rows, d_rows = real_rows(Z, Zps, eps)
+        return [drop_smallest(Z, Zp, m) if m else m for Zp, m in zip(Zps, b_rows)], d_rows
 
     monkeypatch.setattr(uniform, "relation_set", planted)
-    monkeypatch.setattr(relations, "relation_rows", planted_rows)
+    monkeypatch.setattr(relations, "b_and_d_rows", planted_rows)

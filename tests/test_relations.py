@@ -30,6 +30,7 @@ from dualpairs.relations import (
 from dualpairs.symbols import (
     SpecialSymbol,
     Symbol,
+    enumerate_special,
     parse,
     specials_upto,
 )
@@ -411,6 +412,69 @@ class TestRelationRows:
                 assert relation_rows(Z, Zps, kind) == _rows_oracle(Z, Zps, kind), (Z, kind)
                 cases += len(Zps)
         assert cases == 4 * 4400
+
+    def test_every_prefix_and_rank_slice_of_the_tables_at_rank_sum_10(self):
+        # each Z reads the table prefix specials_upto(cap, 0) of every cap and
+        # the slice enumerate_special(n', 0) of every rank in its bound
+        for Z in specials_upto(10, 1):
+            top = 10 - Z.rank
+            for kind in KINDS:
+                want = _rows_oracle(Z, specials_upto(top, 0), kind)
+                lo = 0
+                for cap in range(top + 1):
+                    prefix, ranks = specials_upto(cap, 0), enumerate_special(cap, 0)
+                    assert relation_rows(Z, prefix, kind) == want[: len(prefix)], (Z, kind, cap)
+                    got = relation_rows(Z, ranks, kind)
+                    assert got == want[lo : lo + len(ranks)], (Z, kind, cap)
+                    lo += len(ranks)
+        # the sweep ran on one table per (family, sign), built at the largest bound
+        assert sorted((key, t.bound) for key, t in relations._TABLES.items()) == [
+            (("S+", 1), 10), (("S-", -1), 10), (("all", 1), 10)
+        ]
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_the_fused_d_rows_are_the_d_pass(self, eps):
+        # at eps = +1, D is read off the B+ pass as the hits of key 0
+        kind = b_kind(eps)
+        for Z in specials_upto(10, 1):
+            for Zps in (specials_upto(10 - Z.rank, 0), enumerate_special(10 - Z.rank, 0)):
+                b_rows, d_rows = relations.b_and_d_rows(Z, Zps, eps)
+                assert b_rows == relation_rows(Z, Zps, kind), Z
+                assert d_rows == relation_rows(Z, Zps, "D") == _rows_oracle(Z, Zps, "D"), Z
+        # a list of its own gets a table of its own
+        Zps = [ZPWRK, SpecialSymbol.parse("4,2;3,1"), SpecialSymbol.parse("3,1;2,0")]
+        b_rows, d_rows = relations.b_and_d_rows(ZWRK, Zps, eps)
+        assert b_rows == _rows_oracle(ZWRK, Zps, kind) and d_rows == _rows_oracle(ZWRK, Zps, "D")
+        assert d_rows[0] and b_rows[0]
+
+    def test_a_table_grows_to_the_largest_bound_and_serves_the_smaller_ones(self, monkeypatch):
+        builds = []
+        real = relations._LaneTable.__init__
+
+        def counted(self, zps, rank, fields, which, eps):
+            builds.append((len(zps), rank))
+            real(self, zps, rank, fields, which, eps)
+
+        monkeypatch.setattr(relations._LaneTable, "__init__", counted)
+        Z = SpecialSymbol.parse("0;-")
+        for cap in (3, 6, 2, 6, 0, 5):
+            Zps = specials_upto(cap, 0)
+            assert relation_rows(Z, Zps, "D") == _rows_oracle(Z, Zps, "D")
+        assert builds == [(len(specials_upto(3, 0)), 3), (len(specials_upto(6, 0)), 6)]
+        # a Z of higher rank than the table needs wider fields, though its
+        # partners lie within the bound; the bound stays
+        Z = specials_upto(8, 1)[-1]
+        assert Z.rank == 8
+        Zps = specials_upto(2, 0)
+        assert relation_rows(Z, Zps, "B+") == _rows_oracle(Z, Zps, "B+")
+        assert builds[-1] == (len(specials_upto(6, 0)), 8) and len(builds) == 3
+        table = relations._TABLES["S+", 1]
+        assert (table.bound, table.rank, table.width) == (6, 8, 5)
+        # and the grown table still serves the first Z, by prefix and by rank slice
+        Z = SpecialSymbol.parse("0;-")
+        for Zps in (specials_upto(6, 0), enumerate_special(4, 0)):
+            assert relation_rows(Z, Zps, "D") == _rows_oracle(Z, Zps, "D")
+        assert len(builds) == 3
 
     def test_d_with_both_ranks_up_to_8(self):
         Zps = specials_upto(8, 0)

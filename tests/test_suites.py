@@ -63,6 +63,7 @@ def test_a_bad_sign_raises(monkeypatch, eps):
         lambda: uniform.o_space(Zp, eps),
         lambda: branching.theta_general(Z, Zp, eps),
         lambda: tables.correspondence(2, 2, eps),
+        lambda: relations.b_and_d_rows(Z, specials_upto(3, 0), eps),
     ):
         with pytest.raises(ValueError, match="eps must be"):
             call()
@@ -176,8 +177,7 @@ def _thm0310_records_of_every_pair(max_rank: int, eps: int, identity) -> list:
     out = []
     for Z in specials_upto(max_rank, 1):
         Zps = specials_upto(max_rank - Z.rank, 0)
-        b_rows = relations.relation_rows(Z, Zps, relations.b_kind(eps))
-        d_rows = relations.relation_rows(Z, Zps, "D")
+        b_rows, d_rows = relations.b_and_d_rows(Z, Zps, eps)
         for Zp, b, d in zip(Zps, b_rows, d_rows):
             ok, witness = identity(Z, Zp, eps, b, d)
             record = {"pair": [str(Z), str(Zp)], "ok": ok}
@@ -198,10 +198,10 @@ def test_thm0310_skips_only_empty_rows_and_keeps_the_records(request, monkeypatc
         request.getfixturevalue("planted_b_defect")
     elif planted == "D":
         # every D row empty: each pair with a nonempty B row fails
-        real_rows = relations.relation_rows
+        real_rows = relations.b_and_d_rows
         monkeypatch.setattr(
-            relations, "relation_rows",
-            lambda Z, Zps, kind: [frozenset()] * len(Zps) if kind == "D" else real_rows(Z, Zps, kind),
+            relations, "b_and_d_rows",
+            lambda Z, Zps, eps: (real_rows(Z, Zps, eps)[0], [frozenset()] * len(Zps)),
         )
     real = uniform.thm0310_identity
     called = []
@@ -216,6 +216,38 @@ def test_thm0310_skips_only_empty_rows_and_keeps_the_records(request, monkeypatc
     assert all(called) and 0 < len(called) < len(want)
     assert rep.ok == (planted is None)
     assert rep.records == sorted(want, key=lambda d: json.dumps(d, sort_keys=True))
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_a_thm0310_sweep_builds_one_lane_table_per_family_and_sign(monkeypatch, eps):
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    built = []
+    real = relations._LaneTable.__init__
+
+    def counted(self, zps, rank, fields, which, eps):
+        built.append((which, eps))
+        real(self, zps, rank, fields, which, eps)
+
+    monkeypatch.setattr(relations._LaneTable, "__init__", counted)
+    assert run_suite("thm0310", max_rank=9, eps=eps).checked == 2444
+    # B+ and D share the S+ table; B- reads S- and D the S+ table; no list
+    # of Z' gets a table of its own
+    want = [("S+", 1)] if eps == 1 else [("S-", -1), ("S+", 1)]
+    assert sorted(built) == sorted(want)
+
+
+@pytest.mark.usefixtures("planted_b_defect")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_thm0310_records_read_lazily_are_the_eager_records(monkeypatch, workers):
+    monkeypatch.setenv("DUALPAIRS_WORKERS", workers)
+    rep = run_suite("thm0310", max_rank=7, eps=1)
+    want = _thm0310_records_of_every_pair(7, 1, uniform.thm0310_identity)
+    assert not rep.ok and len(rep.outcomes) == len(want)
+    assert rep.records == sorted(want, key=lambda d: json.dumps(d, sort_keys=True))
+    # each read builds the records again, equal and not shared
+    assert rep.records == rep.records and rep.records is not rep.records
+    bare = run_suite("thm0310", max_rank=7, eps=1, keep_records=False)
+    assert bare.outcomes == [] and bare.records == [] and bare.line() == rep.line()
 
 
 def _run_optimized(planted: str, suite: str) -> tuple:
@@ -294,6 +326,32 @@ def test_cells_suite_builds_each_cell_once(monkeypatch):
     assert rep.ok and rep.checked > 0
     # the singleton intersections reuse the cells of the arrangement loop
     assert len(built) == len(set(built))
+
+
+def test_theta_builds_each_cell_once_per_item(monkeypatch):
+    # the two signs of an item share the cells of its two bases
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    from dualpairs import cells
+
+    items = []
+    real_cell, real = cells.cell, suites.SUITES["theta"]
+
+    def counted(Z, phi, psi):
+        items[-1].append((Z, phi, frozenset(psi)))
+        return real_cell(Z, phi, psi)
+
+    def check(item, report):
+        items.append([])
+        real.check(item, report)
+
+    monkeypatch.setattr(cells, "cell", counted)
+    monkeypatch.setitem(suites.SUITES, "theta", dataclasses.replace(real, check=check))
+    rep = run_suite("theta", max_rank=8)
+    assert rep.ok and rep.checked == 480 and len(items) == len(suites._d_pairs(8))
+    for built in items:
+        assert len(built) == len(set(built))
+    # 990 cells before the signs shared them, 152 of them repeats within an item
+    assert sum(map(len, items)) == 838
 
 
 def test_cells_suite_catches_a_mislabelled_cell(monkeypatch):

@@ -27,6 +27,7 @@ from dualpairs.uniform import (
     sharp_tensor,
     sp_space,
     tensor,
+    thm0310_identity,
     verify_thm0310,
 )
 from rt2_oracle import (
@@ -318,6 +319,25 @@ class TestMainIdentity:
                 if not _dense_thm0310(Z, Zp, eps):
                     failed_dense.add((Z, Zp, eps))
         assert failed_r and failed_r == failed_dense
+
+    @pytest.mark.parametrize("bad", [True, 1.0, 0])
+    def test_a_bad_sign_raises_after_a_good_one_filled_the_gram_tables(self, bad):
+        # the per-symbol Gram tables are keyed by family, not by eps, and
+        # True == 1 hashes alike: the sign is checked on every call
+        b = relations.relation_set(ZW, ZPW, "B+").masks
+        d = relations.relation_set(ZW, ZPW, "D").masks
+        assert thm0310_identity(ZW, ZPW, 1, b, d) == (True, None)
+        assert verify_thm0310(ZW, ZPW, 1) == (True, None)
+        for args in ((b, d), (frozenset(), frozenset())):
+            with pytest.raises(ValueError, match="eps must be"):
+                thm0310_identity(ZW, ZPW, bad, *args)
+        with pytest.raises(ValueError, match="eps must be"):
+            verify_thm0310(ZW, ZPW, bad)
+
+    def test_swapped_bases_raise(self):
+        d = relations.relation_set(ZW, ZPW, "D").masks
+        with pytest.raises(ValueError, match="family S needs defect 1"):
+            thm0310_identity(ZPW, ZW, 1, d, d)
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_degree_three_and_four_cuspidal_pairs(self, eps):
