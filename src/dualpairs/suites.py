@@ -477,10 +477,12 @@ def _theta_cells_agree(tm, built: dict) -> bool:
 
 
 def _correspondence_items(max_rank: int) -> List[Tuple[int, int, int]]:
+    """Every rank split and sign; the first asks for the largest n', so the
+    lane tables are built once at the full bound (see ``relations._table_for``)."""
     return [
         (n, npr, eps)
         for n in range(max_rank + 1)
-        for npr in range(max_rank + 1 - n)
+        for npr in range(max_rank - n, -1, -1)
         for eps in (1, -1)
     ]
 

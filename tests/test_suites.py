@@ -218,8 +218,17 @@ def test_thm0310_skips_only_empty_rows_and_keeps_the_records(request, monkeypatc
     assert rep.records == sorted(want, key=lambda d: json.dumps(d, sort_keys=True))
 
 
-@pytest.mark.parametrize("eps", [1, -1])
-def test_a_thm0310_sweep_builds_one_lane_table_per_family_and_sign(monkeypatch, eps):
+@pytest.mark.parametrize(
+    "name,bounds,checked,want",
+    [
+        # B+ and D share the S+ table; B- reads S- and D the S+ table
+        ("thm0310", {"max_rank": 9, "eps": 1}, 2444, [("S+", 1)]),
+        ("thm0310", {"max_rank": 9, "eps": -1}, 2444, [("S+", 1), ("S-", -1)]),
+        # the first item asks for the largest rank n'
+        ("correspondence", {"max_rank": 8}, 90, [("S+", 1), ("S-", -1)]),
+    ],
+)
+def test_a_sweep_builds_one_lane_table_per_family_and_sign(monkeypatch, name, bounds, checked, want):
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
     built = []
     real = relations._LaneTable.__init__
@@ -229,11 +238,9 @@ def test_a_thm0310_sweep_builds_one_lane_table_per_family_and_sign(monkeypatch, 
         real(self, zps, rank, fields, which, eps)
 
     monkeypatch.setattr(relations._LaneTable, "__init__", counted)
-    assert run_suite("thm0310", max_rank=9, eps=eps).checked == 2444
-    # B+ and D share the S+ table; B- reads S- and D the S+ table; no list
-    # of Z' gets a table of its own
-    want = [("S+", 1)] if eps == 1 else [("S-", -1), ("S+", 1)]
-    assert sorted(built) == sorted(want)
+    assert run_suite(name, **bounds).checked == checked
+    # no list of Z' gets a table of its own
+    assert sorted(built) == want
 
 
 @pytest.mark.usefixtures("planted_b_defect")
