@@ -27,15 +27,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 TOP = 0
 BOT = 1
@@ -239,30 +231,35 @@ class SpecialSymbol:
     """A defect-0 or defect-1 symbol whose interleaved rows weakly decrease.
 
     ``SpecialSymbol(symbol)`` returns the one object for that value in this
-    process (built by ``_special``), which holds the shape and the family.
-    ``singles`` are the entries in exactly one row, tagged with their natural
-    row; bit i of a mask stands for ``singles[i]`` (``index`` maps a single
-    to i), and ``top_mask`` and ``bot_mask`` mask the top-row and bottom-row
+    process (validated by ``_special``; ``enumerate_special`` checks the
+    chains it lists instead; both derive the object from the interleaved
+    rows), which holds the shape and the family.  ``singles`` are the
+    entries in exactly one row, tagged with their natural row, top row first;
+    bit i of a mask stands for ``singles[i]`` (``index`` maps a single to i),
+    and ``top_mask`` and ``bot_mask`` mask the top-row and bottom-row
     singles.  ``doubles`` are the values in both rows, ``degree`` is the
     number of bottom-row singles.  ``bits`` lists the entries in increasing
     order as (value, row, bit), with the bit that flips the entry's row (0
     for a double).  A family kind is the tuple of masks with a given parity
     of |M| and, optionally, a given member defect
     ``d + 2 * (|M & bot_mask| - |M & top_mask|)``, ordered by |M|, then as
-    ``itertools.combinations`` lists the singles.  ``longest`` is the
-    longest row any member can have: every double and every single.
-    ``kernel_half`` packs each member's interlacing data into integers,
-    computed from the masks, and ``gram`` is a family's Gram table.
-    Lambda_M is built as a ``Symbol`` only for a Symbol view (``member``,
-    ``members``, ``member_mask``, ``family``), once.
+    ``itertools.combinations`` lists the singles.  Those masks and a family's
+    Gram table (``masks``, ``gram``) depend only on the shape (defect,
+    degree), and every symbol of one shape reads the same tuples from the
+    module's shape tables.  ``longest`` is the longest row any member can
+    have: every double and every single.  ``kernel_half`` packs each member's
+    interlacing data into integers, computed from the masks.  Lambda_M is
+    built as a ``Symbol`` only for a Symbol view (``member``, ``members``,
+    ``member_mask``, ``family``), once.
     """
 
     __slots__ = ("symbol", "defect", "rank", "singles", "doubles", "degree", "index", "n",
                  "top_mask", "bot_mask", "bits", "longest", "_hash", "_text",
-                 "_members", "_kinds", "_families", "_halves", "_grams")
+                 "_members", "_families", "_halves")
 
     def __new__(cls, symbol: Symbol) -> "SpecialSymbol":
-        return _special(symbol)
+        got = _SPECIALS.get(symbol)
+        return _special(symbol) if got is None else got
 
     @classmethod
     def parse(cls, text: str) -> "SpecialSymbol":
@@ -282,7 +279,11 @@ class SpecialSymbol:
         return "SpecialSymbol(%s)" % self.symbol
 
     def __str__(self) -> str:
-        return self._text
+        # rendered once, when first asked: every suite record of a pair names both
+        text = self._text
+        if text is None:
+            text = self._text = render(self.symbol)
+        return text
 
     @property
     def is_regular(self) -> bool:
@@ -359,54 +360,20 @@ class SpecialSymbol:
         return got
 
     def masks(self, which: str) -> Tuple[int, ...]:
-        """The masks of the :meth:`family` members (same order)."""
-        got = self._kinds.get(which)
-        if got is None:
-            got = self._kinds[which] = tuple(filter(self._test(which), _mask_order(self.n)))
-        return got
+        """The masks of the :meth:`family` members (same order), from the shape table."""
+        got = _MASKS.get((self.defect, self.degree, which))
+        return _shape_masks(self.defect, self.degree, which) if got is None else got
 
     def gram(self, which: str) -> Tuple[int, ...]:
         """g(k) = sum over the masks m of a family of (-1)^|m & k|, for every
         mask k: the Walsh-Hadamard transform of the family's indicator on
-        (Z/2)^singles, computed once per family."""
-        got = self._grams.get(which)
-        if got is None:
-            g = [0] * (1 << self.n)
-            for m in self.masks(which):
-                g[m] = 1
-            h = 1
-            while h < len(g):
-                for i in range(0, len(g), 2 * h):
-                    for j in range(i, i + h):
-                        g[j], g[j + h] = g[j] + g[j + h], g[j] - g[j + h]
-                h *= 2
-            got = self._grams[which] = tuple(g)
-        return got
+        (Z/2)^singles, from the shape table."""
+        got = _GRAMS.get((self.defect, self.degree, which))
+        return _shape_gram(self.defect, self.degree, which) if got is None else got
 
     def add(self, lam1: Symbol, lam2: Symbol) -> Symbol:
         """Group law on the family: symmetric difference of the M-sets."""
         return self.member(self.member_mask(lam1) ^ self.member_mask(lam2))
-
-    def _test(self, which: str) -> Callable[[int], bool]:
-        base, _, beta = which.partition(",")
-        if base not in ("all", "S", "S+", "S-"):
-            raise ValueError("unknown family %r" % which)
-        if base == "S" and self.defect != 1:
-            raise ValueError("family S needs defect 1")
-        if base in ("S+", "S-") and self.defect != 0:
-            raise ValueError("family %s needs defect 0" % base)
-        parity = {"all": None, "S": 0, "S+": 0, "S-": 1}[base]
-        want = int(beta) if beta else None
-        d, top, bot = self.defect, self.top_mask, self.bot_mask
-
-        def test(mask: int) -> bool:
-            if parity is not None and mask.bit_count() & 1 != parity:
-                return False
-            return want is None or d + 2 * (
-                (mask & bot).bit_count() - (mask & top).bit_count()
-            ) == want
-
-        return test
 
     # -- the relation kernel's inputs -------------------------------------------
 
@@ -423,75 +390,129 @@ class SpecialSymbol:
         gives (mask, a, a >> width, b), where (a, b) is (sub, star) on the Z
         side and (star, sub) on the Z' side at eps = 1, swapped at eps = -1.
         A family of one defect ("S,1") is that defect's group of its base
-        family.  Raises CheckFailed for a part that does not fit below its
-        guard bit."""
+        family: read off the base family's half when that is built, else
+        built from its own masks alone.  A half whose family is built at the
+        other sign is that half with a and b swapped.  Raises CheckFailed for
+        a part that does not fit below its guard bit."""
         key = (width, which, eps)
         got = self._halves.get(key)
         if got is None:
-            base, _, beta = which.partition(",")
-            left = self.defect == 1
-            if beta:
-                want = eps - int(beta) if left else int(beta)
-                got = {k: g for k, g in self.kernel_half(width, base, eps).items() if k == want}
+            got = self._halves[key] = self._new_half(width, which, eps)
+        return got
+
+    def _new_half(self, width: int, which: str, eps: int) -> Dict[int, tuple]:
+        halves, left = self._halves, self.defect == 1
+        base, _, beta = which.partition(",")
+        whole = halves.get((width, base, eps)) if beta else None
+        if whole is not None:
+            want = eps - int(beta) if left else int(beta)
+            return {k: g for k, g in whole.items() if k == want}
+        # the one-defect halves of this family already built: their groups are
+        # this half's groups of those keys, records and order alike
+        parts = [] if beta else [
+            part for (w, fam, e), part in halves.items()
+            if w == width and e == eps and fam.startswith(which + ",")
+        ]
+        other = halves.get((width, which, -eps))
+        if other is not None:
+            # the other sign's records with their rows swapped; on the Z side
+            # the key eps - defect moves by 2 eps
+            if left:
+                got = {k + 2 * eps: tuple([(m, b, a) for m, a, b in g]) for k, g in other.items()}
             else:
-                limit, bits, swap = 1 << (width - 1), self.bits, left == (eps == 1)
-                groups: Dict[int, list] = {}
-                for mask in self.masks(which):
-                    # in increasing order, an entry's staircase step is the count of
-                    # smaller entries in its row, and the largest ends in field 0
-                    rows, counts = [0, 0], [0, 0]
-                    for v, r, bit in bits:
-                        if mask & bit:
-                            r ^= 1
-                        part = v - counts[r]
-                        if part >= limit:
-                            raise CheckFailed("part %d of %s does not fit a %d-bit field"
-                                              % (part, self.member(mask), width))
-                        rows[r] = rows[r] << width | part
-                        counts[r] += 1
-                    d, (star, sub) = counts[TOP] - counts[BOT], rows
-                    a, b = (sub, star) if swap else (star, sub)
-                    if left:
-                        groups.setdefault(eps - d, []).append((mask, a, b))
-                    else:
-                        groups.setdefault(d, []).append((mask, a, a >> width, b))
-                got = {k: tuple(g) for k, g in groups.items()}
-            self._halves[key] = got
+                got = {k: tuple([(m, b, b >> width, a) for m, a, _, b in g])
+                       for k, g in other.items()}
+        else:
+            limit, bits, swap = 1 << (width - 1), self.bits, left == (eps == 1)
+            done = {r[0] for part in parts for group in part.values() for r in group}
+            groups: Dict[int, list] = {}
+            for mask in self.masks(which):
+                if mask in done:
+                    continue
+                # in increasing order, an entry's staircase step is the count of
+                # smaller entries in its row, and the largest ends in field 0
+                rows, counts = [0, 0], [0, 0]
+                for v, r, bit in bits:
+                    if mask & bit:
+                        r ^= 1
+                    part = v - counts[r]
+                    if part >= limit:
+                        raise CheckFailed("part %d of %s does not fit a %d-bit field"
+                                          % (part, self.member(mask), width))
+                    rows[r] = rows[r] << width | part
+                    counts[r] += 1
+                d, (star, sub) = counts[TOP] - counts[BOT], rows
+                a, b = (sub, star) if swap else (star, sub)
+                if left:
+                    groups.setdefault(eps - d, []).append((mask, a, b))
+                else:
+                    groups.setdefault(d, []).append((mask, a, a >> width, b))
+            got = {k: tuple(g) for k, g in groups.items()}
+        for part in parts:
+            got.update(part)
         return got
 
 
-@lru_cache(maxsize=None)
+# the one SpecialSymbol of each value built so far, by its symbol
+_SPECIALS: Dict[Symbol, SpecialSymbol] = {}
+
+
 def _special(symbol: Symbol) -> SpecialSymbol:
-    """The one SpecialSymbol of a value; a symbol that is not special raises, uncached."""
+    """The SpecialSymbol of a value not built yet, validated; a symbol that is
+    not special raises, and nothing is kept."""
     if symbol.defect not in (0, 1):
         raise ValueError("special symbol must have defect 0 or 1: %s" % symbol)
     chain = _interleave(symbol)
     if any(chain[i] < chain[i + 1] for i in range(len(chain) - 1)):
         raise ValueError("not special (interleaved rows not weakly decreasing): %s" % symbol)
+    return _from_chain(symbol, chain, symbol.rank)
+
+
+def _from_chain(symbol: Symbol, chain: Tuple[int, ...], rank: int) -> SpecialSymbol:
+    """A new SpecialSymbol, derived from the interleaved rows of its symbol and
+    kept as the one object of its value.
+
+    Slot i of the chain is in row i % 2, and a double is two equal
+    neighbours.  Walking the chain down numbers the top singles, then the
+    bottom ones from degree + defect on, in the order of ``singles``.
+    """
+    n = len(chain)
+    defect = n & 1
+    degree = (n - defect) // 2 - sum(map(operator.eq, chain, chain[1:]))
+    nxt = [0, degree + defect]  # the next index of a top and of a bottom single
+    doubles, tagged, down = [], ([], []), []  # down: the entries, decreasing
+    i = 0
+    while i < n:
+        v = chain[i]
+        if i + 1 < n and chain[i + 1] == v:
+            doubles.append(v)
+            down += ((v, BOT, 0), (v, TOP, 0))
+            i += 2
+        else:
+            r = i & 1
+            tagged[r].append((v, r))
+            down.append((v, r, 1 << nxt[r]))
+            nxt[r] += 1
+            i += 1
     z = object.__new__(SpecialSymbol)
     z.symbol = symbol
     z._hash = hash(("special", symbol))  # computed once: sweeps hash whole tuples of these
-    z._text = render(symbol)  # rendered once: every suite record of a pair names both
-    z.defect = symbol.defect
-    z.rank = symbol.rank
-    both = set(symbol.top) & set(symbol.bot)
-    z.doubles = tuple(sorted(both, reverse=True))
-    z.singles: Tuple[Entry, ...] = tuple(e for e in symbol.tagged() if e[0] not in both)
-    z.degree = sum(1 for (_, r) in z.singles if r == BOT)
-    index = z.index = {e: i for i, e in enumerate(z.singles)}
+    z._text = None
+    z.defect = defect
+    z.rank = rank
+    z.degree = degree
+    z.doubles = tuple(doubles)
+    z.singles = tuple(tagged[TOP] + tagged[BOT])
+    z.index = {e: i for i, e in enumerate(z.singles)}
+    z.bits = tuple(reversed(down))
     z.n = len(z.singles)
-    z.top_mask = sum(1 << i for i, (_, r) in enumerate(z.singles) if r == TOP)
+    z.top_mask = (1 << degree + defect) - 1  # the top singles come first
     z.bot_mask = (1 << z.n) - 1 ^ z.top_mask
-    z.bits = tuple(
-        (v, r, 1 << index[(v, r)] if (v, r) in index else 0)
-        for (v, r) in sorted(symbol.tagged())
-    )
+    z.longest = len(doubles) + z.n
     z._members: Dict[int, Symbol] = {}
-    z._kinds: Dict[str, Tuple[int, ...]] = {}
     z._families: Dict[str, Tuple[Symbol, ...]] = {}
-    z.longest = len(z.doubles) + z.n
     z._halves: Dict[Tuple[int, str, int], Dict[int, tuple]] = {}
-    z._grams: Dict[str, Tuple[int, ...]] = {}
+    _SPECIALS[symbol] = z
     return z
 
 
@@ -503,6 +524,64 @@ def _mask_order(n: int) -> Tuple[int, ...]:
         for k in range(n + 1)
         for c in itertools.combinations(range(n), k)
     )
+
+
+# -- shape tables ----------------------------------------------------------------
+#
+# Singles are indexed top row first, and a special symbol of defect d and
+# degree g has g + d top singles and g bottom ones.  So the masks of a family
+# kind and its Gram table depend only on (d, g, kind): the tables below are
+# keyed by that, and every symbol of one shape shares their tuples.  The key
+# space is bounded by the degrees within the rank bound: a symbol of degree g
+# has rank at least g^2 (defect 0) or g(g + 1) (defect 1), so rank sum 20
+# meets degrees up to 4, and a kind holds the parity and the member defect,
+# which lies within d +- 2g.
+
+_MASKS: Dict[Tuple[int, int, str], Tuple[int, ...]] = {}
+_GRAMS: Dict[Tuple[int, int, str], Tuple[int, ...]] = {}
+
+
+def _shape_masks(defect: int, degree: int, which: str) -> Tuple[int, ...]:
+    """The masks of the kind `which` at shape (defect, degree); raises ValueError
+    for an unknown kind or one the defect does not have."""
+    base, _, beta = which.partition(",")
+    if base not in ("all", "S", "S+", "S-"):
+        raise ValueError("unknown family %r" % which)
+    if base == "S" and defect != 1:
+        raise ValueError("family S needs defect 1")
+    if base in ("S+", "S-") and defect != 0:
+        raise ValueError("family %s needs defect 0" % base)
+    parity = {"all": None, "S": 0, "S+": 0, "S-": 1}[base]
+    want = int(beta) if beta else None
+    n = 2 * degree + defect
+    top = (1 << degree + defect) - 1
+    bot = (1 << n) - 1 ^ top
+
+    def test(mask: int) -> bool:
+        if parity is not None and mask.bit_count() & 1 != parity:
+            return False
+        return want is None or defect + 2 * (
+            (mask & bot).bit_count() - (mask & top).bit_count()
+        ) == want
+
+    got = _MASKS[defect, degree, which] = tuple(filter(test, _mask_order(n)))
+    return got
+
+
+def _shape_gram(defect: int, degree: int, which: str) -> Tuple[int, ...]:
+    """The Gram table of the kind `which` at shape (defect, degree), by a fast
+    Walsh-Hadamard transform of the family's indicator."""
+    g = [0] * (1 << 2 * degree + defect)
+    for m in _MASKS.get((defect, degree, which)) or _shape_masks(defect, degree, which):
+        g[m] = 1
+    h = 1
+    while h < len(g):
+        for i in range(0, len(g), 2 * h):
+            for j in range(i, i + h):
+                g[j], g[j + h] = g[j] + g[j + h], g[j] - g[j + h]
+        h *= 2
+    got = _GRAMS[defect, degree, which] = tuple(g)
+    return got
 
 
 def transport_mask(
@@ -544,12 +623,19 @@ def special_closure(sym: Symbol) -> SpecialSymbol:
 
 @lru_cache(maxsize=None)
 def enumerate_special(rank_: int, defect_: int) -> Tuple[SpecialSymbol, ...]:
-    """All reduced special symbols of the given rank and defect, each once."""
+    """All reduced special symbols of the given rank and defect, each once.
+
+    Every chain is checked once for what ``Symbol`` and ``SpecialSymbol``
+    would check of its symbol: weakly decreasing (special), strictly
+    decreasing two slots apart (valid rows), non-negative, and its last two
+    entries not both 0 (reduced).  A chain that fails raises CheckFailed.
+    """
     if defect_ not in (0, 1):
         raise ValueError("defect must be 0 or 1")
     if rank_ < 0:
         raise ValueError("rank must be non-negative, got %d" % rank_)
     out = []
+    ge, gt = operator.ge, operator.gt
     for m in itertools.count():
         length = 2 * m + 1 if defect_ == 1 else 2 * m
         correction = m * m if defect_ == 1 else m * m - m
@@ -561,8 +647,20 @@ def enumerate_special(rank_: int, defect_: int) -> Tuple[SpecialSymbol, ...]:
                 out.append(SpecialSymbol(Symbol((), ())))
             continue
         for chain in _chains(length, rank_ + correction):
-            out.append(SpecialSymbol(Symbol(chain[0::2], chain[1::2])))
-    return tuple(sorted(out, key=lambda z: z.symbol.sort_key()))
+            if not (
+                all(map(ge, chain, chain[1:]))
+                and all(map(gt, chain, chain[2:]))
+                and chain[-1] >= 0
+                and (length == 1 or chain[-1] or chain[-2])
+            ):
+                raise CheckFailed("not the chain of a reduced special symbol: %r" % (chain,))
+            symbol = _from_rows(chain[0::2], chain[1::2])
+            z = _SPECIALS.get(symbol)
+            out.append(_from_chain(symbol, chain, rank_) if z is None else z)
+    # the order of Symbol.sort_key, whose last part, the defect, is the same for all
+    out.sort(key=lambda z: (tuple(map(operator.neg, z.symbol.top)),
+                            tuple(map(operator.neg, z.symbol.bot))))
+    return tuple(out)
 
 
 def _min_chain_sum(length: int) -> int:
@@ -574,34 +672,35 @@ def _min_chain_sum(length: int) -> int:
     return length * length // 4
 
 
-def _chains(length: int, total: int) -> Iterator[Tuple[int, ...]]:
+def _chains(length: int, total: int) -> List[Tuple[int, ...]]:
     """Weakly decreasing chains, strictly decreasing two apart, summing to total.
 
     Only reduced chains are built: the last two entries are not both 0, so
-    the second to last is at least 1.
+    the second to last is at least 1.  Each level of the recursion gets the
+    last two entries placed; before the chain they stand above every entry.
     """
+    out: List[Tuple[int, ...]] = []
+    prefix: List[int] = []
+    low = [_min_chain_sum(j) for j in range(length)]
 
-    def rec(prefix, remaining):
-        k = len(prefix)
-        if k == length:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        slots_after = length - k - 1
-        hi = remaining - _min_chain_sum(slots_after)
-        if k >= 1:
-            hi = min(hi, prefix[-1])
-        if k >= 2:
-            hi = min(hi, prefix[-2] - 1)
+    def rec(remaining: int, last: int, before: int) -> None:
+        slots_after = length - len(prefix) - 1
+        hi = min(remaining - low[slots_after], last, before - 1)
         floor = (slots_after + 1) // 2  # entries two apart stay >= 0, and reduced
+        if not slots_after:
+            if floor <= remaining <= hi:
+                out.append((*prefix, remaining))
+            return
         for v in range(hi, floor - 1, -1):
             # upper bound on what the remaining slots can still contribute
-            cap = v * slots_after - _min_chain_sum(slots_after)
-            if remaining - v > cap:
+            if remaining - v > v * slots_after - low[slots_after]:
                 break
-            yield from rec(prefix + [v], remaining - v)
+            prefix.append(v)
+            rec(remaining - v, v, last)
+            prefix.pop()
 
-    yield from rec([], total)
+    rec(total, total + 1, total + 2)
+    return out
 
 
 @lru_cache(maxsize=None)

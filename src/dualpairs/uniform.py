@@ -215,6 +215,39 @@ def _unpack(x: int, width: int, n: int) -> list:
     return out
 
 
+class _Rows(dict):
+    """mask -> packed row, each row made by `make` when first asked for."""
+
+    def __init__(self, make: Callable[[int], int]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, mask: int) -> int:
+        row = self[mask] = self.make(mask)
+        return row
+
+
+# (deg Z', Z' family, width) -> (the R indices tau', the rows chi(m' & tau') of
+# each m', the rows g'(s' ^ tau') of each s').  Z' has defect 0, so tau' and
+# g' depend only on its degree; the rows are built per mask as the sweeps ask
+# for them.  The key space is bounded by the degrees within the rank bound and
+# by the widths, one for each degree of Z (see thm0310_identity).
+_TAU_ROWS: Dict[Tuple[int, str, int], Tuple[Tuple[int, ...], _Rows, _Rows]] = {}
+
+
+def _tau_rows(Zp: SpecialSymbol, whichp: str, width: int) -> Tuple[Tuple[int, ...], _Rows, _Rows]:
+    key = (Zp.degree, whichp, width)
+    got = _TAU_ROWS.get(key)
+    if got is None:
+        taups, gp = Zp.masks("S+,0"), Zp.gram(whichp)
+        got = _TAU_ROWS[key] = (
+            taups,
+            _Rows(lambda mp: _pack([-1 if (mp & t).bit_count() & 1 else 1 for t in taups], width)),
+            _Rows(lambda smp: _pack([gp[smp ^ t] for t in taups], width)),
+        )
+    return got
+
+
 def verify_thm0310(
     Z: SpecialSymbol, Zp: SpecialSymbol, eps: int
 ) -> Tuple[bool, Optional[tuple]]:
@@ -240,8 +273,9 @@ def thm0310_identity(
             = sum over (sigma, sigma') in D of g(sigma ^ tau) g'(sigma' ^ tau'),
 
     an identity of integers.  Each row over tau' is one packed integer (see
-    _pack).  The dense rho x rho form ``sharp_tensor(..., omega_hat(...)) ==
-    d_r_tensor(...)`` is the test oracle.
+    _pack), read from the table of Z''s shape (``_tau_rows``).  The dense
+    rho x rho form ``sharp_tensor(..., omega_hat(...)) == d_r_tensor(...)``
+    is the test oracle.
 
     Returns (ok, witness).  A witness is (tau, tau', got, expected) at the
     first differing entry in mask order: tau, tau' are the family members
@@ -253,30 +287,27 @@ def thm0310_identity(
     which, whichp = FAMILIES[b_kind(eps)]
     if not b and not d:
         return True, None
-    # the R indices of sp_space(Z) and o_space(Zp, eps); swapped defects raise here
-    taus, taups = Z.masks("S,1"), Zp.masks("S+,0")
-    g, gp = Z.gram(which), Zp.gram(whichp)
     scale = 1 << (Z.degree + Zp.degree)
-    # bounds every entry of either side, and so of their difference
+    # with P = |family(Z)| * |family(Z')|: B has at most P pairs, D (in
+    # S_{Z,1} x S+_{Z',0}) at most P unless g' = 0, and |g| |g'| <= P, so
+    # scale * P + P^2 bounds every entry of either side, and so of their
+    # difference, for every pair of these two shapes and this kind (swapped
+    # defects raise here)
     products = len(Z.masks(which)) * len(Zp.masks(whichp))
-    width = (scale * len(b) + len(d) * products).bit_length() + 1
+    width = (scale * products + products * products).bit_length() + 1
+    taups, chars, grams = _tau_rows(Zp, whichp, width)
 
     # m -> sum of the rows chi(m' & tau') of its B partners m'
-    chars: Dict[int, int] = {}
     b_rows: Dict[int, int] = {}
     for m, mp in b:
-        row = chars.get(mp)
-        if row is None:
-            row = chars[mp] = _pack(
-                [-1 if (mp & t).bit_count() & 1 else 1 for t in taups], width
-            )
-        b_rows[m] = b_rows.get(m, 0) + row
+        b_rows[m] = b_rows.get(m, 0) + chars[mp]
     # sigma -> sum of the rows g'(sigma' ^ tau') of its D partners sigma'
     d_rows: Dict[int, int] = {}
     for sm, smp in d:
-        d_rows[sm] = d_rows.get(sm, 0) + _pack([gp[smp ^ t] for t in taups], width)
+        d_rows[sm] = d_rows.get(sm, 0) + grams[smp]
 
-    for tau in taus:
+    g = Z.gram(which)
+    for tau in Z.masks("S,1"):
         lhs = sum(-u if (m & tau).bit_count() & 1 else u for m, u in b_rows.items())
         rhs = sum(g[s ^ tau] * v for s, v in d_rows.items())
         if scale * lhs != rhs:

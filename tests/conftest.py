@@ -30,7 +30,8 @@ def clear_specials():
     """
 
     def clear():
-        for cache in (symbols._special, symbols.enumerate_special, symbols.specials_upto):
+        symbols._SPECIALS.clear()
+        for cache in (symbols.enumerate_special, symbols.specials_upto):
             cache.cache_clear()
         for cache in RELATION_CACHES:
             cache.cache_clear()

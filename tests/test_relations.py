@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from moveback_oracle import moveback_step_cases
 
-from dualpairs import relations, symbols
+from dualpairs import relations, suites, symbols
 from dualpairs.relations import (
     FAMILIES,
     KINDS,
@@ -351,6 +351,34 @@ class TestPackedRecords:
                     half = base.kernel_half(width, which, eps)
                     group = base.kernel_half(width, key, eps)[want]
                     assert half == {want: group} and half[want] is group, (base, width, eps)
+
+    @pytest.mark.parametrize("defect", [1, 0])
+    def test_halves_built_after_their_one_defect_half(self, clear_specials, defect):
+        # the one-defect half first, at one sign or at both: the base halves
+        # take its records as they are and build the others, in mask order
+        which = "S,1" if defect == 1 else "S+,0"
+        for base in specials_upto(8, defect):
+            w = base.rank.bit_length()
+            for width, signs in ((w + 1, (1,)), (w + 2, (1, -1))):
+                for eps in signs:
+                    base.kernel_half(width, which, eps)
+                _check_halves(base, width)
+
+    def test_a_cold_minus_sweep_builds_only_the_d_records(self, monkeypatch, clear_specials):
+        # at eps = -1 the D pass reads S_{Z,1} at eps = +1, where no B pass has
+        # built the whole S half: built alone, it holds one record per S_{Z,1} mask
+        monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+        assert suites.run_suite("thm0310", max_rank=10, eps=-1).ok
+        zs = specials_upto(10, 1)
+        assert {key[1:] for Z in zs for key in Z._halves} == {("S", -1), ("S,1", 1)}
+        records = [
+            sum(map(len, half.values()))
+            for Z in zs
+            for key, half in Z._halves.items()
+            if key[2] == 1
+        ]
+        assert records == [len(Z.masks("S,1")) for Z in zs]
+        assert sum(records) < sum(len(Z.masks("S")) for Z in zs)
 
     def test_relation_set_rejects_swapped_bases_and_unknown_kinds(self):
         with pytest.raises(ValueError, match="defect 1, defect 0"):

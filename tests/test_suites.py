@@ -129,6 +129,18 @@ def test_kernel_suite_compares_the_rows_with_the_product_filter(monkeypatch):
     assert rep.checked == 4 * len(suites._special_pairs(5, summed=True))
 
 
+def test_the_kernel_suite_leaves_the_relation_set_cache_alone(monkeypatch):
+    # its sets are asked for once each: cached, they would only evict others
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    Z, Zp = SpecialSymbol.parse("8,5,1;6,3"), SpecialSymbol.parse("8,6,2;6,3,0")
+    relations.relation_set(Z, Zp, "D")
+    before = relations.relation_set.cache_info()
+    rep = run_suite("kernel", max_rank=7)
+    assert rep.ok and rep.checked > 1000
+    assert relations.relation_set.cache_info() == before
+    assert before.currsize == 1
+
+
 def test_prop0216_suite_reads_the_base_pair_from_the_d_masks(monkeypatch):
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
     assert run_suite("prop0216", max_rank=4).ok

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dualpairs import symbols as symbols_module
+from dualpairs.branching import z_cuspidal, zp_cuspidal
 from dualpairs.symbols import (
     BOT,
     TOP,
     Bipartition,
+    CheckFailed,
     SpecialSymbol,
     Symbol,
     enumerate_special,
@@ -412,6 +415,104 @@ class TestEnumeration:
                         want.add(Symbol(c[0::2], c[1::2]))
             got = [z.symbol for z in enumerate_special(n, defect)]
             assert len(got) == len(set(got)) and set(got) == want, n
+
+    @pytest.mark.parametrize(
+        "defect,bad",
+        [
+            (1, (2, 3, 0)),  # not special: the interleaved rows increase
+            (1, (2, 2, 2)),  # a row repeats an entry
+            (1, (3, 1, -1)),  # a negative entry
+            (1, (2, 0, 0)),  # not reduced: both rows end in 0
+            (0, (3, 4, 1, 0)),
+            (0, (3, 3, 3, 1)),
+            (0, (3, 2, 1, -1)),
+            (0, (3, 2, 0, 0)),
+        ],
+    )
+    def test_a_planted_bad_chain_raises(self, monkeypatch, clear_specials, defect, bad):
+        real = symbols_module._chains
+        monkeypatch.setattr(
+            symbols_module,
+            "_chains",
+            lambda length, total: real(length, total) + [bad] * (length == len(bad)),
+        )
+        with pytest.raises(CheckFailed, match="not the chain of a reduced special symbol"):
+            enumerate_special(6, defect)
+
+    _FIELDS = ("symbol", "defect", "rank", "singles", "doubles", "degree", "index", "n",
+               "top_mask", "bot_mask", "bits", "longest", "_hash")
+
+    def test_listed_objects_are_the_validated_ones(self, monkeypatch, clear_specials):
+        listed = [z for d in (0, 1) for z in specials_upto(12, d)]
+        assert len(listed) > 1000
+        with monkeypatch.context() as patch:
+            # the validating path, into a table of its own
+            patch.setattr(symbols_module, "_SPECIALS", {})
+            for z in listed:
+                fresh = SpecialSymbol(z.symbol)
+                assert fresh is not z
+                for name in self._FIELDS:
+                    assert getattr(fresh, name) == getattr(z, name), (z, name)
+                    assert type(getattr(fresh, name)) is type(getattr(z, name)), (z, name)
+        for z in listed:
+            assert SpecialSymbol.parse(str(z)) is z
+            assert SpecialSymbol(z.symbol) is z
+            assert _shape_from_rows(z.symbol) == tuple(getattr(z, f) for f in self._FIELDS)
+
+
+class TestShapeTables:
+    KINDS = {1: ("all", "S", "S,1", "S,-3"), 0: ("all", "S+", "S-", "S+,0", "S-,2")}
+
+    def test_one_shape_shares_its_masks_and_grams(self):
+        first = {}
+        for d in (0, 1):
+            for z in specials_upto(10, d):
+                a = first.setdefault((z.defect, z.degree), z)
+                for which in self.KINDS[d]:
+                    assert z.masks(which) is a.masks(which)
+                    assert z.gram(which) is a.gram(which)
+        assert len(first) == 7
+
+    @pytest.mark.parametrize("degree", range(5))
+    def test_gram_is_the_character_sum(self, degree):
+        for z in (z_cuspidal(degree), zp_cuspidal(degree)):
+            assert z.degree == degree
+            for which in self.KINDS[z.defect]:
+                masks = z.masks(which)
+                want = tuple(
+                    sum(-1 if (m & k).bit_count() & 1 else 1 for m in masks)
+                    for k in range(1 << z.n)
+                )
+                assert z.gram(which) == want, (z, which)
+
+    def test_unknown_and_wrong_defect_kinds_raise_on_every_call(self):
+        z, zp = z_cuspidal(2), zp_cuspidal(2)
+        for _ in range(2):
+            for base, which in ((z, "S+"), (zp, "S"), (z, "T"), (z, "S,x")):
+                with pytest.raises(ValueError):
+                    base.masks(which)
+                with pytest.raises(ValueError):
+                    base.gram(which)
+
+
+def _shape_from_rows(symbol):
+    """The shape fields of SpecialSymbol(symbol), as _FIELDS lists them, from
+    the rows by sets and sorting: the reference for the chain walk."""
+    both = set(symbol.top) & set(symbol.bot)
+    singles = tuple(e for e in symbol.tagged() if e[0] not in both)
+    index = {e: i for i, e in enumerate(singles)}
+    bits = tuple(
+        (v, r, 1 << index[(v, r)] if (v, r) in index else 0)
+        for (v, r) in sorted(symbol.tagged())
+    )
+    n = len(singles)
+    top_mask = sum(1 << i for i, (_, r) in enumerate(singles) if r == TOP)
+    doubles = tuple(sorted(both, reverse=True))
+    return (
+        symbol, symbol.defect, symbol.rank, singles, doubles,
+        sum(1 for (_, r) in singles if r == BOT), index, n,
+        top_mask, (1 << n) - 1 ^ top_mask, bits, len(doubles) + n, hash(("special", symbol)),
+    )
 
 
 def _lambda_direct(z, mset):

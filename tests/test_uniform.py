@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import rt2_oracle
+from thm0310_oracle import thm0310_identity_per_pair
 from dualpairs import relations, suites, uniform
 from dualpairs.branching import z_cuspidal, zp_cuspidal
 from dualpairs.cells import Arrangement, arrangements, cell, cell_sign
@@ -297,6 +298,20 @@ class TestMainIdentity:
             assert ok, witness
             assert _dense_thm0310(Z, Zp, eps), (Z, Zp)
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_shape_rows_match_the_per_pair_rows(self, eps):
+        # every D-related pair of thm0310 at rank sum 10, with its B and D, and
+        # with B less its smallest pair, so that witnesses are compared too
+        failed = 0
+        for Z, Zp in suites._d_pairs(10):
+            b = relation_set(Z, Zp, relations.b_kind(eps)).masks
+            d = relation_set(Z, Zp, "D").masks
+            for bb in (b, b - {min(b)} if b else b):
+                got = thm0310_identity(Z, Zp, eps, bb, d)
+                assert got == thm0310_identity_per_pair(Z, Zp, eps, bb, d), (Z, Zp)
+                failed += not got[0]
+        assert failed > 100
+
     @pytest.mark.usefixtures("planted_b_defect")
     def test_planted_defect_drops_the_smallest_b_pair(self):
         real = relations.relation_set(ZW, ZPW, "B-")
@@ -322,7 +337,7 @@ class TestMainIdentity:
 
     @pytest.mark.parametrize("bad", [True, 1.0, 0])
     def test_a_bad_sign_raises_after_a_good_one_filled_the_gram_tables(self, bad):
-        # the per-symbol Gram tables are keyed by family, not by eps, and
+        # the shape Gram tables are keyed by family, not by eps, and
         # True == 1 hashes alike: the sign is checked on every call
         b = relations.relation_set(ZW, ZPW, "B+").masks
         d = relations.relation_set(ZW, ZPW, "D").masks
