@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .symbols import BOT, TOP, CheckFailed, Entry, SpecialSymbol, Symbol, special_closure
-from .symbols import enumerate_special, specials_upto
+from .symbols import BOT, TOP, CheckFailed, SpecialSymbol, Symbol, special_closure
+from .symbols import LISTED, specials_upto
 
 Pair = Tuple[int, int]  # (top single value, bottom single value)
 PairSet = FrozenSet[Pair]
@@ -38,11 +38,6 @@ EMPTY_PAIRSET: PairSet = frozenset()
 # bounds asks for at most 21 relation sets and 7 core pairs (derivative@13).
 # Bounded, since peak RSS is a gated benchmark metric.
 CACHE_SIZE = 64
-
-
-def _singles_of(Z: SpecialSymbol, mask: int) -> List[Entry]:
-    """The tagged singles whose bits are set in the mask."""
-    return [e for i, e in enumerate(Z.singles) if mask >> i & 1]
 
 
 # -- the interlacing order on partitions -------------------------------------
@@ -375,9 +370,8 @@ def _table_for(Z: SpecialSymbol, Zps, which: str, eps: int) -> Tuple[_LaneTable,
     """
     run = _run_of(Zps)
     if run is None:
-        for Zp in Zps:
-            if Zp.defect != 0:
-                raise ValueError("expected a (defect 1, defect 0) special pair")
+        if any(Zp.defect != 0 for Zp in Zps):
+            raise ValueError("expected a (defect 1, defect 0) special pair")
         rank = max(Z.rank, max(map(operator.attrgetter("rank"), Zps), default=0))
         fields = max(Z.longest, max(map(operator.attrgetter("longest"), Zps), default=0))
         return _LaneTable(tuple(Zps), rank, fields, which, eps), 0, len(Zps)
@@ -396,13 +390,14 @@ def _table_for(Z: SpecialSymbol, Zps, which: str, eps: int) -> Tuple[_LaneTable,
 def _run_of(Zps) -> Optional[Tuple[int, int, int]]:
     """(r, lo, hi) if Zps is the tuple ``specials_upto(r, 0)`` or
     ``enumerate_special(r, 0)`` itself, which is zps[lo:hi] of the table over
-    ``specials_upto(bound, 0)`` for every bound >= r; else None."""
-    if type(Zps) is not tuple or not Zps:
+    ``specials_upto(bound, 0)`` for every bound >= r; else None.  Read from
+    ``LISTED``, not by a call, which could list symbols."""
+    if not Zps:
         return None
-    low, top = Zps[0].rank, Zps[-1].rank
-    if low == 0 and Zps is specials_upto(top, 0):
+    top = Zps[-1].rank
+    if LISTED.get(("specials_upto", top, 0)) is Zps:
         return top, 0, len(Zps)
-    if low == top and Zps is enumerate_special(top, 0):
+    if LISTED.get(("enumerate_special", top, 0)) is Zps:
         lo = len(specials_upto(top - 1, 0)) if top else 0
         return top, lo, lo + len(Zps)
     return None
@@ -536,7 +531,7 @@ def _moveback_step(
     mask = Z.member_mask(lam)
     if not mask:
         raise ValueError("first component already equals its special symbol")
-    x = max(v for (v, _) in _singles_of(Z, mask))
+    x = max(v for v, _, bit in Z.bits if bit & mask)
     # "less than" in the size regime: strict at m' = m, weak at m' = m + 1
     lt = operator.le if mp == m + 1 else operator.lt
 
@@ -567,7 +562,7 @@ def _moveback_step(
     else:
         new_lam, new_lamp = lam.flip(x, o), lamp.flip(partner, 1 - o)
     new_mask = Z.member_mask(new_lam)
-    if new_mask and max(v for (v, _) in _singles_of(Z, new_mask)) >= x:
+    if new_mask and max(v for v, _, bit in Z.bits if bit & new_mask) >= x:
         raise CheckFailed(
             "move-back did not lower the largest displaced entry %d: (%s, %s) case %s"
             % (x, lam, lamp, case)

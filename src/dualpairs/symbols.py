@@ -389,67 +389,34 @@ class SpecialSymbol:
         defect, and gives (mask, a, b); a Z' member keys on its defect and
         gives (mask, a, a >> width, b), where (a, b) is (sub, star) on the Z
         side and (star, sub) on the Z' side at eps = 1, swapped at eps = -1.
-        A family of one defect ("S,1") is that defect's group of its base
-        family: read off the base family's half when that is built, else
-        built from its own masks alone.  A half whose family is built at the
-        other sign is that half with a and b swapped.  Raises CheckFailed for
-        a part that does not fit below its guard bit."""
+        Raises CheckFailed for a part that does not fit below its guard bit."""
         key = (width, which, eps)
         got = self._halves.get(key)
-        if got is None:
-            got = self._halves[key] = self._new_half(width, which, eps)
-        return got
-
-    def _new_half(self, width: int, which: str, eps: int) -> Dict[int, tuple]:
-        halves, left = self._halves, self.defect == 1
-        base, _, beta = which.partition(",")
-        whole = halves.get((width, base, eps)) if beta else None
-        if whole is not None:
-            want = eps - int(beta) if left else int(beta)
-            return {k: g for k, g in whole.items() if k == want}
-        # the one-defect halves of this family already built: their groups are
-        # this half's groups of those keys, records and order alike
-        parts = [] if beta else [
-            part for (w, fam, e), part in halves.items()
-            if w == width and e == eps and fam.startswith(which + ",")
-        ]
-        other = halves.get((width, which, -eps))
-        if other is not None:
-            # the other sign's records with their rows swapped; on the Z side
-            # the key eps - defect moves by 2 eps
+        if got is not None:
+            return got
+        limit, bits, left = 1 << (width - 1), self.bits, self.defect == 1
+        swap = left == (eps == 1)
+        groups: Dict[int, list] = {}
+        for mask in self.masks(which):
+            # in increasing order, an entry's staircase step is the count of
+            # smaller entries in its row, and the largest ends in field 0
+            rows, counts = [0, 0], [0, 0]
+            for v, r, bit in bits:
+                if mask & bit:
+                    r ^= 1
+                part = v - counts[r]
+                if part >= limit:
+                    raise CheckFailed("part %d of %s does not fit a %d-bit field"
+                                      % (part, self.member(mask), width))
+                rows[r] = rows[r] << width | part
+                counts[r] += 1
+            d, (star, sub) = counts[TOP] - counts[BOT], rows
+            a, b = (sub, star) if swap else (star, sub)
             if left:
-                got = {k + 2 * eps: tuple([(m, b, a) for m, a, b in g]) for k, g in other.items()}
+                groups.setdefault(eps - d, []).append((mask, a, b))
             else:
-                got = {k: tuple([(m, b, b >> width, a) for m, a, _, b in g])
-                       for k, g in other.items()}
-        else:
-            limit, bits, swap = 1 << (width - 1), self.bits, left == (eps == 1)
-            done = {r[0] for part in parts for group in part.values() for r in group}
-            groups: Dict[int, list] = {}
-            for mask in self.masks(which):
-                if mask in done:
-                    continue
-                # in increasing order, an entry's staircase step is the count of
-                # smaller entries in its row, and the largest ends in field 0
-                rows, counts = [0, 0], [0, 0]
-                for v, r, bit in bits:
-                    if mask & bit:
-                        r ^= 1
-                    part = v - counts[r]
-                    if part >= limit:
-                        raise CheckFailed("part %d of %s does not fit a %d-bit field"
-                                          % (part, self.member(mask), width))
-                    rows[r] = rows[r] << width | part
-                    counts[r] += 1
-                d, (star, sub) = counts[TOP] - counts[BOT], rows
-                a, b = (sub, star) if swap else (star, sub)
-                if left:
-                    groups.setdefault(eps - d, []).append((mask, a, b))
-                else:
-                    groups.setdefault(d, []).append((mask, a, a >> width, b))
-            got = {k: tuple(g) for k, g in groups.items()}
-        for part in parts:
-            got.update(part)
+                groups.setdefault(d, []).append((mask, a, a >> width, b))
+        got = self._halves[key] = {k: tuple(g) for k, g in groups.items()}
         return got
 
 
@@ -621,6 +588,11 @@ def special_closure(sym: Symbol) -> SpecialSymbol:
 # -- enumeration --------------------------------------------------------------
 
 
+# every tuple enumerate_special and specials_upto have returned, by function
+# name and arguments, so a caller can tell one by identity without a call
+LISTED: Dict[Tuple[str, int, int], Tuple[SpecialSymbol, ...]] = {}
+
+
 @lru_cache(maxsize=None)
 def enumerate_special(rank_: int, defect_: int) -> Tuple[SpecialSymbol, ...]:
     """All reduced special symbols of the given rank and defect, each once.
@@ -660,7 +632,8 @@ def enumerate_special(rank_: int, defect_: int) -> Tuple[SpecialSymbol, ...]:
     # the order of Symbol.sort_key, whose last part, the defect, is the same for all
     out.sort(key=lambda z: (tuple(map(operator.neg, z.symbol.top)),
                             tuple(map(operator.neg, z.symbol.bot))))
-    return tuple(out)
+    got = LISTED["enumerate_special", rank_, defect_] = tuple(out)
+    return got
 
 
 def _min_chain_sum(length: int) -> int:
@@ -705,7 +678,9 @@ def _chains(length: int, total: int) -> List[Tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def specials_upto(max_rank: int, defect_: int) -> Tuple[SpecialSymbol, ...]:
-    return tuple(z for r in range(max_rank + 1) for z in enumerate_special(r, defect_))
+    got = LISTED["specials_upto", max_rank, defect_] = tuple(
+        z for r in range(max_rank + 1) for z in enumerate_special(r, defect_))
+    return got
 
 
 @lru_cache(maxsize=None)

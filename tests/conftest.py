@@ -31,6 +31,7 @@ def clear_specials():
 
     def clear():
         symbols._SPECIALS.clear()
+        symbols.LISTED.clear()
         for cache in (symbols.enumerate_special, symbols.specials_upto):
             cache.cache_clear()
         for cache in RELATION_CACHES:

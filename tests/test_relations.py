@@ -341,8 +341,7 @@ class TestPackedRecords:
 
     @pytest.mark.parametrize("defect", [1, 0])
     def test_kernel_halves_regroup_the_records(self, defect):
-        # a one-defect family is its defect's group of the base half: D and B+
-        # share the records
+        # a one-defect family is its defect's group of the base half
         which, key = ("S,1", "S") if defect == 1 else ("S+,0", "S+")
         for base in specials_upto(8, defect):
             for width in (base.rank.bit_length() + 1, base.rank.bit_length() + 2):
@@ -350,18 +349,24 @@ class TestPackedRecords:
                     want = eps - 1 if defect == 1 else 0
                     half = base.kernel_half(width, which, eps)
                     group = base.kernel_half(width, key, eps)[want]
-                    assert half == {want: group} and half[want] is group, (base, width, eps)
+                    assert half == {want: group}, (base, width, eps)
 
     @pytest.mark.parametrize("defect", [1, 0])
     def test_halves_built_after_their_one_defect_half(self, clear_specials, defect):
-        # the one-defect half first, at one sign or at both: the base halves
-        # take its records as they are and build the others, in mask order
+        # the one-defect half first, at one sign or at both, or every half at
+        # eps = -1 first: each order gives the same halves
         which = "S,1" if defect == 1 else "S+,0"
+        families = {pair[1 - defect] for pair in FAMILIES.values()}
         for base in specials_upto(8, defect):
             w = base.rank.bit_length()
-            for width, signs in ((w + 1, (1,)), (w + 2, (1, -1))):
-                for eps in signs:
-                    base.kernel_half(width, which, eps)
+            orders = (
+                (w + 1, [(which, 1)]),
+                (w + 2, [(which, 1), (which, -1)]),
+                (w + 3, [(family, -1) for family in sorted(families)]),
+            )
+            for width, first in orders:
+                for family, eps in first:
+                    base.kernel_half(width, family, eps)
                 _check_halves(base, width)
 
     def test_a_cold_minus_sweep_builds_only_the_d_records(self, monkeypatch, clear_specials):
@@ -503,6 +508,17 @@ class TestRelationRows:
         for Zps in (specials_upto(6, 0), enumerate_special(4, 0)):
             assert relation_rows(Z, Zps, "D") == _rows_oracle(Z, Zps, "D")
         assert len(builds) == 3
+
+    def test_a_tuple_no_enumeration_returned_lists_no_symbols(self):
+        # one that starts at rank 0 and one of a single rank: neither is
+        # specials_upto(r, 0) nor enumerate_special(r, 0), and telling so
+        # calls neither (at rank 19 that would list 8 379 symbols)
+        calls = (enumerate_special.cache_info(), specials_upto.cache_info())
+        empty = SpecialSymbol.parse("-;-")
+        for Zps in ((empty, ZPWRK), (ZPWRK, ZPWRK)):
+            rows = relation_rows(ZWRK, Zps, "D")
+            assert rows == _rows_oracle(ZWRK, Zps, "D") and rows[1]
+        assert (enumerate_special.cache_info(), specials_upto.cache_info()) == calls
 
     def test_d_with_both_ranks_up_to_8(self):
         Zps = specials_upto(8, 0)
