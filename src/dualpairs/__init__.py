@@ -29,7 +29,7 @@ from .relations import (
 )
 from .cells import Arrangement, Cell, arrangements, cell, separating_pair, singleton_intersection
 from .derivative import DerivativeChain, DerivativeStep, derive_full, derive_once, scan_first
-from .uniform import pairing, r_vector, verify_thm0310
+from .uniform import verify_thm0310
 from .branching import (
     ThetaMap,
     cuspidal_symbol,

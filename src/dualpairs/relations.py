@@ -517,26 +517,38 @@ def moveback_step(lam: Symbol, lamp: Symbol) -> Tuple[Symbol, Symbol, str]:
     if q+ >= r or R ran out; else with r in L.  At m' = m + 1, < is <= and
     >= is >.  The output pair stays in Bbar+ with a smaller x.
     """
-    return _moveback_step(lam, lamp, special_closure(lam), special_closure(lamp))
+    Z, Zp = special_closure(lam), special_closure(lamp)
+    bbar = relation_set(Z, Zp, "Bbar+").masks
+    m, mp, case = _moveback_step(Z, Zp, bbar, Z.member_mask(lam), Zp.member_mask(lamp))
+    return Z.member(m), Zp.member(mp), case
 
 
-def _moveback_step(
-    lam: Symbol, lamp: Symbol, Z: SpecialSymbol, Zp: SpecialSymbol
-) -> Tuple[Symbol, Symbol, str]:
-    """moveback_step with the special closures Z, Z' of lam, lamp given."""
-    m = Z.symbol.size[1]
-    mp = Zp.symbol.size[0]
-    if Z.defect != 1 or Zp.defect != 0 or mp not in (m, m + 1):
-        raise ValueError("pair (%s, %s) is not size-normalized" % (lam, lamp))
-    mask = Z.member_mask(lam)
-    if not mask:
+def moveback_masks(Z: SpecialSymbol, Zp: SpecialSymbol, m: int, mp: int) -> List[tuple]:
+    """``moveback_chain`` of (Lambda_m, Lambda'_m') on the masks over the
+    singles of Z and Z': a step stays in their families, and each is an XOR."""
+    bbar = relation_set(Z, Zp, "Bbar+").masks
+    if (m, mp) not in bbar:
+        raise ValueError("(%s, %s) is not in the bar relation" % (Z.member(m), Zp.member(mp)))
+    chain: List[Tuple[int, int, Optional[str]]] = [(m, mp, None)]
+    while m:
+        m, mp, case = _moveback_step(Z, Zp, bbar, m, mp)
+        chain.append((m, mp, case))
+    return chain
+
+
+def _moveback_step(Z: SpecialSymbol, Zp: SpecialSymbol, bbar, m: int, mp: int) -> tuple:
+    """moveback_step on masks, with bbar the Bbar+ masks of (Z, Z'): x changes
+    row as ``m ^ bit(x)``, and with it q or q+ as ``mp ^ bit(q)`` or r as
+    ``m ^ bit(r)``.  The positional rule reads the Symbol views of m and mp."""
+    size, sizep = len(Z.symbol.bot), len(Zp.symbol.top)
+    if Z.defect != 1 or Zp.defect != 0 or sizep not in (size, size + 1):
+        raise ValueError("pair (%s, %s) is not size-normalized" % (Z.member(m), Zp.member(mp)))
+    if not m:
         raise ValueError("first component already equals its special symbol")
-    x = max(v for v, _, bit in Z.bits if bit & mask)
-    # "less than" in the size regime: strict at m' = m, weak at m' = m + 1
-    lt = operator.le if mp == m + 1 else operator.lt
-
-    # rows are indexed by TOP = 0 and BOT = 1: x sits in row o of lam
-    o = TOP if x in lam.top else BOT
+    x, natural, bit = _largest(Z, m)
+    lam, lamp = Z.member(m), Zp.member(mp)
+    # rows are indexed by TOP = 0 and BOT = 1: x, displaced, sits in row o of lam
+    o = natural ^ 1
     k = lam.row(o).index(x) + 1
     if o == TOP and k < 2:
         raise CheckFailed("largest displaced entry cannot head the first row")
@@ -546,48 +558,52 @@ def _moveback_step(
         return row[i - 1] if 1 <= i <= len(row) else None
 
     p, q, q_next, r = get(P, k - 1), get(Q, k - 1 + o), get(Q, k + o), get(R, k - 1 + o)
-    # an index out of range at the head of P (k = 1) dominates every entry,
-    # unlike P running out at its tail
-    if (k >= 2 if p is None else lt(p, x)):
-        rule, partner = 0, q
-    elif r is None or (q_next is not None and not lt(q_next, r)):
-        rule, partner = 1, q_next
-    else:
-        rule, partner = 2, r
+    # "less than" in the size regime: strict at m' = m, weak at m' = m + 1
+    lt = operator.le if sizep == size + 1 else operator.lt
+    rule, partner = _moveback_rule(lt, x, k, p, q, q_next, r)
     case = "abcdef"[rule + 3 * o]
     if rule == 2:
-        new_lam, new_lamp = lam.flip(x, o).flip(r, 1 - o), lamp
+        new_m, new_mp = m ^ bit ^ _single_bit(Z, partner), mp
     elif partner is None:
         raise CheckFailed("no entry to move back alongside %d" % x)
     else:
-        new_lam, new_lamp = lam.flip(x, o), lamp.flip(partner, 1 - o)
-    new_mask = Z.member_mask(new_lam)
-    if new_mask and max(v for v, _, bit in Z.bits if bit & new_mask) >= x:
-        raise CheckFailed(
-            "move-back did not lower the largest displaced entry %d: (%s, %s) case %s"
-            % (x, lam, lamp, case)
-        )
-    if not in_B(new_lam, new_lamp, 1):
-        raise CheckFailed(
-            "move-back left the relation: (%s, %s) case %s -> (%s, %s)"
-            % (lam, lamp, case, new_lam, new_lamp)
-        )
-    return new_lam, new_lamp, case
+        new_m, new_mp = m ^ bit, mp ^ _single_bit(Zp, partner)
+    if new_m and _largest(Z, new_m)[0] >= x:
+        raise CheckFailed("move-back did not lower the largest displaced entry %d: (%s, %s) case %s"
+                          % (x, lam, lamp, case))
+    if (new_m, new_mp) not in bbar:
+        raise CheckFailed("move-back left the relation: (%s, %s) case %s -> (%s, %s)"
+                          % (lam, lamp, case, Z.member(new_m), Zp.member(new_mp)))
+    return new_m, new_mp, case
 
 
-def moveback_chain(
-    lam: Symbol, lamp: Symbol
-) -> List[Tuple[Symbol, Symbol, Optional[str]]]:
+def _moveback_rule(lt, x: int, k: int, p, q, q_next, r) -> Tuple[int, Optional[int]]:
+    """The positional rule: (0, q), (1, q+) or (2, r), the partner of x."""
+    # an index out of range at the head of P (k = 1) dominates every entry,
+    # unlike P running out at its tail
+    if (k >= 2 if p is None else lt(p, x)):
+        return 0, q
+    if r is None or (q_next is not None and not lt(q_next, r)):
+        return 1, q_next
+    return 2, r
+
+
+def _largest(Z: SpecialSymbol, mask: int) -> Tuple[int, int, int]:
+    """(value, natural row, bit) of the largest single of Z in a nonzero mask."""
+    return next(e for e in reversed(Z.bits) if e[2] & mask)
+
+
+def _single_bit(Z: SpecialSymbol, v: int) -> int:
+    """The mask bit of the single v of Z; a double, in both rows, raises ValueError."""
+    return Z.mask_of([(v, TOP) if (v, TOP) in Z.index else (v, BOT)])
+
+
+def moveback_chain(lam: Symbol, lamp: Symbol) -> List[Tuple[Symbol, Symbol, Optional[str]]]:
     """Full normalization history, ending with first component special."""
-    if not in_B(lam, lamp, 1):
-        raise ValueError("(%s, %s) is not in the bar relation" % (lam, lamp))
     # a step stays in the families of Z and Z', so their closures are fixed
     Z, Zp = special_closure(lam), special_closure(lamp)
-    chain: List[Tuple[Symbol, Symbol, Optional[str]]] = [(lam, lamp, None)]
-    while Z.member_mask(chain[-1][0]):
-        cur, curp, _ = chain[-1]
-        chain.append(_moveback_step(cur, curp, Z, Zp))
-    return chain
+    chain = moveback_masks(Z, Zp, Z.member_mask(lam), Zp.member_mask(lamp))
+    return [(Z.member(m), Zp.member(mp), case) for m, mp, case in chain]
 
 
 def moveback_normalize(lam: Symbol, lamp: Symbol) -> Symbol:

@@ -210,33 +210,30 @@ def _check_lemma1112(item, report: SuiteReport) -> None:
 
 
 def _check_lemma0616(item, report: SuiteReport) -> None:
-    """Partner count bound |B+_L| <= |D_Z| and injectivity of normalization."""
+    """Partner count bound |B+_L| <= |D_Z| and injectivity of normalization,
+    on masks; a Symbol is built only to name a witness."""
     Z, Zp = item
-    bbar = relations.relation_set(Z, Zp, "Bbar+")
-    if not bbar.masks:
+    bbar = relations.relation_set(Z, Zp, "Bbar+").masks
+    if not bbar:
         return
     d_z = {mp for (m, mp) in relations.relation_set(Z, Zp, "D").masks if not m}
-    by_first: Dict[Symbol, List[Symbol]] = {}
-    for (lam, lamp) in bbar.pairs:
-        by_first.setdefault(lam, []).append(lamp)
-    for lam, partners in by_first.items():
+    by_first: Dict[int, List[int]] = {}
+    for (m, mp) in bbar:
+        by_first.setdefault(m, []).append(mp)
+
+    def fail(m: int, **what) -> None:
+        report.failures.append({"Z": str(Z), "Zp": str(Zp), "lam": str(Z.member(m)), **what})
+
+    for m, partners in by_first.items():
         report.checked += 1
         if len(partners) > len(d_z):
-            report.failures.append(
-                {"Z": str(Z), "Zp": str(Zp), "lam": str(lam), "count": len(partners)}
-            )
+            fail(m, count=len(partners))
             continue
-        terminal = {relations.moveback_normalize(lam, p) for p in partners}
+        terminal = {relations.moveback_masks(Z, Zp, m, mp)[-1][1] for mp in partners}
         if len(terminal) != len(partners):
-            report.failures.append(
-                {"Z": str(Z), "Zp": str(Zp), "lam": str(lam), "collision": True}
-            )
-        bad = [t for t in terminal if Zp.member_mask(t) not in d_z]
-        if bad:
-            report.failures.append(
-                {"Z": str(Z), "Zp": str(Zp), "lam": str(lam),
-                 "outside_D": [str(t) for t in bad]}
-            )
+            fail(m, collision=True)
+        if not terminal <= d_z:
+            fail(m, outside_D=sorted(str(Zp.member(t)) for t in terminal - d_z))
 
 
 def _cells_items(max_rank: int, max_degree: int) -> List[SpecialSymbol]:

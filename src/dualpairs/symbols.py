@@ -12,7 +12,7 @@ is carried out on symbols directly.  Core notions:
   their singles and doubles, and the families S_Z / S^+_Z / S^-_Z of
   symbols sharing the entries of a special symbol Z;
 * Lambda_M, the symbol obtained from Z by flipping the rows of a subset M
-  of singles, and the symmetric-difference addition it induces;
+  of singles, whose group law is the XOR of the masks of M;
 * one SpecialSymbol object per value, which holds its singles and
   doubles, each member's interlacing data computed from an int mask over
   the singles, and each Lambda_M built as a Symbol only when asked for.
@@ -146,18 +146,6 @@ class Symbol:
             bip = self._bip = object.__new__(Bipartition)
             bip.__dict__.update(star=star, sub=sub)
         return self._bip
-
-    def flip(self, value: int, row: int) -> "Symbol":
-        """Move the entry `value` from `row` to the opposite row."""
-        src = list(self.row(row))
-        dst = list(self.row(1 - row))
-        src.remove(value)
-        if value in dst:
-            raise ValueError("entry %d already present in target row of %s" % (value, self))
-        dst.append(value)
-        dst.sort(reverse=True)
-        rows = {row: src, 1 - row: dst}
-        return Symbol(rows[TOP], rows[BOT])
 
 
 def _from_rows(top: Tuple[int, ...], bot: Tuple[int, ...]) -> Symbol:
@@ -370,10 +358,6 @@ class SpecialSymbol:
         (Z/2)^singles, from the shape table."""
         got = _GRAMS.get((self.defect, self.degree, which))
         return _shape_gram(self.defect, self.degree, which) if got is None else got
-
-    def add(self, lam1: Symbol, lam2: Symbol) -> Symbol:
-        """Group law on the family: symmetric difference of the M-sets."""
-        return self.member(self.member_mask(lam1) ^ self.member_mask(lam2))
 
     # -- the relation kernel's inputs -------------------------------------------
 
@@ -616,7 +600,7 @@ def enumerate_special(rank_: int, defect_: int) -> Tuple[SpecialSymbol, ...]:
             break
         if length == 0:
             if rank_ == 0:
-                out.append(SpecialSymbol(Symbol((), ())))
+                out.append(SpecialSymbol(_from_rows((), ())))
             continue
         for chain in _chains(length, rank_ + correction):
             if not (

@@ -42,18 +42,6 @@ def add_to(target, key, coeff: Fraction) -> None:
         target.pop(key, None)
 
 
-def inner(u: Vec, v: Vec) -> Fraction:
-    """Inner product in the orthonormal rho basis."""
-    if len(v) < len(u):
-        u, v = v, u
-    total = Fraction(0)
-    for k, x in u.items():
-        y = v.get(k)
-        if y:
-            total = total + x * y
-    return total
-
-
 def tensor(u: Vec, v: Vec) -> Ten:
     return {
         # a product of nonzero rationals is nonzero
@@ -100,11 +88,6 @@ def o_space(Zp: SpecialSymbol, eps: int) -> Space:
     return Space(Zp, "O", eps)
 
 
-def pairing(base: SpecialSymbol, lam1: Symbol, lam2: Symbol) -> int:
-    """|M1 and M2| mod 2 for the flip sets of two family members."""
-    return (base.member_mask(lam1) & base.member_mask(lam2)).bit_count() % 2
-
-
 def r_vector(space: Space, sigma: Symbol) -> Vec:
     """The uniform basis vector attached to sigma, in the rho basis.
 
@@ -147,16 +130,6 @@ def _projector(space: Space) -> Dict[Symbol, Vec]:
                 col[mu] = Fraction(tot, denom)
         cols[lam] = col
     return cols
-
-
-def sharp(space: Space, v: Vec) -> Vec:
-    """Orthogonal projection onto the span of the R vectors."""
-    cols = _projector(space)
-    out: Vec = {}
-    for lam, c in v.items():
-        for mu, p in cols[lam].items():
-            add_to(out, mu, p * c)
-    return out
 
 
 def sharp_tensor(sp: Space, op: Space, t: Ten) -> Ten:

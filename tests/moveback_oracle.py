@@ -4,7 +4,9 @@
 for both rows of the first component.  This module keeps the form it
 restates: cases a-c for a largest displaced entry in the first row, cases
 d-f for one in the second row, each written out with its own indices.
-Raises and self-checks are the same as the package's.
+It works on Symbols, moving one entry at a time with ``flip``, and checks
+the relation with ``in_B``; the package steps on masks and checks membership
+in the Bbar+ mask set.  Raises and self-checks are the same as the package's.
 """
 
 from __future__ import annotations
@@ -13,6 +15,19 @@ from typing import Tuple
 
 from dualpairs.relations import in_B
 from dualpairs.symbols import BOT, TOP, CheckFailed, Symbol, special_closure
+
+
+def flip(sym: Symbol, value: int, row: int) -> Symbol:
+    """Move the entry `value` from `row` to the opposite row."""
+    src = list(sym.row(row))
+    dst = list(sym.row(1 - row))
+    src.remove(value)
+    if value in dst:
+        raise ValueError("entry %d already present in target row of %s" % (value, sym))
+    dst.append(value)
+    dst.sort(reverse=True)
+    rows = {row: src, 1 - row: dst}
+    return Symbol(rows[TOP], rows[BOT])
 
 
 def _displaced(Z, mask):
@@ -54,15 +69,15 @@ def moveback_step_cases(lam: Symbol, lamp: Symbol) -> Tuple[Symbol, Symbol, str]
             dk1 = get(d, k - 1)
             if dk1 is None:
                 raise CheckFailed("no entry to move back alongside %d" % x)
-            out = lam.flip(x, TOP), lamp.flip(dk1, BOT)
+            out = flip(lam, x, TOP), flip(lamp, dk1, BOT)
         elif bk1 is None or (dk is not None and ge(dk, bk1)):
             case = "b"
             if dk is None:
                 raise CheckFailed("no entry to move back alongside %d" % x)
-            out = lam.flip(x, TOP), lamp.flip(dk, BOT)
+            out = flip(lam, x, TOP), flip(lamp, dk, BOT)
         else:
             case = "c"
-            out = lam.flip(x, TOP).flip(bk1, BOT), lamp
+            out = flip(flip(lam, x, TOP), bk1, BOT), lamp
     else:
         k = b.index(x) + 1
         dk1, ak, ck2 = get(d, k - 1), get(a, k), get(c, k + 1)
@@ -74,15 +89,15 @@ def moveback_step_cases(lam: Symbol, lamp: Symbol) -> Tuple[Symbol, Symbol, str]
             ck = get(c, k)
             if ck is None:
                 raise CheckFailed("no entry to move back alongside %d" % x)
-            out = lam.flip(x, BOT), lamp.flip(ck, TOP)
+            out = flip(lam, x, BOT), flip(lamp, ck, TOP)
         elif ak is None or (ck2 is not None and ge(ck2, ak)):
             case = "e"
             if ck2 is None:
                 raise CheckFailed("no entry to move back alongside %d" % x)
-            out = lam.flip(x, BOT), lamp.flip(ck2, TOP)
+            out = flip(lam, x, BOT), flip(lamp, ck2, TOP)
         else:
             case = "f"
-            out = lam.flip(x, BOT).flip(ak, TOP), lamp
+            out = flip(flip(lam, x, BOT), ak, TOP), lamp
     new_lam, new_lamp = out
     new_mask = Z.member_mask(new_lam)
     if new_mask and max(_displaced(Z, new_mask)) >= x:

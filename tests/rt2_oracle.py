@@ -10,8 +10,9 @@ vectors: sums, products and comparisons lift a rational to a + 0*sqrt(2).
 Relations are looked up as ``uniform.relation_set`` at call time, so a test
 that patches it (the ``planted_b_defect`` fixture) reaches both paths.
 
-It also holds the rational vector helpers and the cell sums that the tests of
-the rho basis use, and the Symbol form of a step's transport.
+It also holds the rational vector helpers (the inner product, the projection
+sharp and the pairing of two family members) and the cell sums that the
+tests of the rho basis use, and the Symbol form of a step's transport.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dualpairs.uniform import (
     Space,
     add_to,
     d_r_tensor,
-    inner,
     o_space,
     r_vector,
     sp_space,
@@ -117,6 +117,33 @@ def vec_add(u, v) -> dict:
 
 def vec_eq(u, v) -> bool:
     return vec_add(u, vec_scale(v, -1)) == {}
+
+
+def inner(u, v):
+    """Inner product in the orthonormal rho basis."""
+    if len(v) < len(u):
+        u, v = v, u
+    total = Fraction(0)
+    for k, x in u.items():
+        y = v.get(k)
+        if y:
+            total = total + x * y
+    return total
+
+
+def sharp(space: Space, v: dict) -> dict:
+    """Orthogonal projection onto the span of the R vectors."""
+    cols = uniform._projector(space)
+    out: dict = {}
+    for lam, c in v.items():
+        for mu, p in cols[lam].items():
+            add_to(out, mu, p * c)
+    return out
+
+
+def pairing(base: SpecialSymbol, lam1: Symbol, lam2: Symbol) -> int:
+    """|M1 and M2| mod 2 for the flip sets of two family members."""
+    return (base.member_mask(lam1) & base.member_mask(lam2)).bit_count() % 2
 
 
 def r_index(space: Space):

@@ -615,6 +615,21 @@ class TestMaskPathsBuildNoSymbol:
         # the Symbol view builds members, so the counter sees them
         assert relation_set(Z, related, "D").pairs and built
 
+    def test_the_moveback_suite(self, monkeypatch, clear_specials):
+        # move-back steps on masks and reads members as cached views, built
+        # unchecked: the suite calls no Symbol(...)
+        built = []
+        real = Symbol.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(Symbol, "__init__", counting)
+        report = suites.run_suite("lemma0616", max_rank=8)
+        assert report.ok and report.checked == 698
+        assert built == []
+
 
 class TestMoveback:
     def test_worked_steps(self):
@@ -687,6 +702,23 @@ class TestMoveback:
         del calls[:]
         moveback_step(lam, lamp)
         assert calls == [lam, lamp]
+
+    def test_a_planted_partner_defect_fails_the_membership_check(self, monkeypatch):
+        # moving q+ where the rule says q leaves Bbar+: the step and the suite fail
+        lam, lamp = parse("2,1,0;-"), parse("-;1,0")
+        assert moveback_step(lam, lamp) == (parse("2,0;1"), parse("1;0"), "a")
+        real = relations._moveback_rule
+
+        def planted(lt, x, k, p, q, q_next, r):
+            rule, partner = real(lt, x, k, p, q, q_next, r)
+            return (1, q_next) if rule == 0 else (rule, partner)
+
+        monkeypatch.setattr(relations, "_moveback_rule", planted)
+        with pytest.raises(CheckFailed, match="left the relation"):
+            moveback_step(lam, lamp)
+        report = suites.run_suite("lemma0616", max_rank=8)
+        assert not report.ok
+        assert any("left the relation" in f.get("error", "") for f in report.failures)
 
     def test_rejects_settled_first_component(self):
         with pytest.raises(ValueError):
