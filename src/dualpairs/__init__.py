@@ -32,10 +32,8 @@ from .derivative import DerivativeChain, DerivativeStep, derive_full, derive_onc
 from .uniform import verify_thm0310
 from .branching import (
     ThetaMap,
-    cuspidal_symbol,
     omega_minus,
     omega_plus,
-    theta_cuspidal,
     theta_general,
     theta_set,
     theta_star,

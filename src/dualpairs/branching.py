@@ -1,9 +1,8 @@
 """Explicit correspondence maps and rank-shift branching sets.
 
-The cuspidal maps send a symbol to its transpose extended by one new
-largest entry; the general maps act on flip sets of singles and are
-defined whenever the D relation of the special pair is nonempty, the
-direction being fixed by the core-free degree difference.  Branching sets
+The correspondence maps act on flip sets of singles and are defined
+whenever the D relation of the special pair is nonempty, the direction
+being fixed by the core-free degree difference.  Branching sets
 Omega^+/- collect the symbols reachable by growing/shrinking one entry
 (or adding/removing a hook row), and Theta/Theta* filter them through the
 correspondence relation.
@@ -14,31 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
-from .cells import Arrangement, cell_sign, free_values
-from .relations import FAMILIES, CheckFailed, CorePair, Pair, PairSet, b_kind, cores, in_B, prec
+from .cells import IndexArrangement, cell_shape, free_values
+from .relations import FAMILIES, CheckFailed, CorePair, b_kind, cores, in_B, prec
 from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, transport_mask
-
-
-def cuspidal_symbol(m: int, kind: str) -> Symbol:
-    """The cuspidal symbols: a full staircase in one row.
-
-    ``Sp``   rank m(m+1), staircase 2m..0;
-    ``O-I``  rank m^2, staircase (2m-1)..0 (m >= 1);
-    ``O-II`` the transpose of ``O-I``.
-    The staircase sits in the first row for even m, the second for odd m.
-    """
-    if kind == "Sp":
-        if m < 0:
-            raise ValueError("m must be >= 0")
-        run = tuple(range(2 * m, -1, -1))
-    elif kind in ("O-I", "O-II"):
-        if m < 1:
-            raise ValueError("orthogonal cuspidal symbols need m >= 1")
-        run = tuple(range(2 * m - 1, -1, -1))
-    else:
-        raise ValueError("kind must be Sp, O-I or O-II")
-    sym = Symbol(run, ()) if m % 2 == 0 else Symbol((), run)
-    return sym.t if kind == "O-II" else sym
 
 
 def z_cuspidal(m: int) -> SpecialSymbol:
@@ -49,39 +26,6 @@ def z_cuspidal(m: int) -> SpecialSymbol:
 def zp_cuspidal(m: int) -> SpecialSymbol:
     """Special symbol (2m-1,...,1; 2m-2,...,0): rank m*m, defect 0."""
     return SpecialSymbol(Symbol(range(2 * m - 1, -1, -2), range(2 * m - 2, -1, -2)))
-
-
-def _extend(sym: Symbol, value: int, row: int) -> Symbol:
-    rows = {TOP: list(sym.top), BOT: list(sym.bot)}
-    if rows[row] and rows[row][0] >= value:
-        raise ValueError("%d does not extend %s" % (value, sym))
-    rows[row].insert(0, value)
-    return Symbol(rows[TOP], rows[BOT])
-
-
-def theta_cuspidal(sym: Symbol, eps: int, direction: str) -> Symbol:
-    """Transpose-and-extend maps between the staircase families.
-
-    ``up``   (entries 0..2m once each) -> new largest entry 2m+1;
-    ``down`` (entries 0..2m-1)         -> new largest entry 2m.
-    The new entry joins the first row for eps=+1, the second for eps=-1.
-    """
-    b_kind(eps)  # rejects any other sign
-    entries = sym.entries()
-    n = len(entries)
-    if list(entries) != list(range(n - 1, -1, -1)):
-        raise ValueError("%s is not a one-per-value staircase symbol" % sym)
-    if direction == "up":
-        if n % 2 == 0:
-            raise ValueError("up direction starts from an odd entry count")
-        new = n
-    elif direction == "down":
-        if n % 2 == 1:
-            raise ValueError("down direction starts from an even entry count")
-        new = n
-    else:
-        raise ValueError("direction must be 'up' or 'down'")
-    return _extend(sym.t, new, TOP if eps == 1 else BOT)
 
 
 @dataclass(frozen=True)
@@ -133,41 +77,27 @@ class ThetaMap:
             return frozenset((m, self(m)) for m in self.source_masks())
         return frozenset((self(m), m) for m in self.source_masks())
 
-    def map_arrangement(
-        self, phi: Arrangement, psi: Iterable[Pair]
-    ) -> Tuple[Arrangement, PairSet]:
-        """Image arrangement and subset of pairs (cores pass through).
-
-        A core-free pair (s, t) maps to (theta(t), theta(s)).  Going up, the
-        isolated single pairs with the entry missing from the image; going
-        down, the released largest entry becomes the isolated single.
-        """
-        psi = frozenset(psi)
-        if not psi <= phi.pair_set():
-            raise ValueError("psi must be a subset of pairs of phi")
-        up = self.direction == "up"
-        core = self.core
-        src_core, dst_core = (core.psi0, core.psi0p) if up else (core.psi0p, core.psi0)
-        if not src_core <= psi:
-            raise ValueError("psi must contain the core pairs")
-        # the core pairs are in psi, so they leave |phi \ psi| unchanged
-        if not up and cell_sign(phi, psi) != self.eps:
-            raise ValueError("subset of pairs is not admissible for eps=%+d" % self.eps)
-        emap = self.entry_map
-        image = {
-            (s, t): (emap[(t, BOT)][0], emap[(s, TOP)][0])
-            for (s, t) in phi.pairs
-            if (s, t) not in src_core
-        }
-        pairs = tuple(image.values()) + tuple(dst_core)
-        new_psi = {image[p] for p in psi - src_core} | dst_core
-        if not up:
-            return Arrangement(pairs, self.extra[0]), frozenset(new_psi)
-        iso_pair = (self.extra[0], emap[(phi.isolated, TOP)][0])
-        # |image arrangement \ image subset| is even for eps=+1 and odd for eps=-1
-        if ((len(phi.pairs) - len(psi)) % 2 == 0) == (self.eps == 1):
-            new_psi.add(iso_pair)
-        return Arrangement(pairs + (iso_pair,), None), frozenset(new_psi)
+    def map_index(self, arr: IndexArrangement, psi: int) -> Tuple[IndexArrangement, int]:
+        """The image of an arrangement of the source base that holds the source
+        core pairs, and of psi (bits over its pairs, the core among them), as an
+        arrangement of the target base and psi bits over its pairs.  A core-free
+        pair (s, t) maps to (theta(t), theta(s)), and the target's core pairs
+        join.  Going up, the isolated single pairs with the entry missing from the
+        image, in psi when |phi - psi| is even at eps = +1 and odd at eps = -1;
+        going down, the released largest entry becomes the isolated single."""
+        src, dst, up = self.source_base(), self.target_base(), self.direction == "up"
+        # the core pairs are the flips of two singles
+        core = [f for f in (self.core.flipsp if up else self.core.flips) if f.bit_count() == 2]
+        moved = [transport_mask(src, dst, self.entry_map, pm) for pm in arr.pairs]  # None: core
+        pairs = [pm for pm in moved if pm] + core
+        new = [pm for k, pm in enumerate(moved) if pm and psi >> k & 1] + core
+        extra = 1 << dst.index[self.extra]
+        if up:
+            pairs.append(extra | transport_mask(src, dst, self.entry_map, arr.isolated))
+            if (len(arr.pairs) - psi.bit_count()) % 2 == (self.eps == -1):
+                new.append(pairs[-1])
+        target = cell_shape(dst).lookup[tuple(sorted(pairs)), 0 if up else extra]
+        return target, sum(1 << k for k, pm in enumerate(target.pairs) if pm in new)
 
 
 def theta_general(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> ThetaMap:

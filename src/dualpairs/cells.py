@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .relations import EMPTY_PAIRSET, CheckFailed, Pair, PairSet
 from .symbols import BOT, TOP, SpecialSymbol, Symbol
@@ -32,9 +32,6 @@ class Arrangement:
     def pair_set(self) -> PairSet:
         return frozenset(self.pairs)
 
-    def __contains__(self, pair: Pair) -> bool:
-        return pair in self.pairs
-
     def __str__(self) -> str:
         parts = ["(%d;%d)" % p for p in self.pairs]
         if self.isolated is not None:
@@ -44,32 +41,20 @@ class Arrangement:
 
 def arrangements(Z: SpecialSymbol) -> Tuple[Arrangement, ...]:
     """Every pairing of the singles of Z into row-crossing pairs."""
-    tops = Z.single_values(TOP)
-    bots = Z.single_values(BOT)
-    out = []
-    if Z.defect == 1:
-        for isolated in tops:
-            rest = [s for s in tops if s != isolated]
-            for perm in itertools.permutations(rest):
-                out.append(Arrangement(tuple(zip(perm, bots)), isolated))
-    else:
-        for perm in itertools.permutations(tops):
-            out.append(Arrangement(tuple(zip(perm, bots)), None))
-    return tuple(sorted(set(out), key=str))
+    tops, bots = Z.single_values(TOP), Z.single_values(BOT)
+    return tuple(sorted({
+        Arrangement(tuple(zip(perm, bots)), isolated)
+        for isolated in (tops if Z.defect == 1 else [None])
+        for perm in itertools.permutations([s for s in tops if s != isolated])
+    }, key=str))
 
 
 def semi_consecutive_arrangements(Z: SpecialSymbol) -> Tuple[Arrangement, ...]:
-    """The arrangements built from adjacent singles only.
-
-    Two of them for defect 1 (isolated single at either end), one for
-    defect 0.
-    """
-    s = Z.single_values(TOP)
-    t = Z.single_values(BOT)
+    """The arrangements built from adjacent singles only: two for defect 1
+    (isolated single at either end), one for defect 0."""
+    s, t = Z.single_values(TOP), Z.single_values(BOT)
     if Z.defect == 1:
-        phi1 = Arrangement(tuple(zip(s[: len(t)], t)), s[-1])
-        phi2 = Arrangement(tuple(zip(s[1:], t)), s[0])
-        return (phi1, phi2)
+        return Arrangement(tuple(zip(s[:-1], t)), s[-1]), Arrangement(tuple(zip(s[1:], t)), s[0])
     return (Arrangement(tuple(zip(s, t)), None),)
 
 
@@ -100,29 +85,16 @@ class Cell:
 def cell(Z: SpecialSymbol, phi: Arrangement, psi: Iterable[Pair]) -> Cell:
     """Members: all of each psi pair or none, exactly one of every other pair.
 
-    For defect 1 the isolated single is included exactly when needed to
-    keep |M| even (family membership); for defect 0 the member parity, and
-    with it the S^+/S^- side, is determined by |phi \\ psi|.  Raises
-    ValueError unless phi uses every single of Z exactly once, with an
-    isolated top single exactly when Z has defect 1.  Not cached: callers
-    keep the cells they reuse (``singleton_intersection(built=...)``).
-    """
+    For defect 1 the isolated single is included exactly when needed to keep
+    |M| even (family membership); for defect 0 the member parity, and with it
+    the S^+/S^- side, is determined by |phi \\ psi|.  Raises ValueError unless
+    psi <= phi and phi uses every single of Z once, with an isolated top single
+    exactly at defect 1.  The masks are the shape table's (``cell_shape``)."""
     psi = frozenset(psi)
     if not psi <= phi.pair_set():
         raise ValueError("psi %r is not a subset of pairs of %s" % (sorted(psi), phi))
-    bits = [(Z.mask_of([(s, TOP)]), Z.mask_of([(t, BOT)])) for (s, t) in phi.pairs]
-    iso = 0 if phi.isolated is None else Z.mask_of([(phi.isolated, TOP)])
-    used = iso
-    for a, b in bits:
-        used |= a | b
-    # As many entries as singles and covering them all: each single once.
-    # The count also forces an isolated single exactly at odd |singles|,
-    # that is at defect 1.
-    if 2 * len(bits) + bool(iso) != len(Z.singles) or used != (1 << len(Z.singles)) - 1:
-        raise ValueError("%s is not an arrangement of the singles of %s" % (phi, Z))
-    options = [(0, a | b) if p in psi else (a, b) for p, (a, b) in zip(phi.pairs, bits)]
-    masks = (sum(choice) for choice in itertools.product(*options))
-    return Cell(Z, phi, psi, frozenset(m | iso if m.bit_count() & 1 else m for m in masks))
+    arr, bit = _indexed(Z, phi)
+    return Cell(Z, phi, psi, frozenset(arr.cells()[sum(bit[p] for p in psi)]))
 
 
 def cell_sign(phi: Arrangement, psi: Iterable[Pair]) -> int:
@@ -138,24 +110,156 @@ def admissible(phi: Arrangement, psi: Iterable[Pair], eps: int) -> bool:
 
 
 def cell_partition_check(Z: SpecialSymbol, cells: Sequence[Cell]) -> bool:
-    """The cells of one arrangement, one per subset psi of its pairs, are
-    disjoint and cover the family (split by sign)."""
-    seen = set()
-    for c in cells:
-        if seen & c.masks:
-            return False
-        seen |= c.masks
+    """The cells of one arrangement, one per psi, are disjoint and cover the family (by sign)."""
+    return partitions(Z, ((c.masks, cell_sign(c.phi, c.psi)) for c in cells))
+
+
+def partitions(Z: SpecialSymbol, signed: Iterable[Tuple[Iterable[int], int]]) -> bool:
+    """Whether cells given as (masks, sign) hold each mask of S once (defect 1),
+    or each of S+ once in the +1 cells and each of S- in the -1 ones."""
+    got: Dict[int, list] = {1: [], -1: []}
+    for masks, sign in signed:
+        got[sign] += masks
     if Z.defect == 1:
-        return seen == set(Z.masks("S"))
-    plus, minus = set(), set()
-    for c in cells:
-        (plus if cell_sign(c.phi, c.psi) == 1 else minus).update(c.masks)
-    return plus == set(Z.masks("S+")) and minus == set(Z.masks("S-"))
+        return sorted(got[1] + got[-1]) == sorted(Z.masks("S"))
+    return sorted(got[1]) == sorted(Z.masks("S+")) and sorted(got[-1]) == sorted(Z.masks("S-"))
 
 
-def _psi_containing(Z: SpecialSymbol, phi: Arrangement, m: int) -> PairSet:
-    """The unique psi <= phi whose cell holds the member of mask m."""
-    return frozenset(p for p in phi.pairs if (m & Z.pairs_mask([p])).bit_count() != 1)
+def cell_sum_failures(Z: SpecialSymbol, arr: IndexArrangement) -> Iterator[int]:
+    """The psi whose cells break the cell-sum identity, in integers: for a cell
+    (phi, psi) and each mask m of its family (S, or S+ or S- by the cell's sign),
+    the sum over psi' <= phi of (-1)^(|psi' - psi| + |m & mask(psi')|) is 2^deg if
+    m is in the cell, else 0.  With psi' as bits j and q the parities of m on the
+    pairs, |m & mask(psi')| = |j & q| mod 2: bit j of ``signs`` and of the word of q
+    hold the two terms, and the sum, 2^deg - 2 |signs ^ word|, is evaluated once per
+    word for all the masks that share it."""
+    size = 1 << Z.degree
+    groups: Dict[str, Dict[int, list]] = {}  # family -> q -> masks
+    for which in ("S",) if Z.defect else ("S+", "S-"):
+        for m in Z.masks(which):
+            q = sum(((m & pm).bit_count() & 1) << k for k, pm in enumerate(arr.pairs))
+            groups.setdefault(which, {}).setdefault(q, []).append(m)
+    words = {q: sum(((j & q).bit_count() & 1) << j for j in range(size))
+             for qs in groups.values() for q in qs}
+    for psi, c in enumerate(map(set, arr.cells())):
+        which = "S" if Z.defect else "S-" if (Z.degree - psi.bit_count()) & 1 else "S+"
+        signs = sum(((j & ~psi).bit_count() & 1) << j for j in range(size))
+        for q, ms in groups[which].items():
+            total = size - 2 * (signs ^ words[q]).bit_count()
+            if not (c.issuperset(ms) if total == size else total == 0 and c.isdisjoint(ms)):
+                yield psi
+                break
+
+
+# -- cell shape tables: as sets of bits, arrangements and cells depend only on the
+# shape (d, g), with the g + d top singles at bits 0 .. g+d-1 and the g bottom ones
+# above (symbols' shape tables).  So they are tabled by (d, g), a key space bounded
+# like symbols._MASKS, and an arrangement builds its cells on first use.
+
+
+class IndexArrangement:
+    """An arrangement as its pair masks, increasing, and the bit of its isolated single (0 at
+    defect 0).  ``cells()[psi]``, psi a mask over the pair positions, is a sorted tuple."""
+
+    __slots__ = ("pairs", "isolated", "_cells")
+
+    def __init__(self, pairs: Tuple[int, ...], isolated: int):
+        self.pairs, self.isolated, self._cells = pairs, isolated, None
+
+    def cells(self) -> Tuple[Tuple[int, ...], ...]:
+        if self._cells is None:
+            self._cells = tuple(map(self._cell, range(1 << len(self.pairs))))
+        return self._cells
+
+    def _cell(self, psi: int) -> Tuple[int, ...]:
+        # a psi pair flips whole or not at all, any other pair by one bit
+        options = [(0, pm) if psi >> k & 1 else (pm & -pm, pm & pm - 1)
+                   for k, pm in enumerate(self.pairs)]
+        return tuple(sorted(m | self.isolated if m.bit_count() & 1 else m
+                            for m in map(sum, itertools.product(*options))))
+
+    def psi_of(self, m: int) -> int:
+        """The psi whose cell holds mask m: the pairs m meets in 0 or 2 bits."""
+        return sum(1 << k for k, pm in enumerate(self.pairs) if (m & pm).bit_count() != 1)
+
+
+class CellShape:
+    """A shape's arrangements, its semi-consecutive ones and all by (pairs, isolated)."""
+
+    __slots__ = ("arrangements", "semi", "lookup")
+
+    def __init__(self, arrangements, semi, lookup):
+        self.arrangements, self.semi, self.lookup = arrangements, semi, lookup
+
+
+_CELL_SHAPES: Dict[Tuple[int, int], CellShape] = {}
+
+
+def cell_shape(Z: SpecialSymbol) -> CellShape:
+    """The arrangements and cells of the shape (defect, degree) of Z, built on first use."""
+    d, g = Z.defect, Z.degree
+    got = _CELL_SHAPES.get((d, g))
+    if got is not None:
+        return got
+
+    def arr(tops, isolated):
+        pairs = tuple(1 << i | 1 << j for i, j in zip(tops, range(g + d, 2 * g + d)))
+        return IndexArrangement(pairs, isolated)
+
+    semi = (arr(range(g), 1 << g), arr(range(1, g + 1), 1)) if d else (arr(range(g), 0),)
+    # at defect 1 each top single in turn is isolated, and the others pair up
+    lookup = {(a.pairs, a.isolated): a for a in (
+        arr(perm, d << i) for i in range(g + d if d else 1)
+        for perm in itertools.permutations(j for j in range(g + d) if j != i or not d)
+    )}
+    got = _CELL_SHAPES[d, g] = CellShape(
+        tuple(lookup.values()), tuple(lookup[a.pairs, a.isolated] for a in semi), lookup
+    )
+    return got
+
+
+def holding_core(Z: SpecialSymbol, flips: Iterable[int]) -> Iterator[Tuple[IndexArrangement, int]]:
+    """The arrangements of the shape of Z that hold the core pairs, the flips of two
+    singles among the core `flips`, each with the psi bits of those pairs."""
+    core = {f for f in flips if f.bit_count() == 2}
+    for arr in cell_shape(Z).arrangements:
+        need = sum(1 << k for k, pm in enumerate(arr.pairs) if pm in core)
+        if need.bit_count() == len(core):
+            yield arr, need
+
+
+def _indexed(Z: SpecialSymbol, phi: Arrangement) -> Tuple[IndexArrangement, Dict[Pair, int]]:
+    """The index arrangement of phi, and the psi bit of each of its pairs; raises
+    ValueError unless phi is an arrangement of Z (see ``cell``)."""
+    index = Z.index
+    try:
+        masks = {(s, t): 1 << index[s, TOP] | 1 << index[t, BOT] for s, t in phi.pairs}
+        iso = 0 if phi.isolated is None else 1 << index[phi.isolated, TOP]
+        arr = cell_shape(Z).lookup.get((tuple(sorted(masks.values())), iso))
+    except KeyError:  # not a single of Z in that row
+        arr = None
+    # a repeated pair collapses in `masks`: the count must match too
+    if arr is None or len(masks) != len(phi.pairs):
+        raise ValueError("%s is not an arrangement of the singles of %s" % (phi, Z))
+    bit = {pm: 1 << k for k, pm in enumerate(arr.pairs)}
+    return arr, {p: bit[pm] for p, pm in masks.items()}
+
+
+def value_pairs(Z: SpecialSymbol, masks: Iterable[int]) -> List[Tuple[int, ...]]:
+    """The values of the singles of Z at the bits of each mask."""
+    return [tuple(v for i, (v, _) in enumerate(Z.singles) if m >> i & 1) for m in masks]
+
+
+def value_arrangement(Z: SpecialSymbol, arr: IndexArrangement) -> Arrangement:
+    """The arrangement of the singles of Z at the bits of arr."""
+    (isolated,) = value_pairs(Z, [arr.isolated])[0] or [None]
+    return Arrangement(tuple(value_pairs(Z, arr.pairs)), isolated)
+
+
+def intersection(a1: IndexArrangement, a2: IndexArrangement, m: int, banned: int = 0) -> set:
+    """The masks outside `banned` in both the a1 and the a2 cell of m."""
+    both = set(a1.cells()[a1.psi_of(m)]).intersection(a2.cells()[a2.psi_of(m)])
+    return {x for x in both if not x & banned}
 
 
 def _cell_masks(Z: SpecialSymbol, lams: Sequence[Symbol], banned: int) -> List[int]:
@@ -175,7 +279,7 @@ def _cell_masks(Z: SpecialSymbol, lams: Sequence[Symbol], banned: int) -> List[i
 
 
 def singleton_intersection(
-    Z: SpecialSymbol, lam: Symbol, psi0: PairSet = EMPTY_PAIRSET, built: Optional[dict] = None
+    Z: SpecialSymbol, lam: Symbol, psi0: PairSet = EMPTY_PAIRSET
 ) -> Tuple[Arrangement, PairSet, Arrangement, PairSet]:
     """Two cells whose intersection is exactly {lam}.
 
@@ -183,39 +287,30 @@ def singleton_intersection(
     the arrangements are built on the core-free singles and extended by
     psi0, and the intersection is taken inside the core-free sub-family.
     Raises ValueError unless lam is in S_Z and avoids the entries of psi0.
-    Cells in `built`, keyed by (phi, psi), are reused.
     """
     if Z.defect != 1:
         raise ValueError("singleton intersection applies to defect-1 symbols")
     banned = Z.pairs_mask(psi0)
     (m,) = _cell_masks(Z, [lam], banned)
-    if psi0:
-        sub = _strip_core(Z, psi0)
-        phis = [
-            Arrangement(p.pairs + tuple(sorted(psi0, reverse=True)), p.isolated)
-            for p in semi_consecutive_arrangements(sub)
-        ]
-    else:
-        phis = list(semi_consecutive_arrangements(Z))
-    phi1, phi2 = phis
-    psi1 = _psi_containing(Z, phi1, m)
-    psi2 = _psi_containing(Z, phi2, m)
-    c1, c2 = ((built or {}).get(key) or cell(Z, *key) for key in ((phi1, psi1), (phi2, psi2)))
-    inter = {x for x in c1.masks & c2.masks if not x & banned}
+    tops = [1 << i for i in range(Z.n) if (Z.top_mask & ~banned) >> i & 1]
+    bots = [1 << i for i in range(Z.n) if (Z.bot_mask & ~banned) >> i & 1]
+    core = [Z.pairs_mask([p]) for p in psi0]
+    a1, a2 = (
+        cell_shape(Z).lookup[tuple(sorted(core + [a | b for a, b in zip(ts, bots)])), iso]
+        for ts, iso in ((tops[:-1], tops[-1]), (tops[1:], tops[0]))
+    )
+    inter = intersection(a1, a2, m, banned)
     if inter != {m}:
         raise CheckFailed(
             "intersection %r is not {%s}" % (sorted(str(Z.member(x)) for x in inter), lam)
         )
-    return phi1, psi1, phi2, psi2
+    return (value_arrangement(Z, a1), psi_pairs(Z, a1, a1.psi_of(m)),
+            value_arrangement(Z, a2), psi_pairs(Z, a2, a2.psi_of(m)))
 
 
-def _strip_core(Z: SpecialSymbol, psi0: PairSet) -> SpecialSymbol:
-    """Z with the core-pair entries deleted (still special, same defect)."""
-    # the values of core pairs are singles, so each sits in one row only
-    drop = {v for pair in psi0 for v in pair}
-    top = [v for v in Z.symbol.top if v not in drop]
-    bot = [v for v in Z.symbol.bot if v not in drop]
-    return SpecialSymbol(Symbol(top, bot))
+def psi_pairs(Z: SpecialSymbol, arr: IndexArrangement, psi: int) -> PairSet:
+    """The pairs of arr at the bits of psi, as values."""
+    return frozenset(p for k, p in enumerate(value_pairs(Z, arr.pairs)) if psi >> k & 1)
 
 
 def separating_pair(
@@ -236,42 +331,43 @@ def separating_pair(
     m1, m2 = _cell_masks(Z, [lam1, lam2], banned)
     if lam1 == lam2:
         raise ValueError("cannot separate a symbol from itself")
-    core_free = ((1 << len(Z.singles)) - 1) & ~banned
+    core_free = ((1 << Z.n) - 1) & ~banned
     if Z.defect == 0 and m1 == core_free ^ m2:
         # The core-free complement plays the role of the transpose here;
         # such a pair shares every core-respecting cell.
         raise ValueError("cannot separate a symbol from its core-free transpose")
-    tops, bots = free_values(Z, banned)
-    # a pair that M1 and M2 meet with different parities
-    diff = m1 ^ m2
-    split_pair = next(
-        ((s, t) for s in tops for t in bots if (diff & Z.pairs_mask([(s, t)])).bit_count() & 1),
-        None,
-    )
-    if split_pair is None:
+    split = _splitting_pair(Z, m1 ^ m2, banned)
+    if split is None:
         raise CheckFailed("no splitting pair for %s, %s" % (lam1, lam2))
-    phi = _complete_arrangement(Z, frozenset({split_pair}) | psi0)
-    psi1 = _psi_containing(Z, phi, m1)
-    psi2 = _psi_containing(Z, phi, m2)
+    # the first arrangement of the shape that holds the splitting and the core pairs
+    forced = {split} | {Z.pairs_mask([p]) for p in psi0}
+    arr = next(a for a in cell_shape(Z).arrangements if forced <= set(a.pairs))
+    phi = value_arrangement(Z, arr)
+    psi1, psi2 = (psi_pairs(Z, arr, arr.psi_of(m)) for m in (m1, m2))
     if not (psi0 <= psi1 and psi0 <= psi2):
         raise CheckFailed(
             "cells of %s, %s in %s miss the core %r" % (lam1, lam2, phi, sorted(psi0))
         )
-    if cell(Z, phi, psi1).masks & cell(Z, phi, psi2).masks:
+    if not set(arr.cells()[arr.psi_of(m1)]).isdisjoint(arr.cells()[arr.psi_of(m2)]):
         raise CheckFailed("cells of %s and %s in %s overlap" % (lam1, lam2, phi))
     return phi, psi1, psi2
 
 
-def _complete_arrangement(Z: SpecialSymbol, forced: PairSet) -> Arrangement:
-    """Any arrangement of Z containing the given disjoint pairs."""
-    tops, bots = free_values(Z, Z.pairs_mask(forced))
-    pairs = list(forced)
-    if Z.defect == 1:
-        isolated = tops[0]
-        pairs += list(zip(tops[1:], bots))
-        return Arrangement(tuple(pairs), isolated)
-    pairs += list(zip(tops, bots))
-    return Arrangement(tuple(pairs), None)
+def separable_pairs(Z: SpecialSymbol, psi0: PairSet = EMPTY_PAIRSET) -> Iterator[Tuple[int, int]]:
+    """The domain of separating_pair with the core psi0, as mask pairs: two members of one
+    family (S, S+ or S-) avoiding the core entries, not core-free transposes at defect 0."""
+    banned = Z.pairs_mask(psi0)
+    twin = ((1 << Z.n) - 1) & ~banned if Z.defect == 0 else -1
+    for which in ("S",) if Z.defect else ("S+", "S-"):
+        free = [m for m in Z.masks(which) if not m & banned]
+        yield from (p for p in itertools.combinations(free, 2) if p[0] ^ p[1] != twin)
+
+
+def _splitting_pair(Z: SpecialSymbol, diff: int, banned: int) -> Optional[int]:
+    """The mask of a top and a bottom single outside `banned` that diff meets once."""
+    free = [1 << i for i in range(Z.n) if not banned >> i & 1]
+    return next((a | b for a in free if a & Z.top_mask for b in free
+                 if b & Z.bot_mask and (diff & (a | b)).bit_count() == 1), None)
 
 
 def free_values(Z: SpecialSymbol, banned: int) -> Tuple[list, list]:

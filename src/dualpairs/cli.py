@@ -171,7 +171,8 @@ def cmd_correspond(args) -> int:
 def cmd_verify(args) -> int:
     given = {
         key: value
-        for key, value in (("max_rank", args.max_rank), ("eps", args.epsilon))
+        for key, value in (("max_rank", args.max_rank), ("max_degree", args.max_degree),
+                           ("eps", args.epsilon))
         if value is not None
     }
     names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
@@ -249,6 +250,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
     p.add_argument("--max-rank", type=int, default=None)
+    p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--epsilon", type=_eps, default=None)
     p.add_argument(
         "--summary", action="store_true", help="suppress the per-pair JSON lines"

@@ -15,13 +15,11 @@ import functools
 import json
 import os
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, perm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import branching, cells, derivative, relations, tables, uniform
 from .symbols import (
-    BOT,
-    TOP,
     SpecialSymbol,
     Symbol,
     specials_upto,
@@ -256,104 +254,94 @@ def _cells_items(max_rank: int, max_degree: int) -> List[SpecialSymbol]:
 
 
 def _check_cells(Z, report: SuiteReport) -> None:
-    """Cell sizes, partitions, cell sums, singleton intersections, parity congruence."""
+    """Cell sizes, partitions, cell sums, singleton intersections and parity congruence on
+    the shape table of Z, which the value arrangements of Z (as many as the factorial
+    oracle says) and their semi-consecutive ones must map onto."""
+    shape = cells.cell_shape(Z)
     arrs = cells.arrangements(Z)
-    # arrangement count against the factorial oracle
-    tops, bots = Z.single_values(TOP), Z.single_values(BOT)
-    expect = 1
-    for i in range(len(bots)):
-        expect *= len(tops) - i
+    expect = perm(Z.degree + Z.defect, Z.degree)
     if len(arrs) != expect:
         report.failures.append({"Z": str(Z), "arrangements": [len(arrs), expect]})
-    full = (1 << len(Z.singles)) - 1  # at defect 0, XOR with it is the transpose
-    first = None  # the cells of the first arrangement
-    semi = set(cells.semi_consecutive_arrangements(Z)) if Z.defect == 1 else ()
-    by_key = {}  # (phi, psi) -> cell, reused by the singleton intersections
-    for phi in arrs:
+    linked = {cells._indexed(Z, phi)[0] for phi in arrs}
+    semi = tuple(cells._indexed(Z, phi)[0] for phi in cells.semi_consecutive_arrangements(Z))
+    if len(linked) != len(arrs) or linked != set(shape.arrangements) or semi != shape.semi:
+        report.failures.append({"Z": str(Z), "arrangements": "not the shape's"})
+    full = (1 << Z.n) - 1  # at defect 0, XOR with it is the transpose
+    size = 1 << Z.degree  # 2^deg, cells per arrangement and members per cell
+
+    def fail(arr, **what) -> None:
+        report.failures.append({"Z": str(Z), "phi": str(cells.value_arrangement(Z, arr)), **what})
+
+    for arr in shape.arrangements:
         report.checked += 1
-        built = [
-            cells.cell(Z, phi, psi) for psi in relations.subsets_of_pairs(phi.pair_set())
-        ]
-        first = first or built
-        by_key.update(((phi, c.psi), c) for c in built if phi in semi)
-        if not cells.cell_partition_check(Z, built):
-            report.failures.append({"Z": str(Z), "phi": str(phi), "partition": False})
-        for c in built:
-            if len(c) != 2**Z.degree:
-                report.failures.append({"Z": str(Z), "phi": str(phi), "size": len(c)})
-            if Z.defect == 0 and any(m ^ full not in c.masks for m in c.masks):
-                report.failures.append({"Z": str(Z), "phi": str(phi), "transpose_closed": False})
-        _check_cell_sums(Z, phi, built, report)
+        cs = arr.cells()
+        signs = ((-1) ** (Z.degree - psi.bit_count()) for psi in range(size))  # of |phi - psi|
+        if not cells.partitions(Z, zip(cs, signs)):
+            fail(arr, partition=False)
+        for c in cs:
+            if len(c) != size:
+                fail(arr, size=len(c))
+            if Z.defect == 0 and tuple(sorted(m ^ full for m in c)) != c:
+                fail(arr, transpose_closed=False)
+        for psi in cells.cell_sum_failures(Z, arr):
+            fail(arr, cell_sum=str(sorted(cells.psi_pairs(Z, arr, psi))))
     if Z.defect == 1:
-        for lam in Z.family("S"):
-            cells.singleton_intersection(Z, lam, built=by_key)
+        for m in Z.masks("S"):
             report.checked += 1
-    # parity congruence across members of one cell
-    for c in first or ():
-        for psip in relations.subsets_of_pairs(c.phi.pair_set()):
-            ent = Z.pairs_mask(psip)
-            pars = {(m & ent).bit_count() % 2 for m in c.masks}
-            if len(pars) > 1:
-                report.failures.append(
-                    {"Z": str(Z), "phi": str(c.phi), "congruence": str(psip)}
-                )
-
-
-def _check_cell_sums(Z: SpecialSymbol, phi, built, report: SuiteReport) -> None:
-    """The cell-sum identity, in integers, for the cells of one arrangement.
-
-    For a cell (phi, psi) and each mask m of its rho family (S at defect 1,
-    S+ or S- by the cell's sign at defect 0), the sum over psi' <= phi of
-    (-1)^(|psi' - psi| + |m & mask(psi')|) is 2^deg if m is in the cell and
-    0 if not.  Bit j of ``signs`` and of ``word[m]`` holds the parity of the
-    first and of the second exponent term for the j-th psi', so the sum is
-    2^deg - 2 |signs ^ word[m]|.
-    """
-    subsets = relations.subsets_of_pairs(phi.pair_set())
-    flips = [Z.pairs_mask(ps) for ps in subsets]
-    word = {
-        m: sum((m & f).bit_count() % 2 << j for j, f in enumerate(flips))
-        for m in Z.masks("S" if Z.defect == 1 else "all")
-    }
-    for c in built:
-        which = "S" if Z.defect == 1 else "S+" if cells.cell_sign(phi, c.psi) == 1 else "S-"
-        signs = sum(len(ps - c.psi) % 2 << j for j, ps in enumerate(subsets))
-        if any(
-            len(subsets) - 2 * (signs ^ word[m]).bit_count() != 2**Z.degree * (m in c.masks)
-            for m in Z.masks(which)
-        ):
-            report.failures.append({"Z": str(Z), "phi": str(phi), "cell_sum": str(sorted(c.psi))})
+            if cells.intersection(*shape.semi, m) != {m}:
+                report.failures.append({"Z": str(Z), "singleton": str(Z.member(m))})
+    # parity congruence across members of one cell, on the shape's first arrangement:
+    # the second semi-consecutive one (largest top single isolated), or the consecutive one
+    arr = shape.arrangements[0]
+    for c in arr.cells():
+        for psi in range(size):
+            ent = sum(pm for k, pm in enumerate(arr.pairs) if psi >> k & 1)
+            if len({(m & ent).bit_count() & 1 for m in c}) > 1:
+                fail(arr, congruence=str(sorted(cells.psi_pairs(Z, arr, psi))))
 
 
 def _check_factorization(item, report: SuiteReport) -> None:
-    """Core-constrained cell statements on pairs with nonempty cores."""
+    """Core-constrained cell statements on pairs with nonempty cores, on the shape tables."""
     Z, Zp = item
     cp = relations.cores(Z, Zp)
-    for base, psi0, banned, flips in ((Z, cp.psi0, cp.mask, cp.flips),
-                                      (Zp, cp.psi0p, cp.maskp, cp.flipsp)):
-        free = {m for m in range(1 << len(base.singles)) if not m & banned}
-        for phi in cells.arrangements(base):
-            if not psi0 <= phi.pair_set():
-                continue
-            for psi in relations.subsets_of_pairs(phi.pair_set()):
-                if not psi0 <= psi:
+
+    def fail(**what) -> None:
+        where = {"base": str(base), "phi": str(cells.value_arrangement(base, arr))}
+        report.failures.append({**where, **what})
+
+    for base, banned, flips in ((Z, cp.mask, cp.flips), (Zp, cp.maskp, cp.flipsp)):
+        free = {m for m in range(1 << base.n) if not m & banned}
+        for arr, need in cells.holding_core(base, flips):
+            for psi, c in enumerate(arr.cells()):
+                if psi & need != need:
                     continue
                 report.checked += 1
-                c = cells.cell(base, phi, psi)
-                rebuilt = {m ^ f for m in c.masks & free for f in flips}
-                if rebuilt != c.masks:
-                    report.failures.append(
-                        {"base": str(base), "phi": str(phi), "factorization": False}
-                    )
+                if {m ^ f for m in c if m in free for f in flips} != set(c):
+                    fail(factorization=False)
             # membership in a cell forces the core into its psi
-            for m in free:
-                if not psi0 <= cells._psi_containing(base, phi, m):
-                    report.failures.append(
-                        {"base": str(base), "phi": str(phi), "core_in_psi": False}
-                    )
+            if need and any(arr.psi_of(m) & need != need for m in free):
+                fail(core_in_psi=False)
     relations.b_natural(Z, Zp, 1)
     relations.b_natural(Z, Zp, -1)
     report.checked += 1
+
+
+def _check_separation(item, report: SuiteReport) -> None:
+    """separating_pair on its whole domain (``cells.separable_pairs``) in both bases,
+    with the pair's core and without one; the two cells it names must hold the two
+    members and be disjoint."""
+    Z, Zp = item
+    cp = relations.cores(Z, Zp)
+    for base, psi0 in ((Z, cp.psi0), (Zp, cp.psi0p)):
+        for core in {psi0, relations.EMPTY_PAIRSET}:
+            for m1, m2 in cells.separable_pairs(base, core):
+                report.checked += 1
+                lams = base.member(m1), base.member(m2)
+                phi, psi1, psi2 = cells.separating_pair(base, *lams, core)
+                c1, c2 = (cells.cell(base, phi, psi).masks for psi in (psi1, psi2))
+                if not (m1 in c1 and m2 in c2 and c1.isdisjoint(c2) and core <= psi1 & psi2):
+                    report.failures.append({"base": str(base), "pair": list(map(str, lams)),
+                                            "core": sorted(core), "phi": str(phi)})
 
 
 def _check_derivative(item, report: SuiteReport) -> None:
@@ -420,7 +408,6 @@ def _check_step(step, report: SuiteReport) -> None:
 def _check_theta(item, report: SuiteReport) -> None:
     """The map's graph equals the core-restricted relation; cell images match."""
     Z, Zp = item
-    built = {}  # (base, phi, psi) -> cell, shared by the two signs
     for eps in (1, -1):
         if eps == -1 and Zp.is_degenerate:
             continue
@@ -432,43 +419,27 @@ def _check_theta(item, report: SuiteReport) -> None:
                 {"Z": str(Z), "Zp": str(Zp), "eps": eps, "graph": False}
             )
             continue
-        if not _theta_cells_agree(tm, built):
+        if not _theta_cells_agree(tm):
             report.failures.append(
                 {"Z": str(Z), "Zp": str(Zp), "eps": eps, "cells": False}
             )
 
 
-def _theta_cells_agree(tm, built: dict) -> bool:
-    """Cell images under the map match the cells of the image arrangement.
-
-    Cells are taken from and added to `built`, keyed by (base, phi, psi)."""
-
-    def cell(base, phi, psi):
-        got = built.get((base, phi, psi))
-        if got is None:
-            got = built[base, phi, psi] = cells.cell(base, phi, psi)
-        return got
-
-    src = tm.source_base()
-    dst = tm.target_base()
-    cp = tm.core
-    src_core, flips = (cp.psi0, cp.flipsp) if tm.direction == "up" else (cp.psi0p, cp.flips)
-    free = set(tm.source_masks())
-    full = (1 << len(dst.singles)) - 1  # "up" lands at defect 0: XOR with it transposes
-    for phi in cells.arrangements(src):
-        if not src_core <= phi.pair_set():
-            continue
-        for psi in relations.subsets_of_pairs(phi.pair_set()):
-            if not src_core <= psi:
+def _theta_cells_agree(tm) -> bool:
+    """Cell images under the map match the cells of the image arrangement
+    (``ThetaMap.map_index``), on the shape tables."""
+    src, dst, up = tm.source_base(), tm.target_base(), tm.direction == "up"
+    core, flips = (tm.core.flips, tm.core.flipsp) if up else (tm.core.flipsp, tm.core.flips)
+    image = {m: tm(m) for m in tm.source_masks()}
+    full = (1 << dst.n) - 1  # "up" lands at defect 0: XOR with it transposes
+    for arr, need in cells.holding_core(src, core):
+        for psi, c in enumerate(arr.cells()):
+            if psi & need != need or not up and (-1) ** (src.degree - psi.bit_count()) != tm.eps:
                 continue
-            if tm.direction == "down" and cells.cell_sign(phi, psi) != tm.eps:
-                continue
-            phi1, psi1 = tm.map_arrangement(phi, psi)
-            images = {tm(m) for m in cell(src, phi, psi).masks & free}
-            if tm.direction == "up":
-                images |= {m ^ full for m in images}
-            got = {m ^ f for m in images for f in flips}
-            if got != cell(dst, phi1, psi1).masks:
+            target, psi1 = tm.map_index(arr, psi)
+            images = {image[m] for m in c if m in image}
+            images |= {m ^ full for m in images} if up else set()
+            if {m ^ f for m in images for f in flips} != set(target.cells()[psi1]):
                 return False
     return True
 
@@ -584,6 +555,7 @@ SUITES: Dict[str, Suite] = {
         {"max_rank": ("max_rank", 11), "max_degree": ("max_degree", 3)},
     ),
     "factorization": Suite(_d_pairs, _check_factorization, {"max_rank": ("max_rank_sum", 12)}),
+    "separation": Suite(_d_pairs, _check_separation, {"max_rank": ("max_rank_sum", 12)}),
     "derivative": Suite(_d_pairs, _check_derivative, {"max_rank": ("max_rank_sum", 13)}),
     "theta": Suite(_d_pairs, _check_theta, {"max_rank": ("max_rank_sum", 12)}),
     "correspondence": Suite(

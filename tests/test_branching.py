@@ -1,14 +1,12 @@
 import pytest
 
-from dualpairs import branching, relations
+from dualpairs import branching, cells, relations
 from dualpairs.branching import (
     add_box,
-    cuspidal_symbol,
     growth_counts,
     omega_minus,
     omega_plus,
     remove_box,
-    theta_cuspidal,
     theta_general,
     theta_graph,
     theta_set,
@@ -24,7 +22,10 @@ from dualpairs.relations import (
     relation_set,
     subsets_of_pairs,
 )
+from dualpairs.suites import _d_pairs
 from dualpairs.symbols import SpecialSymbol, Symbol, enumerate_symbols, parse, specials_upto
+from cuspidal_oracle import cuspidal_symbol, theta_cuspidal
+from theta_oracle import oracle_map_arrangement
 
 
 class TestOmega:
@@ -234,13 +235,34 @@ class TestThetaGeneral:
             tm = theta_general(Z, Zp, eps)
             for phi in arrangements(Z):
                 for psi in subsets_of_pairs(phi.pair_set()):
-                    phi1, psi1 = tm.map_arrangement(phi, psi)
+                    phi1, psi1 = oracle_map_arrangement(tm, phi, psi)
                     got = cell(Zp, phi1, psi1).members
                     want = set()
                     for mask in cell(Z, phi, psi).masks:
                         want.add(Zp.member(tm(mask)))
                         want.add(Zp.member(tm(mask)).t)
                     assert got == want
+
+    def test_arrangement_map_equals_the_value_oracle(self):
+        # every admissible (phi, psi) holding the core, both signs, of every
+        # D-related pair at rank sum <= 10
+        count = 0
+        for Z, Zp in _d_pairs(10):
+            for eps in (1, -1):
+                tm = theta_general(Z, Zp, eps)
+                src, dst = tm.source_base(), tm.target_base()
+                for phi in arrangements(src):
+                    for psi in subsets_of_pairs(phi.pair_set()):
+                        try:
+                            want = oracle_map_arrangement(tm, phi, psi)
+                        except ValueError:  # psi misses the core, or is not admissible
+                            continue
+                        arr, bit = cells._indexed(src, phi)
+                        got = tm.map_index(arr, sum(bit[p] for p in psi))
+                        arr1, bit1 = cells._indexed(dst, want[0])
+                        assert got == (arr1, sum(bit1[p] for p in want[1]))
+                        count += 1
+        assert count == 1375
 
     def test_equal_degree_requires_admissible(self):
         Z, Zp = z_cuspidal(1), zp_cuspidal(1)
@@ -253,7 +275,7 @@ class TestThetaGeneral:
             if (len(phi.pairs) - len(psi)) % 2 == 1
         ]
         with pytest.raises(ValueError):
-            tm.map_arrangement(phi, bad[0])
+            oracle_map_arrangement(tm, phi, bad[0])
 
 
 class TestCountingIdentities:

@@ -2,6 +2,9 @@ import itertools
 
 import pytest
 
+from cells_oracle import oracle_cell_masks
+from dualpairs import cells
+from dualpairs.branching import z_cuspidal, zp_cuspidal
 from dualpairs.cells import (
     Arrangement,
     admissible,
@@ -113,6 +116,8 @@ class TestArrangementValidation:
             (Z1, Arrangement(((4, 3), (2, 1), (0, 1)), None)),
             # a pair of a bottom value over a top value
             (Z0, Arrangement(((4, 5), (3, 2), (1, 0)), None)),
+            # every single covered, but one pair given twice
+            (Z1, Arrangement(((2, 3), (2, 3), (0, 1)), 4)),
         ],
     )
     def test_cell_rejects_non_arrangements(self, z, phi):
@@ -202,3 +207,35 @@ class TestSeparation:
         assert one.isolated == 0 and two.isolated == 4
         (only,) = semi_consecutive_arrangements(Z0)
         assert only.pairs == ((5, 4), (3, 2), (1, 0))
+
+
+class TestShapeTables:
+    def test_cells_equal_the_value_oracle(self):
+        # every arrangement and psi of every special of rank <= 9, both
+        # defects, and of the cuspidal bases up to degree 4
+        zs = [z for d in (0, 1) for z in specials_upto(9, d)]
+        zs += [f(g) for g in range(5) for f in (z_cuspidal, zp_cuspidal)]
+        count = 0
+        for z in zs:
+            for phi in arrangements(z):
+                for psi in subsets_of_pairs(phi.pair_set()):
+                    assert cell(z, phi, psi).masks == oracle_cell_masks(z, phi, psi)
+                    count += 1
+        assert count == 4627
+
+    def test_symbols_of_one_shape_share_their_cells(self):
+        a, b = SpecialSymbol.parse("4,2,0;3,1"), SpecialSymbol.parse("9,5,2;7,4")
+        assert (a.defect, a.degree) == (b.defect, b.degree)
+        assert cells.cell_shape(a) is cells.cell_shape(b)
+        pa, pb = arrangements(a)[0], arrangements(b)[0]
+        assert cells._indexed(a, pa)[0] is cells._indexed(b, pb)[0]
+        assert cell(a, pa, ()).masks == set(cells._indexed(a, pa)[0].cells()[0])
+
+    def test_each_value_arrangement_is_one_of_its_shape(self):
+        for z in (Z1, Z0, SpecialSymbol.parse("8,6,2;6,3,0"), z_cuspidal(3)):
+            shape = cells.cell_shape(z)
+            linked = [cells._indexed(z, phi)[0] for phi in arrangements(z)]
+            assert sorted(map(id, linked)) == sorted(map(id, shape.arrangements))
+            assert [cells.value_arrangement(z, a) for a in linked] == list(arrangements(z))
+            semi = [cells._indexed(z, phi)[0] for phi in semi_consecutive_arrangements(z)]
+            assert semi == list(shape.semi)

@@ -144,7 +144,8 @@ class TestMembership:
     def test_cuspidal_D_is_a_graph(self):
         # D of the staircase pair: each defect-1 member pairs exactly with
         # its transpose extended by the new largest entry
-        from dualpairs.branching import theta_cuspidal, z_cuspidal, zp_cuspidal
+        from cuspidal_oracle import theta_cuspidal
+        from dualpairs.branching import z_cuspidal, zp_cuspidal
 
         for m in (0, 1, 2):
             Z, Zp = z_cuspidal(m), zp_cuspidal(m + 1)

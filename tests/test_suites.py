@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -329,64 +330,166 @@ def test_cell_checks_survive_optimized_mode():
     assert not ok and failures > 0
 
 
+def _count_cell_builds(monkeypatch) -> list:
+    """Start from empty cell shape tables; record (pairs, isolated, psi) for
+    every table cell built from then on."""
+    from dualpairs import cells
+
+    built = []
+    real = cells.IndexArrangement._cell
+
+    def counted(arr, psi):
+        built.append((arr.pairs, arr.isolated, psi))
+        return real(arr, psi)
+
+    monkeypatch.setattr(cells, "_CELL_SHAPES", {})
+    monkeypatch.setattr(cells.IndexArrangement, "_cell", counted)
+    return built
+
+
 def test_cells_suite_builds_each_cell_once(monkeypatch):
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
     from dualpairs import cells
 
-    built = []
-    real = cells.cell
-
-    def counted(Z, phi, psi):
-        built.append((Z, phi, frozenset(psi)))
-        return real(Z, phi, psi)
-
-    monkeypatch.setattr(cells, "cell", counted)
+    built = _count_cell_builds(monkeypatch)
     rep = run_suite("cells", max_rank=5)
     assert rep.ok and rep.checked > 0
-    # the singleton intersections reuse the cells of the arrangement loop
+    # once per arrangement and psi of each shape, whatever the number of symbols
     assert len(built) == len(set(built))
+    assert len(built) == sum(
+        len(shape.arrangements) << degree for (_, degree), shape in cells._CELL_SHAPES.items()
+    )
 
 
 def test_theta_builds_each_cell_once_per_item(monkeypatch):
-    # the two signs of an item share the cells of its two bases
+    # the two signs of an item, and all items, share the cells of the shape tables
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
     from dualpairs import cells
 
-    items = []
-    real_cell, real = cells.cell, suites.SUITES["theta"]
-
-    def counted(Z, phi, psi):
-        items[-1].append((Z, phi, frozenset(psi)))
-        return real_cell(Z, phi, psi)
-
-    def check(item, report):
-        items.append([])
-        real.check(item, report)
-
-    monkeypatch.setattr(cells, "cell", counted)
-    monkeypatch.setitem(suites.SUITES, "theta", dataclasses.replace(real, check=check))
+    built = _count_cell_builds(monkeypatch)
+    calls = []
+    monkeypatch.setattr(cells, "cell", lambda *args: calls.append(args))
     rep = run_suite("theta", max_rank=8)
-    assert rep.ok and rep.checked == 480 and len(items) == len(suites._d_pairs(8))
-    for built in items:
-        assert len(built) == len(set(built))
-    # 990 cells before the signs shared them, 152 of them repeats within an item
-    assert sum(map(len, items)) == 838
+    assert rep.ok and rep.checked == 480
+    assert len(built) == len(set(built)) and calls == []
+    # 838 cells when each item kept its own; the 16 of the 5 shapes met now
+    assert len(built) == 16
 
 
 def test_cells_suite_catches_a_mislabelled_cell(monkeypatch):
-    # the cell built for phi - psi but labelled psi breaks the cell-sum identity
+    # the table cell of phi - psi labelled psi breaks the cell-sum identity
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
     from dualpairs import cells
 
-    real = cells.cell
-
-    def mislabelled(Z, phi, psi):
-        psi = frozenset(psi)
-        return dataclasses.replace(real(Z, phi, phi.pair_set() - psi), psi=psi)
-
-    monkeypatch.setattr(cells, "cell", mislabelled)
+    real = cells.IndexArrangement.cells
+    monkeypatch.setattr(cells, "_CELL_SHAPES", {})
+    monkeypatch.setattr(cells.IndexArrangement, "cells", lambda arr: real(arr)[::-1])
     rep = run_suite("cells", max_rank=5)
     assert any("cell_sum" in failure for failure in rep.failures)
+
+
+def _plant_a_wrong_mask(monkeypatch):
+    """In fresh tables, the cell {0, 110} of the first arrangement of shape
+    (defect 1, degree 1), bit 0 isolated and bits 1, 2 paired, holds 001 for 000."""
+    from dualpairs import cells
+
+    monkeypatch.setattr(cells, "_CELL_SHAPES", {})
+    arr = cells.cell_shape(SpecialSymbol.parse("2,0;1")).arrangements[0]
+    assert (arr.pairs, arr.isolated) == ((0b110,), 0b001)
+    assert arr.cells()[1] == (0b000, 0b110)
+    arr._cells = (arr.cells()[0], (0b001, 0b110))
+
+
+@pytest.mark.parametrize("name,bound", [("cells", 6), ("theta", 8), ("factorization", 8)])
+def test_one_wrong_mask_in_one_table_cell_fails_the_suite(monkeypatch, name, bound):
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    assert run_suite(name, max_rank=bound).ok
+    _plant_a_wrong_mask(monkeypatch)
+    assert not run_suite(name, max_rank=bound).ok
+
+
+def test_a_table_cell_not_closed_under_transpose_fails_the_cells_suite(monkeypatch):
+    # shape (defect 0, degree 1): the cell {00, 11} of the one arrangement holds 01 for 00
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    from dualpairs import cells
+
+    monkeypatch.setattr(cells, "_CELL_SHAPES", {})
+    (arr,) = cells.cell_shape(SpecialSymbol.parse("1;0")).arrangements
+    assert arr.cells() == ((0b01, 0b10), (0b00, 0b11))
+    arr._cells = (arr.cells()[0], (0b01, 0b11))
+    rep = run_suite("cells", max_rank=4)
+    assert any(failure.get("transpose_closed") is False for failure in rep.failures)
+
+
+def test_swapped_isolated_bits_in_the_semi_consecutive_arrangements_fail_the_singletons(
+    monkeypatch,
+):
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    from dualpairs import cells
+
+    monkeypatch.setattr(cells, "_CELL_SHAPES", {})
+    for text in ("2,0;1", "4,2,0;3,1"):  # degrees 1 and 2
+        Z = SpecialSymbol.parse(text)
+        shape = cells.cell_shape(Z)
+        one, two = shape.semi
+        swapped = (cells.IndexArrangement(one.pairs, two.isolated),
+                   cells.IndexArrangement(two.pairs, one.isolated))
+        cells._CELL_SHAPES[1, Z.degree] = cells.CellShape(shape.arrangements, swapped, shape.lookup)
+    rep = run_suite("cells", max_rank=6)
+    assert any("singleton" in failure for failure in rep.failures)
+
+
+def test_separation_calls_separating_pair_on_every_separable_pair(monkeypatch):
+    # oracle: in each base, the pairs of distinct members of one family less the
+    # transposes, and the same among the members avoiding the core entries less
+    # the core-free transposes, with the core
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    from dualpairs import cells
+
+    calls = []
+    real = cells.separating_pair
+
+    def counted(Z, lam1, lam2, psi0):
+        calls.append((Z, lam1, lam2, psi0))
+        return real(Z, lam1, lam2, psi0)
+
+    monkeypatch.setattr(cells, "separating_pair", counted)
+    rep = run_suite("separation", max_rank=12)
+    assert rep.ok and rep.checked == len(calls) == 23970
+    want = 0
+    for Z, Zp in suites._d_pairs(12):
+        cp = relations.cores(Z, Zp)
+        for base, psi0 in ((Z, cp.psi0), (Zp, cp.psi0p)):
+            fams = [base.family("S")] if base.defect else [base.family("S+"), base.family("S-")]
+            for core in {psi0, frozenset()}:
+                banned = base.pairs_mask(core)
+                for fam in fams:
+                    free = [lam for lam in fam if not base.member_mask(lam) & banned]
+                    for a, b in itertools.combinations(free, 2):
+                        twin = base.member(base.member_mask(b) ^ banned).t
+                        want += base.defect == 1 or a != twin
+    assert want == 23970
+    # 84 of them with a nonempty core
+    assert sum(bool(c[3]) for c in calls) == 84
+
+
+def test_separation_fails_on_a_splitting_pair_of_even_parity(monkeypatch):
+    # the planted choice takes a pair both members meet with the same parity
+    # wherever there is one, and then the two cells overlap
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    from dualpairs import cells
+
+    real = cells._splitting_pair
+
+    def even(Z, diff, banned):
+        free = [1 << i for i in range(Z.n) if not banned >> i & 1]
+        return next((a | b for a in free if a & Z.top_mask for b in free
+                     if b & Z.bot_mask and not (diff & (a | b)).bit_count() & 1), None) or real(
+            Z, diff, banned)
+
+    monkeypatch.setattr(cells, "_splitting_pair", even)
+    rep = run_suite("separation", max_rank=6)
+    assert rep.failures and all("overlap" in failure["error"] for failure in rep.failures)
 
 
 # taken at import, before any test patches the module attributes

