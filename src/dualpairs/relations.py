@@ -8,8 +8,8 @@ relations are computed on the families attached to (Z, Z'):
 * ``B-``   on S_Z x S^-_{Z'}: mirrored interlacings, def(L') = -def(L) - 1;
 * ``Bbar+`` on all of the ambient families, same predicate as B+.
 
-``relation_rows`` relates one Z to a whole list of Z' in one packed pass,
-reading lane tables kept per Z' family and sign.  The module also computes
+``relation_rows`` relates one Z to every Z' of a range of ranks in one packed
+pass, reading lane tables kept per Z' family and sign.  The module also computes
 the cores of D (the consecutive single pairs whose flips enumerate the
 D-partners of Z and Z'), the restriction of B to the core-free
 sub-families, and the move-back normalization that pushes any Bbar+ pair to
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .symbols import BOT, TOP, CheckFailed, SpecialSymbol, Symbol, special_closure
-from .symbols import LISTED, specials_upto
+from .symbols import BOT, TOP, CheckFailed, SpecialSymbol, Symbol, special_closure, specials_upto
 
 Pair = Tuple[int, int]  # (top single value, bottom single value)
 PairSet = FrozenSet[Pair]
@@ -188,12 +187,9 @@ def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
     if kind not in FAMILIES:
         raise ValueError("unknown relation kind %r" % kind)
     which, whichp = FAMILIES[kind]
-    # a member's parts are at most its rank, so they fit below the guard bits
-    width = max(Z.rank, Zp.rank).bit_length() + 1
-    # the top bit of each field up to the longest row any member can have;
-    # fields past a member's row compare 0 with 0
-    fields = max(Z.longest, Zp.longest)
-    H = ((1 << fields * width) - 1) // ((1 << width) - 1) << (width - 1)
+    # fields up to the longest row any member can have; fields past a
+    # member's row compare 0 with 0
+    width, H = _geometry(max(Z.rank, Zp.rank), max(Z.longest, Zp.longest))
     # B+ tests prec(sub, star') and prec(sub', star), B- the same with star
     # and sub swapped on both sides: with (a, b) the rows of L and (a', b')
     # those of L', in that order, the test is prec(a, a') and prec(b', b).
@@ -216,27 +212,24 @@ def relation_set(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> RelationSet:
     return RelationSet(kind, Z, Zp, frozenset(related))
 
 
-def relation_rows(Z: SpecialSymbol, Zps: Sequence[SpecialSymbol], kind: str) -> List[PairSet]:
-    """``relation_set(Z, Zp, kind).masks`` for each Zp of Zps, in one packed pass.
+def relation_rows(Z: SpecialSymbol, ranks: range, kind: str) -> List[PairSet]:
+    """``relation_set(Z, Zp, kind).masks`` for each defect-0 special Zp of a
+    rank in `ranks`, in ``specials_upto`` order, in one packed pass.
 
-    Each record of Z meets every lane of Zps at once (see ``_LaneTable``) in
-    the four ge tests of ``relation_set``, its a, b and b >> w repeated in each
-    lane.  X, the guard bits kept, is at most HH per lane, so X + SPARE - HH
-    sets the spare bit of exactly the lanes that keep them all, read off one
-    ``to_bytes`` by ``bytes.find``.
+    Each record of Z meets every lane of those Z' at once (see ``_LaneTable``)
+    in the four ge tests of ``relation_set``, its a, b and b >> w repeated in
+    each lane.  X, the guard bits kept, is at most HH per lane, so X + SPARE -
+    HH sets the spare bit of exactly the lanes that keep them all, read off
+    one ``to_bytes`` by ``bytes.find``.
     """
-    if Z.defect != 1:
-        raise ValueError("expected a (defect 1, defect 0) special pair")
     if kind not in FAMILIES:
         raise ValueError("unknown relation kind %r" % kind)
     which, whichp = FAMILIES[kind]
-    return _packed_rows(Z, Zps, which, whichp, -1 if kind == "B-" else 1, None)[0]
+    return _packed_rows(Z, ranks, which, whichp, -1 if kind == "B-" else 1, None)[0]
 
 
-def b_and_d_rows(
-    Z: SpecialSymbol, Zps: Sequence[SpecialSymbol], eps: int
-) -> Tuple[List[PairSet], List[PairSet]]:
-    """The rows of B^eps and of D over Zps (``relation_rows`` of both kinds).
+def b_and_d_rows(Z: SpecialSymbol, ranks: range, eps: int) -> Tuple[List[PairSet], List[PairSet]]:
+    """The rows of B^eps and of D over `ranks` (``relation_rows`` of both kinds).
 
     At eps = +1 they come from one pass: D is B+ on S_{Z,1} x S+_{Z',0}, that
     is, the hits of the records of key 0, where a Z member of defect 1 meets
@@ -244,18 +237,22 @@ def b_and_d_rows(
     """
     kind = b_kind(eps)
     if kind == "B-":
-        return relation_rows(Z, Zps, kind), relation_rows(Z, Zps, "D")
+        return relation_rows(Z, ranks, kind), relation_rows(Z, ranks, "D")
+    return _packed_rows(Z, ranks, *FAMILIES[kind], 1, 0)
+
+
+def _packed_rows(Z, ranks, which: str, whichp: str, eps: int, split: Optional[int]):
+    """(rows, split rows): the relation rows of Z's family `which` against the
+    Z' family `whichp` over `ranks` and, for a key `split`, the rows of that
+    key's hits alone (None when split is None).  A family of one defect keeps
+    only that key's records on the Z side, so it reads only those lanes."""
+    if not isinstance(ranks, range) or ranks.step != 1 or ranks.start < 0:
+        raise ValueError("ranks must be a range of step 1 from a rank >= 0, got %r" % (ranks,))
     if Z.defect != 1:
         raise ValueError("expected a (defect 1, defect 0) special pair")
-    return _packed_rows(Z, Zps, *FAMILIES[kind], 1, 0)
-
-
-def _packed_rows(Z, Zps, which: str, whichp: str, eps: int, split: Optional[int]):
-    """(rows, split rows): the relation rows of Z's family `which` against the
-    Z' family `whichp` over Zps and, for a key `split`, the rows of that key's
-    hits alone (None when split is None).  A family of one defect keeps only
-    that key's records on the Z side, so it reads only those lanes."""
-    table, lo, hi = _table_for(Z, Zps, whichp.partition(",")[0], eps)
+    if not ranks:
+        return [], None if split is None else []
+    table, lo, hi = _table_for(Z, ranks, whichp.partition(",")[0], eps)
     width, size = table.width, table.size
     found: Dict[int, list] = {}
     split_found: Dict[int, list] = {}
@@ -277,39 +274,46 @@ def _packed_rows(Z, Zps, which: str, whichp: str, eps: int, split: Optional[int]
                     i, mp = owners[pos // size]
                     sink.setdefault(i, []).append((m, mp))
                     pos = buf.find(0x80, pos + size)
-    rows = [EMPTY_PAIRSET] * len(Zps)
+    rows = [EMPTY_PAIRSET] * (hi - lo)
     for i, pairs in found.items():
         rows[i] = frozenset(pairs)
     if split is None:
         return rows, None
-    split_rows = [EMPTY_PAIRSET] * len(Zps)
+    split_rows = [EMPTY_PAIRSET] * (hi - lo)
     for i, pairs in split_found.items():
         split_rows[i] = frozenset(pairs)
         rows[i] = rows[i] | split_rows[i]
     return rows, split_rows
 
 
+def _geometry(rank: int, fields: int) -> Tuple[int, int]:
+    """(w, H): the field width that fits every part of a symbol of rank up to
+    `rank` below its guard bit, and the guard bits of `fields` such fields."""
+    width = rank.bit_length() + 1
+    return width, ((1 << fields * width) - 1) // ((1 << width) - 1) << (width - 1)
+
+
 class _LaneTable:
     """The Z' side of the row kernel: lane j of the ints of key d holds the
-    j-th record of key d (``kernel_half``) over ``zps``, and ``owners[j]`` is
-    its (index in zps, mask).  A lane is `size` bytes: `fields` fields of
-    `width` bits, whose guard bits keep every borrow in the lane, and a spare
-    top bit.  The lanes of a key are built on first use, in linear time.
+    j-th record of key d (``kernel_half``) over ``zps``, every defect-0
+    special symbol of rank up to ``bound``, and ``owners[j]`` is its (index in
+    zps, mask).  A lane is `size` bytes: `fields` fields of `width` bits,
+    whose guard bits keep every borrow in the lane, and a spare top bit.  The
+    fields cover the longest row of zps and `longest`.  The lanes of a key are
+    built on first use, in linear time.
 
     ``lanes(lo, hi, d)`` reads the lanes of the run zps[lo:hi], with owner
     indices from lo: a key's records are in zps order, so a run's lanes are
     one bit slice of each int.  Only the last run's slices are kept.  The
-    width fits every part of a symbol of rank up to ``rank``, and ``bound``
-    is the largest rank of zps.
+    width fits every part of a symbol of rank up to ``rank``.
     """
 
-    def __init__(self, zps: Tuple[SpecialSymbol, ...], rank: int, fields: int, which: str, eps: int):
-        self.zps, self.rank, self.fields, self.which, self.eps = zps, rank, fields, which, eps
-        # a member's parts are at most its rank, so they fit below the guard bits
-        self.width = width = rank.bit_length() + 1
-        self.size = (fields * width + 8) // 8
-        self.H = ((1 << fields * width) - 1) // ((1 << width) - 1) << (width - 1)
-        self.bound = max((Zp.rank for Zp in zps), default=0)
+    def __init__(self, bound: int, rank: int, longest: int, which: str, eps: int):
+        self.zps = specials_upto(bound, 0)
+        self.bound, self.rank, self.which, self.eps = bound, max(bound, rank), which, eps
+        self.fields = fields = max(longest, max(Zp.longest for Zp in self.zps))
+        self.width, self.H = _geometry(self.rank, fields)
+        self.size = (fields * self.width + 8) // 8
         self._keys: Dict[int, Optional[tuple]] = {}
         self._span: Optional[Tuple[int, int]] = None
         self._cut: Dict[int, Optional[tuple]] = {}
@@ -358,49 +362,22 @@ class _LaneTable:
 _TABLES: Dict[Tuple[str, int], _LaneTable] = {}
 
 
-def _table_for(Z: SpecialSymbol, Zps, which: str, eps: int) -> Tuple[_LaneTable, int, int]:
-    """The lane table for Zps and the run zps[lo:hi] of it that Zps is.
+def _table_for(Z: SpecialSymbol, ranks: range, which: str, eps: int) -> Tuple[_LaneTable, int, int]:
+    """The lane table and the run zps[lo:hi] of it that holds the Z' of `ranks`.
 
-    Zps listed by ``specials_upto(cap, 0)`` or ``enumerate_special(n', 0)``
-    is a run of the held table over ``specials_upto(bound, 0)`` if cap (n')
+    The held table over ``specials_upto(bound, 0)`` serves if the last rank
     is at most its bound and its fields fit Z.  Otherwise the table is built
     again, over the larger bound and with fields fitting both Z and every Z
-    the one before fitted.  Any other Zps gets a table of its own, with w and
-    the field count the largest over Z and Zps.
+    the one before fitted.
     """
-    run = _run_of(Zps)
-    if run is None:
-        if any(Zp.defect != 0 for Zp in Zps):
-            raise ValueError("expected a (defect 1, defect 0) special pair")
-        rank = max(Z.rank, max(map(operator.attrgetter("rank"), Zps), default=0))
-        fields = max(Z.longest, max(map(operator.attrgetter("longest"), Zps), default=0))
-        return _LaneTable(tuple(Zps), rank, fields, which, eps), 0, len(Zps)
-    top, lo, hi = run
+    top = ranks.stop - 1
     table = _TABLES.get((which, eps))
     if table is None or top > table.bound or Z.rank > table.rank or Z.longest > table.fields:
         rank, longest = Z.rank, Z.longest
         if table is not None:  # grow, never shrink, so that two sweeps cannot rebuild it in turn
             top, rank, longest = max(top, table.bound), max(rank, table.rank), max(longest, table.fields)
-        zps = specials_upto(top, 0)
-        fields = max(longest, max(Zp.longest for Zp in zps))
-        table = _TABLES[which, eps] = _LaneTable(zps, max(top, rank), fields, which, eps)
-    return table, lo, hi
-
-
-def _run_of(Zps) -> Optional[Tuple[int, int, int]]:
-    """(r, lo, hi) if Zps is the tuple ``specials_upto(r, 0)`` or
-    ``enumerate_special(r, 0)`` itself, which is zps[lo:hi] of the table over
-    ``specials_upto(bound, 0)`` for every bound >= r; else None.  Read from
-    ``LISTED``, not by a call, which could list symbols."""
-    if not Zps:
-        return None
-    top = Zps[-1].rank
-    if LISTED.get(("specials_upto", top, 0)) is Zps:
-        return top, 0, len(Zps)
-    if LISTED.get(("enumerate_special", top, 0)) is Zps:
-        lo = len(specials_upto(top - 1, 0)) if top else 0
-        return top, lo, lo + len(Zps)
-    return None
+        table = _TABLES[which, eps] = _LaneTable(top, rank, longest, which, eps)
+    return table, len(specials_upto(ranks.start - 1, 0)), len(specials_upto(ranks.stop - 1, 0))
 
 
 # -- cores --------------------------------------------------------------------

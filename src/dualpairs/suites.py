@@ -136,7 +136,7 @@ def _check_prop0216(item, report: SuiteReport) -> None:
     Z, max_rank = item
     Zps = specials_upto(max_rank, 0)
     report.checked += 1  # counted first: an item that raises is one check
-    rows = relations.relation_rows(Z, Zps, "D")
+    rows = relations.relation_rows(Z, range(max_rank + 1), "D")
     report.checked += len(Zps) - 1
     for Zp, d in zip(Zps, rows):
         # (0, 0) is the base pair; the kernel suite gates its membership
@@ -151,9 +151,10 @@ def _check_thm0310(item, report: SuiteReport) -> None:
     A witness is at the R indices (tau, tau') of the first differing entry.
     """
     Z, max_rank, eps = item
-    Zps = specials_upto(max_rank - Z.rank, 0)
+    cap = max_rank - Z.rank
+    Zps = specials_upto(cap, 0)
     report.checked += 1  # counted first: an item that raises is one check
-    b_rows, d_rows = relations.b_and_d_rows(Z, Zps, eps)
+    b_rows, d_rows = relations.b_and_d_rows(Z, range(cap + 1), eps)
     report.checked += len(Zps) - 1
     z, keep, outcomes = str(Z), report.keep_records, report.outcomes
     for Zp, b, d in zip(Zps, b_rows, d_rows):
@@ -182,8 +183,9 @@ def _check_lemma1112(item, report: SuiteReport) -> None:
     Theta sets are counted on bipartitions (``branching.growth_counts``).
     """
     Z, max_rank = item
-    Zps = specials_upto(max_rank - Z.rank, 0)
-    for Zp, d in zip(Zps, relations.relation_rows(Z, Zps, "D")):
+    cap = max_rank - Z.rank
+    Zps = specials_upto(cap, 0)
+    for Zp, d in zip(Zps, relations.relation_rows(Z, range(cap + 1), "D")):
         for m, mp in d:
             report.checked += 1
             lam, lamp = Z.member(m), Zp.member(mp)
@@ -498,12 +500,13 @@ def _check_kernel(item, report: SuiteReport) -> None:
     """The packed-field relation sets, per pair and as rows over every Z' of
     the bound, equal the product filter on Symbols."""
     Z, max_rank = item
-    Zps = specials_upto(max_rank - Z.rank, 0)
+    cap = max_rank - Z.rank
+    Zps = specials_upto(cap, 0)
     # the uncached body of relation_set (when it is the cached function): these
     # sets are asked for once, and would evict the sets other suites reuse
     relation_set = getattr(relations.relation_set, "__wrapped__", relations.relation_set)
     for kind in relations.KINDS:
-        for Zp, row in zip(Zps, relations.relation_rows(Z, Zps, kind)):
+        for Zp, row in zip(Zps, relations.relation_rows(Z, range(cap + 1), kind)):
             report.checked += 1
             want = _product_filter(Z, Zp, kind)
             got_set = relation_set(Z, Zp, kind).masks

@@ -572,11 +572,6 @@ def special_closure(sym: Symbol) -> SpecialSymbol:
 # -- enumeration --------------------------------------------------------------
 
 
-# every tuple enumerate_special and specials_upto have returned, by function
-# name and arguments, so a caller can tell one by identity without a call
-LISTED: Dict[Tuple[str, int, int], Tuple[SpecialSymbol, ...]] = {}
-
-
 @lru_cache(maxsize=None)
 def enumerate_special(rank_: int, defect_: int) -> Tuple[SpecialSymbol, ...]:
     """All reduced special symbols of the given rank and defect, each once.
@@ -616,8 +611,7 @@ def enumerate_special(rank_: int, defect_: int) -> Tuple[SpecialSymbol, ...]:
     # the order of Symbol.sort_key, whose last part, the defect, is the same for all
     out.sort(key=lambda z: (tuple(map(operator.neg, z.symbol.top)),
                             tuple(map(operator.neg, z.symbol.bot))))
-    got = LISTED["enumerate_special", rank_, defect_] = tuple(out)
-    return got
+    return tuple(out)
 
 
 def _min_chain_sum(length: int) -> int:
@@ -662,9 +656,7 @@ def _chains(length: int, total: int) -> List[Tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def specials_upto(max_rank: int, defect_: int) -> Tuple[SpecialSymbol, ...]:
-    got = LISTED["specials_upto", max_rank, defect_] = tuple(
-        z for r in range(max_rank + 1) for z in enumerate_special(r, defect_))
-    return got
+    return tuple(z for r in range(max_rank + 1) for z in enumerate_special(r, defect_))
 
 
 @lru_cache(maxsize=None)

@@ -52,7 +52,7 @@ def correspondence(n: int, np: int, eps: int) -> CorrespondenceTable:
     blocks = [
         RelationSet(kind, Z, Zp, masks)
         for Z in enumerate_special(n, 1)
-        for Zp, masks in zip(Zps, relations.relation_rows(Z, Zps, kind))
+        for Zp, masks in zip(Zps, relations.relation_rows(Z, range(np, np + 1), kind))
         if masks
     ]
     return CorrespondenceTable(n, np, eps, tuple(blocks))

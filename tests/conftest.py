@@ -31,7 +31,6 @@ def clear_specials():
 
     def clear():
         symbols._SPECIALS.clear()
-        symbols.LISTED.clear()
         for cache in (symbols.enumerate_special, symbols.specials_upto):
             cache.cache_clear()
         for cache in RELATION_CACHES:
@@ -61,8 +60,9 @@ def planted_b_defect(monkeypatch):
             return rel
         return dataclasses.replace(rel, masks=drop_smallest(Z, Zp, rel.masks))
 
-    def planted_rows(Z, Zps, eps):
-        b_rows, d_rows = real_rows(Z, Zps, eps)
+    def planted_rows(Z, ranks, eps):
+        b_rows, d_rows = real_rows(Z, ranks, eps)
+        Zps = [Zp for r in ranks for Zp in symbols.enumerate_special(r, 0)]
         return [drop_smallest(Z, Zp, m) if m else m for Zp, m in zip(Zps, b_rows)], d_rows
 
     monkeypatch.setattr(uniform, "relation_set", planted)

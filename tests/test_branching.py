@@ -111,18 +111,22 @@ class TestWitness:
     def test_exhaustive_small(self):
         # every transposed-only growth either has a star-free partner below
         # it, or provably has none (then the complete candidate sweep in the
-        # exception path must agree); larger-partner inputs always succeed
-        for n in range(5):
+        # exception path must agree); larger-partner inputs always succeed.
+        # Every input at rank sum <= 12
+        inputs, none = 0, 0
+        for n in range(13):
             for lam in enumerate_symbols(n, 1):
-                for npr in range(5 - n):
+                for npr in range(13 - n):
                     for l1p in enumerate_symbols(npr, 0):
                         if not in_B(lam, l1p, 1):
                             continue
                         bigger = len(l1p.top) == len(lam.top)
                         for lampp in theta_star(lam, omega_plus(l1p)):
+                            inputs += 1
                             try:
                                 witness_partner(lam, l1p, lampp)
                             except ValueError:
+                                none += 1
                                 assert not bigger
                                 assert not [
                                     cand
@@ -130,6 +134,7 @@ class TestWitness:
                                     if in_B(lam, cand, 1)
                                     and not theta_star(lam, omega_plus(cand))
                                 ]
+        assert (inputs, none) == (335, 14)
 
     def test_mirrored_variant(self):
         # partners on the defect-1 side: existence via the same search

@@ -431,8 +431,13 @@ class TestPackedRecords:
         )
 
 
-def _rows_oracle(Z, Zps, kind):
-    return [relation_set(Z, Zp, kind).masks for Zp in Zps]
+def _specials_of(ranks):
+    """The defect-0 special symbols of the ranks, in specials_upto order."""
+    return [Zp for r in ranks for Zp in enumerate_special(r, 0)]
+
+
+def _rows_oracle(Z, ranks, kind):
+    return [relation_set(Z, Zp, kind).masks for Zp in _specials_of(ranks)]
 
 
 class TestRelationRows:
@@ -441,26 +446,25 @@ class TestRelationRows:
     def test_every_kind_at_rank_sum_10(self):
         cases = 0
         for Z in specials_upto(10, 1):
-            Zps = specials_upto(10 - Z.rank, 0)
+            ranks = range(10 - Z.rank + 1)
             for kind in KINDS:
-                assert relation_rows(Z, Zps, kind) == _rows_oracle(Z, Zps, kind), (Z, kind)
-                cases += len(Zps)
+                want = _rows_oracle(Z, ranks, kind)
+                assert relation_rows(Z, ranks, kind) == want, (Z, kind)
+                cases += len(want)
         assert cases == 4 * 4400
 
     def test_every_prefix_and_rank_slice_of_the_tables_at_rank_sum_10(self):
-        # each Z reads the table prefix specials_upto(cap, 0) of every cap and
-        # the slice enumerate_special(n', 0) of every rank in its bound
+        # each Z reads every range of ranks in its bound: the prefixes, the
+        # single ranks and the runs between
         for Z in specials_upto(10, 1):
             top = 10 - Z.rank
+            starts = [len(specials_upto(r - 1, 0)) for r in range(top + 2)]
             for kind in KINDS:
-                want = _rows_oracle(Z, specials_upto(top, 0), kind)
-                lo = 0
-                for cap in range(top + 1):
-                    prefix, ranks = specials_upto(cap, 0), enumerate_special(cap, 0)
-                    assert relation_rows(Z, prefix, kind) == want[: len(prefix)], (Z, kind, cap)
-                    got = relation_rows(Z, ranks, kind)
-                    assert got == want[lo : lo + len(ranks)], (Z, kind, cap)
-                    lo += len(ranks)
+                want = _rows_oracle(Z, range(top + 1), kind)
+                for lo in range(top + 1):
+                    for hi in range(lo + 1, top + 2):
+                        got = relation_rows(Z, range(lo, hi), kind)
+                        assert got == want[starts[lo] : starts[hi]], (Z, kind, lo, hi)
         # the sweep ran on one table per (family, sign), built at the largest bound
         assert sorted((key, t.bound) for key, t in relations._TABLES.items()) == [
             (("S+", 1), 10), (("S-", -1), 10), (("all", 1), 10)
@@ -471,119 +475,133 @@ class TestRelationRows:
         # at eps = +1, D is read off the B+ pass as the hits of key 0
         kind = b_kind(eps)
         for Z in specials_upto(10, 1):
-            for Zps in (specials_upto(10 - Z.rank, 0), enumerate_special(10 - Z.rank, 0)):
-                b_rows, d_rows = relations.b_and_d_rows(Z, Zps, eps)
-                assert b_rows == relation_rows(Z, Zps, kind), Z
-                assert d_rows == relation_rows(Z, Zps, "D") == _rows_oracle(Z, Zps, "D"), Z
-        # a list of its own gets a table of its own
-        Zps = [ZPWRK, SpecialSymbol.parse("4,2;3,1"), SpecialSymbol.parse("3,1;2,0")]
-        b_rows, d_rows = relations.b_and_d_rows(ZWRK, Zps, eps)
-        assert b_rows == _rows_oracle(ZWRK, Zps, kind) and d_rows == _rows_oracle(ZWRK, Zps, "D")
-        assert d_rows[0] and b_rows[0]
+            top = 10 - Z.rank
+            for ranks in (range(top + 1), range(top, top + 1)):
+                b_rows, d_rows = relations.b_and_d_rows(Z, ranks, eps)
+                assert b_rows == relation_rows(Z, ranks, kind), Z
+                assert d_rows == relation_rows(Z, ranks, "D") == _rows_oracle(Z, ranks, "D"), Z
 
     def test_a_table_grows_to_the_largest_bound_and_serves_the_smaller_ones(self, monkeypatch):
         builds = []
         real = relations._LaneTable.__init__
 
-        def counted(self, zps, rank, fields, which, eps):
-            builds.append((len(zps), rank))
-            real(self, zps, rank, fields, which, eps)
+        def counted(self, *args):
+            real(self, *args)
+            builds.append((len(self.zps), self.rank))
 
         monkeypatch.setattr(relations._LaneTable, "__init__", counted)
         Z = SpecialSymbol.parse("0;-")
         for cap in (3, 6, 2, 6, 0, 5):
-            Zps = specials_upto(cap, 0)
-            assert relation_rows(Z, Zps, "D") == _rows_oracle(Z, Zps, "D")
+            assert relation_rows(Z, range(cap + 1), "D") == _rows_oracle(Z, range(cap + 1), "D")
         assert builds == [(len(specials_upto(3, 0)), 3), (len(specials_upto(6, 0)), 6)]
         # a Z of higher rank than the table needs wider fields, though its
         # partners lie within the bound; the bound stays
         Z = specials_upto(8, 1)[-1]
         assert Z.rank == 8
-        Zps = specials_upto(2, 0)
-        assert relation_rows(Z, Zps, "B+") == _rows_oracle(Z, Zps, "B+")
+        assert relation_rows(Z, range(3), "B+") == _rows_oracle(Z, range(3), "B+")
         assert builds[-1] == (len(specials_upto(6, 0)), 8) and len(builds) == 3
         table = relations._TABLES["S+", 1]
         assert (table.bound, table.rank, table.width) == (6, 8, 5)
         # and the grown table still serves the first Z, by prefix and by rank slice
         Z = SpecialSymbol.parse("0;-")
-        for Zps in (specials_upto(6, 0), enumerate_special(4, 0)):
-            assert relation_rows(Z, Zps, "D") == _rows_oracle(Z, Zps, "D")
+        for ranks in (range(7), range(4, 5)):
+            assert relation_rows(Z, ranks, "D") == _rows_oracle(Z, ranks, "D")
         assert len(builds) == 3
 
-    def test_a_tuple_no_enumeration_returned_lists_no_symbols(self):
-        # one that starts at rank 0 and one of a single rank: neither is
-        # specials_upto(r, 0) nor enumerate_special(r, 0), and telling so
-        # calls neither (at rank 19 that would list 8 379 symbols)
-        calls = (enumerate_special.cache_info(), specials_upto.cache_info())
-        empty = SpecialSymbol.parse("-;-")
-        for Zps in ((empty, ZPWRK), (ZPWRK, ZPWRK)):
-            rows = relation_rows(ZWRK, Zps, "D")
-            assert rows == _rows_oracle(ZWRK, Zps, "D") and rows[1]
-        assert (enumerate_special.cache_info(), specials_upto.cache_info()) == calls
+    @pytest.mark.parametrize(
+        "ranks",
+        [[0, 1, 2], (0,), 3, None, range(0, 6, 2), range(3, -1, -1), range(-1, 3), range(-2, -1),
+         range(0), range(4, 4), range(5, 2)],
+        ids=repr,
+    )
+    def test_ranks_are_a_range_of_step_1_from_a_rank_at_least_0(self, ranks):
+        calls = (
+            functools.partial(relation_rows, ZWRK, ranks, "D"),
+            functools.partial(relation_rows, ZWRK, ranks, "Bbar+"),
+            functools.partial(relations.b_and_d_rows, ZWRK, ranks, 1),
+            functools.partial(relations.b_and_d_rows, ZWRK, ranks, -1),
+        )
+        if isinstance(ranks, range) and ranks.step == 1 and ranks.start >= 0:
+            # an empty range relates nothing and builds no table
+            assert [call() for call in calls] == [[], [], ([], []), ([], [])]
+            assert relations._TABLES == {}
+            return
+        for call in calls:
+            with pytest.raises(ValueError, match="ranks must be a range of step 1"):
+                call()
 
     def test_d_with_both_ranks_up_to_8(self):
-        Zps = specials_upto(8, 0)
         for Z in specials_upto(8, 1):
-            assert relation_rows(Z, Zps, "D") == _rows_oracle(Z, Zps, "D"), Z
+            assert relation_rows(Z, range(9), "D") == _rows_oracle(Z, range(9), "D"), Z
 
     def test_no_partners_give_no_rows(self):
+        # 8,5,1;6,3 is related to no Z' of rank below 13
         for kind in KINDS:
-            assert relation_rows(ZWRK, (), kind) == []
-            assert relation_rows(ZWRK, [], kind) == []
+            for ranks in (range(13), range(12, 13)):
+                rows = relation_rows(ZWRK, ranks, kind)
+                assert rows == [frozenset()] * len(_specials_of(ranks)), (kind, ranks)
 
     def test_the_largest_rank_sets_the_width(self):
-        # 8,6,2;6,3,0 (rank 17) needs 6-bit fields; the small symbols alone fit in 3 bits
-        small = [SpecialSymbol.parse(t) for t in ("-;-", "1;0", "2;1", "2,1;2,0")]
-        for Zps in (small + [ZPWRK], [ZPWRK] + small, small[:2] + [ZPWRK] + small[2:]):
+        # a rank-12 Z' needs 5-bit fields, ranks up to 3 alone fit in 3 bits;
+        # the wider table then serves the small ranks
+        for ranks in (range(4), range(12, 13), range(2, 4), range(13)):
             for Z in specials_upto(3, 1):
                 for kind in KINDS:
-                    assert relation_rows(Z, Zps, kind) == _rows_oracle(Z, Zps, kind), (Z, kind)
+                    assert relation_rows(Z, ranks, kind) == _rows_oracle(Z, ranks, kind), (Z, kind)
+        assert {t.width for t in relations._TABLES.values()} == {5}
 
     def test_the_rank_0_pair_in_one_bit_fields(self):
         Z, Zp = SpecialSymbol.parse("0;-"), SpecialSymbol.parse("-;-")
         assert (Z.rank, Zp.rank) == (0, 0)
-        for n in (1, 2, 5):
-            assert relation_rows(Z, [Zp] * n, "D") == [frozenset({(0, 0)})] * n
+        assert relation_rows(Z, range(1), "D") == [frozenset({(0, 0)})]
+        assert relations._TABLES["S+", 1].width == 1
 
     def test_the_first_and_the_last_lane(self):
-        # -;- has one member, so at both ends of the row it holds the first
-        # and the last lane; the unrelated symbols between set w = 6
-        Z, Zp = SpecialSymbol.parse("0;-"), SpecialSymbol.parse("-;-")
-        unrelated = [ZPWRK, SpecialSymbol.parse("4,2;3,1")]
-        for Zps in ([Zp] + unrelated + [Zp], [Zp, Zp] + unrelated, unrelated + [Zp, Zp]):
-            rows = relation_rows(Z, Zps, "D")
-            assert rows == _rows_oracle(Z, Zps, "D")
-            assert [bool(r) for r in rows] == [Zp == z for z in Zps]
+        # runs whose first and last Z' are related to Z, at both ends of a
+        # table and inside it
+        ends = set()
+        for Z in specials_upto(6, 1):
+            top = 6 - Z.rank
+            for lo in range(top + 1):
+                for hi in range(lo + 1, top + 2):
+                    rows = relation_rows(Z, range(lo, hi), "D")
+                    assert rows == _rows_oracle(Z, range(lo, hi), "D"), (Z, lo, hi)
+                    if len(rows) > 2 and rows[0] and rows[-1]:
+                        ends.add((lo == 0, hi == top + 1))
+        assert ends == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_families_of_several_defects(self):
         # S and all hold members of several defects, so a record of Z meets
         # the lanes of one key among several
         assert len(ZWRK.kernel_half(6, "S", 1)) > 1 and len(ZWRK.kernel_half(6, "all", 1)) > 1
-        Zps = [ZPWRK, SpecialSymbol.parse("4,2;3,1"), SpecialSymbol.parse("3,1;2,0"), ZPWRK]
         for kind in ("B+", "B-", "Bbar+"):
-            rows = relation_rows(ZWRK, Zps, kind)
-            assert rows == _rows_oracle(ZWRK, Zps, kind) and rows[0], kind
+            rows = relation_rows(ZWRK, range(13, 15), kind)
+            assert rows == _rows_oracle(ZWRK, range(13, 15), kind) and any(rows), kind
 
     def test_a_part_too_large_for_its_field_raises(self, monkeypatch):
-        Z, Zp = SpecialSymbol.parse("4;-"), SpecialSymbol.parse("-;-")
-        assert relation_rows(Z, [Zp], "Bbar+") == _rows_oracle(Z, [Zp], "Bbar+")
-        # a rank read too small gives 3-bit fields, and the part 4 of Z does not fit
+        Z = SpecialSymbol.parse("4;-")
+        assert relation_rows(Z, range(1), "Bbar+") == _rows_oracle(Z, range(1), "Bbar+")
+        # a rank read too small gives 3-bit fields, and the part 4 of Z does
+        # not fit (in a new table: the held one fits rank 4)
         monkeypatch.setattr(Z, "rank", 3)
+        relations._TABLES.clear()
         with pytest.raises(CheckFailed, match="part 4 of 4;- does not fit a 3-bit field"):
-            relation_rows(Z, [Zp], "Bbar+")
-        # the same on the Z' side, for the last of two partners
-        big = SpecialSymbol.parse("3;0")
-        monkeypatch.setattr(big, "rank", 1)
-        with pytest.raises(CheckFailed, match="part 3 of 3;0 does not fit a 2-bit field"):
-            relation_rows(SpecialSymbol.parse("0;-"), [Zp, big], "D")
+            relation_rows(Z, range(1), "Bbar+")
+        # the same on the Z' side: a table whose rank is read one too small
+        # gives rank 4 the fields of rank 3
+        geometry = relations._geometry
+        monkeypatch.setattr(relations, "_geometry", lambda rank, fields: geometry(rank - 1, fields))
+        relations._TABLES.clear()
+        with pytest.raises(CheckFailed, match="part 4 of 4;0 does not fit a 3-bit field"):
+            relation_rows(SpecialSymbol.parse("0;-"), range(4, 5), "D")
 
     def test_rejects_swapped_bases_and_unknown_kinds(self):
         with pytest.raises(ValueError, match="defect 1, defect 0"):
-            relation_rows(ZPWRK, [ZPWRK], "D")
+            relation_rows(ZPWRK, range(1), "D")
         with pytest.raises(ValueError, match="defect 1, defect 0"):
-            relation_rows(ZWRK, [ZPWRK, ZWRK], "B+")
+            relations.b_and_d_rows(ZPWRK, range(1), 1)
         with pytest.raises(ValueError, match="unknown relation kind 'Q'"):
-            relation_rows(ZWRK, [ZPWRK], "Q")
+            relation_rows(ZWRK, range(1), "Q")
 
 
 class TestMaskPathsBuildNoSymbol:

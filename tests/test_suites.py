@@ -64,7 +64,7 @@ def test_a_bad_sign_raises(monkeypatch, eps):
         lambda: uniform.o_space(Zp, eps),
         lambda: branching.theta_general(Z, Zp, eps),
         lambda: tables.correspondence(2, 2, eps),
-        lambda: relations.b_and_d_rows(Z, specials_upto(3, 0), eps),
+        lambda: relations.b_and_d_rows(Z, range(4), eps),
     ):
         with pytest.raises(ValueError, match="eps must be"):
             call()
@@ -114,8 +114,8 @@ def test_kernel_suite_compares_the_rows_with_the_product_filter(monkeypatch):
     # rows that lose the base pair fail exactly the relations holding it
     real_rows = relations.relation_rows
 
-    def planted(Z, Zps, kind):
-        return [masks - {(0, 0)} for masks in real_rows(Z, Zps, kind)]
+    def planted(Z, ranks, kind):
+        return [masks - {(0, 0)} for masks in real_rows(Z, ranks, kind)]
 
     monkeypatch.setattr(relations, "relation_rows", planted)
     rep = run_suite("kernel", max_rank=5)
@@ -148,8 +148,8 @@ def test_prop0216_suite_reads_the_base_pair_from_the_d_masks(monkeypatch):
     # a D set that loses the base pair fails exactly where other pairs remain
     real, real_rows = relations.relation_set, relations.relation_rows
 
-    def planted(Z, Zps, kind):
-        return [masks - {(0, 0)} for masks in real_rows(Z, Zps, kind)]
+    def planted(Z, ranks, kind):
+        return [masks - {(0, 0)} for masks in real_rows(Z, ranks, kind)]
 
     monkeypatch.setattr(relations, "relation_rows", planted)
     rep = run_suite("prop0216", max_rank=4)
@@ -190,7 +190,7 @@ def _thm0310_records_of_every_pair(max_rank: int, eps: int, identity) -> list:
     out = []
     for Z in specials_upto(max_rank, 1):
         Zps = specials_upto(max_rank - Z.rank, 0)
-        b_rows, d_rows = relations.b_and_d_rows(Z, Zps, eps)
+        b_rows, d_rows = relations.b_and_d_rows(Z, range(max_rank - Z.rank + 1), eps)
         for Zp, b, d in zip(Zps, b_rows, d_rows):
             ok, witness = identity(Z, Zp, eps, b, d)
             record = {"pair": [str(Z), str(Zp)], "ok": ok}
@@ -212,10 +212,12 @@ def test_thm0310_skips_only_empty_rows_and_keeps_the_records(request, monkeypatc
     elif planted == "D":
         # every D row empty: each pair with a nonempty B row fails
         real_rows = relations.b_and_d_rows
-        monkeypatch.setattr(
-            relations, "b_and_d_rows",
-            lambda Z, Zps, eps: (real_rows(Z, Zps, eps)[0], [frozenset()] * len(Zps)),
-        )
+
+        def no_d(Z, ranks, eps):
+            b_rows, d_rows = real_rows(Z, ranks, eps)
+            return b_rows, [frozenset()] * len(d_rows)
+
+        monkeypatch.setattr(relations, "b_and_d_rows", no_d)
     real = uniform.thm0310_identity
     called = []
 
@@ -246,13 +248,13 @@ def test_a_sweep_builds_one_lane_table_per_family_and_sign(monkeypatch, name, bo
     built = []
     real = relations._LaneTable.__init__
 
-    def counted(self, zps, rank, fields, which, eps):
-        built.append((which, eps))
-        real(self, zps, rank, fields, which, eps)
+    def counted(self, *args):
+        real(self, *args)
+        built.append((self.which, self.eps))
 
     monkeypatch.setattr(relations._LaneTable, "__init__", counted)
     assert run_suite(name, **bounds).checked == checked
-    # no list of Z' gets a table of its own
+    # every item reads a run of the one table of its family and sign
     assert sorted(built) == want
 
 
