@@ -11,7 +11,7 @@ correspondence relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .cells import IndexArrangement, cell_shape, free_values
 from .relations import FAMILIES, CheckFailed, CorePair, b_kind, cores, in_B, prec
@@ -77,27 +77,33 @@ class ThetaMap:
             return frozenset((m, self(m)) for m in self.source_masks())
         return frozenset((self(m), m) for m in self.source_masks())
 
-    def map_index(self, arr: IndexArrangement, psi: int) -> Tuple[IndexArrangement, int]:
+    def map_cells(self, arr: IndexArrangement) -> Tuple[IndexArrangement, List[int]]:
         """The image of an arrangement of the source base that holds the source
-        core pairs, and of psi (bits over its pairs, the core among them), as an
-        arrangement of the target base and psi bits over its pairs.  A core-free
-        pair (s, t) maps to (theta(t), theta(s)), and the target's core pairs
-        join.  Going up, the isolated single pairs with the entry missing from the
-        image, in psi when |phi - psi| is even at eps = +1 and odd at eps = -1;
-        going down, the released largest entry becomes the isolated single."""
+        core pairs, as an arrangement of the target base, and the image of each
+        psi (bits over the pairs of arr; one that holds the core) as psi bits
+        over its pairs, listed by psi.  A core-free pair (s, t) maps to
+        (theta(t), theta(s)), and the target's core pairs join.  Going up, the
+        isolated single pairs with the entry missing from the image, in psi
+        when |phi - psi| is even at eps = +1 and odd at eps = -1; going down,
+        the released largest entry becomes the isolated single."""
         src, dst, up = self.source_base(), self.target_base(), self.direction == "up"
         # the core pairs are the flips of two singles
         core = [f for f in (self.core.flipsp if up else self.core.flips) if f.bit_count() == 2]
         moved = [transport_mask(src, dst, self.entry_map, pm) for pm in arr.pairs]  # None: core
         pairs = [pm for pm in moved if pm] + core
-        new = [pm for k, pm in enumerate(moved) if pm and psi >> k & 1] + core
         extra = 1 << dst.index[self.extra]
         if up:
             pairs.append(extra | transport_mask(src, dst, self.entry_map, arr.isolated))
-            if (len(arr.pairs) - psi.bit_count()) % 2 == (self.eps == -1):
-                new.append(pairs[-1])
         target = cell_shape(dst).lookup[tuple(sorted(pairs)), 0 if up else extra]
-        return target, sum(1 << k for k, pm in enumerate(target.pairs) if pm in new)
+        bit = {pm: 1 << k for k, pm in enumerate(target.pairs)}
+        images = [sum(bit[pm] for pm in core)]
+        for pm in moved:  # psi bit k doubles the list, as psi counts up
+            images += [x | bit[pm] if pm else x for x in images]
+        if up:
+            iso, odd = bit[pairs[-1]], self.eps == -1
+            images = [x | iso if (len(moved) - psi.bit_count()) % 2 == odd else x
+                      for psi, x in enumerate(images)]
+        return target, images
 
 
 def theta_general(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> ThetaMap:

@@ -216,7 +216,7 @@ def relation_rows(Z: SpecialSymbol, ranks: range, kind: str) -> List[PairSet]:
     """``relation_set(Z, Zp, kind).masks`` for each defect-0 special Zp of a
     rank in `ranks`, in ``specials_upto`` order, in one packed pass.
 
-    Each record of Z meets every lane of those Z' at once (see ``_LaneTable``)
+    Each member of Z meets every lane of those Z' at once (see ``_LaneTable``)
     in the four ge tests of ``relation_set``, its a, b and b >> w repeated in
     each lane.  X, the guard bits kept, is at most HH per lane, so X + SPARE -
     HH sets the spare bit of exactly the lanes that keep them all, read off
@@ -232,7 +232,7 @@ def b_and_d_rows(Z: SpecialSymbol, ranks: range, eps: int) -> Tuple[List[PairSet
     """The rows of B^eps and of D over `ranks` (``relation_rows`` of both kinds).
 
     At eps = +1 they come from one pass: D is B+ on S_{Z,1} x S+_{Z',0}, that
-    is, the hits of the records of key 0, where a Z member of defect 1 meets
+    is, the hits of key 0, where a Z member of defect 1 meets
     the Z' members of defect 0.
     """
     kind = b_kind(eps)
@@ -244,8 +244,9 @@ def b_and_d_rows(Z: SpecialSymbol, ranks: range, eps: int) -> Tuple[List[PairSet
 def _packed_rows(Z, ranks, which: str, whichp: str, eps: int, split: Optional[int]):
     """(rows, split rows): the relation rows of Z's family `which` against the
     Z' family `whichp` over `ranks` and, for a key `split`, the rows of that
-    key's hits alone (None when split is None).  A family of one defect keeps
-    only that key's records on the Z side, so it reads only those lanes."""
+    key's hits alone (None when split is None).  Each member of Z is derived
+    from its mask and tested at once; a family of one defect reads only the
+    lanes of its one key."""
     if not isinstance(ranks, range) or ranks.step != 1 or ranks.start < 0:
         raise ValueError("ranks must be a range of step 1 from a rank >= 0, got %r" % (ranks,))
     if Z.defect != 1:
@@ -256,24 +257,28 @@ def _packed_rows(Z, ranks, which: str, whichp: str, eps: int, split: Optional[in
     width, size = table.width, table.size
     found: Dict[int, list] = {}
     split_found: Dict[int, list] = {}
-    for d, lefts in Z.kernel_half(width, which, eps).items():
-        lanes = table.lanes(lo, hi, d)
+    keyed: Dict[int, Optional[tuple]] = {}
+    for mask in Z.masks(which):
+        # a member's rows are tested as soon as they are derived, and kept nowhere
+        m, dm, star, sub = Z.member_rows(mask, width)
+        d = eps - dm  # the defect its partner needs
+        lanes = keyed[d] if d in keyed else keyed.setdefault(d, table.lanes(lo, hi, d))
         if lanes is None:
             continue
         owners, rep, hh, ap_hh, hh_aps, hh_bp, bp_hh, spare_hh, spare = lanes
-        sink = split_found if d == split else found
-        for m, a, b in lefts:
-            a_rep = a * rep
-            x = (ap_hh - a_rep) & (a_rep + hh_aps) & (b * rep + hh_bp)
-            rel = ((x & (bp_hh - (b >> width) * rep) & hh) + spare_hh) & spare
-            if rel:
-                # each related lane's top byte is 0x80, every other byte 0
-                buf = rel.to_bytes(len(owners) * size, "little")
-                pos = buf.find(0x80)
-                while pos >= 0:
-                    i, mp = owners[pos // size]
-                    sink.setdefault(i, []).append((m, mp))
-                    pos = buf.find(0x80, pos + size)
+        a, b = (sub, star) if eps == 1 else (star, sub)
+        a_rep = a * rep
+        x = (ap_hh - a_rep) & (a_rep + hh_aps) & (b * rep + hh_bp)
+        rel = ((x & (bp_hh - (b >> width) * rep) & hh) + spare_hh) & spare
+        if rel:
+            # each related lane's top byte is 0x80, every other byte 0
+            sink = split_found if d == split else found
+            buf = rel.to_bytes(len(owners) * size, "little")
+            pos = buf.find(0x80)
+            while pos >= 0:
+                i, mp = owners[pos // size]
+                sink.setdefault(i, []).append((m, mp))
+                pos = buf.find(0x80, pos + size)
     rows = [EMPTY_PAIRSET] * (hi - lo)
     for i, pairs in found.items():
         rows[i] = frozenset(pairs)
@@ -295,15 +300,16 @@ def _geometry(rank: int, fields: int) -> Tuple[int, int]:
 
 class _LaneTable:
     """The Z' side of the row kernel: lane j of the ints of key d holds the
-    j-th record of key d (``kernel_half``) over ``zps``, every defect-0
-    special symbol of rank up to ``bound``, and ``owners[j]`` is its (index in
-    zps, mask).  A lane is `size` bytes: `fields` fields of `width` bits,
-    whose guard bits keep every borrow in the lane, and a spare top bit.  The
-    fields cover the longest row of zps and `longest`.  The lanes of a key are
-    built on first use, in linear time.
+    rows (``SpecialSymbol.member_rows``) of the j-th member of defect d of the
+    family `which` over ``zps``, every defect-0 special symbol of rank up to
+    ``bound``, and ``owners[j]`` is its (index in zps, mask).  A lane is
+    `size` bytes: `fields` fields of `width` bits, whose guard bits keep every
+    borrow in the lane, and a spare top bit.  The fields cover the longest row
+    of zps and `longest`.  The lanes of a key are built on first use, in
+    linear time, from the masks: no member's rows are kept beside them.
 
     ``lanes(lo, hi, d)`` reads the lanes of the run zps[lo:hi], with owner
-    indices from lo: a key's records are in zps order, so a run's lanes are
+    indices from lo: a key's members are in zps order, so a run's lanes are
     one bit slice of each int.  Only the last run's slices are kept.  The
     width fits every part of a symbol of rank up to ``rank``.
     """
@@ -337,21 +343,23 @@ class _LaneTable:
 
     def _key(self, d: int) -> Optional[tuple]:
         if d not in self._keys:
-            recs = [
-                (i, r)
-                for i, Zp in enumerate(self.zps)
-                for r in Zp.kernel_half(self.width, self.which, self.eps).get(d, ())
-            ]
+            width, size, which = self.width, self.size, "%s,%d" % (self.which, d)
+            owners, ap, aps, bp = [], bytearray(), bytearray(), bytearray()
+            for i, Zp in enumerate(self.zps):
+                for mask in Zp.masks(which):
+                    # each member's rows go straight into its lane bytes
+                    _, _, a, b = Zp.member_rows(mask, width)
+                    if self.eps == -1:
+                        a, b = b, a
+                    owners.append((i, mask))
+                    ap += a.to_bytes(size, "little")
+                    aps += (a >> width).to_bytes(size, "little")
+                    bp += b.to_bytes(size, "little")
             got = None
-            if recs:
-                size = self.size
-                rep = int.from_bytes(b"\x01".ljust(size, b"\x00") * len(recs), "little")
+            if owners:
+                rep = int.from_bytes(b"\x01".ljust(size, b"\x00") * len(owners), "little")
                 hh, spare = self.H * rep, rep << (8 * size - 1)
-                ap, aps, bp = (
-                    int.from_bytes(b"".join(r[k].to_bytes(size, "little") for _, r in recs), "little")
-                    for k in (1, 2, 3)
-                )
-                owners = [(i, r[0]) for i, r in recs]
+                ap, aps, bp = (int.from_bytes(v, "little") for v in (ap, aps, bp))
                 got = (owners, rep, hh, ap + hh, hh - aps, hh - bp, bp + hh, spare - hh, spare)
             self._keys[d] = got
         return self._keys[d]

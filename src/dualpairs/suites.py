@@ -33,7 +33,8 @@ class SuiteReport:
     bounds: Dict[str, object]
     checked: int = 0
     failures: List[dict] = field(default_factory=list)
-    # per-pair results, compact: (ok, Z text, Z' text, witness or None)
+    # one compact entry per checked item: (Z text, cap, {Z' text: witness} of
+    # the failed pairs), for the pairs of Z with every Z' of rank up to cap
     outcomes: List[tuple] = field(default_factory=list)
     keep_records: bool = True  # False: checks leave ``outcomes`` empty
 
@@ -43,11 +44,18 @@ class SuiteReport:
 
     @property
     def records(self) -> List[dict]:
-        """One record {"ok", "pair"[, "witness"]} per outcome, built on each read."""
+        """One record {"ok", "pair"[, "witness"]} per pair of the outcomes,
+        built on each read, failures first, then by Z and Z' text."""
+        pairs = sorted(
+            (zp not in bad, z, zp)
+            for z, cap, bad in self.outcomes
+            for zp in map(str, specials_upto(cap, 0))
+        )
+        witness = {(z, zp): at for z, _, bad in self.outcomes for zp, at in bad.items()}
         return [
-            {"pair": [z, zp], "ok": ok} if witness is None
-            else {"pair": [z, zp], "ok": ok, "witness": witness}
-            for ok, z, zp, witness in self.outcomes
+            {"pair": [z, zp], "ok": ok} if ok
+            else {"pair": [z, zp], "ok": ok, "witness": witness[z, zp]}
+            for ok, z, zp in pairs
         ]
 
     def merge(self, other: "SuiteReport") -> None:
@@ -56,15 +64,14 @@ class SuiteReport:
         self.outcomes.extend(other.outcomes)
 
     def finalize(self) -> "SuiteReport":
-        """Sort into a worker-count-independent order: each list by the JSON
-        text of its entries (sorted keys).
+        """Sort the failures into a worker-count-independent order, by the JSON
+        text of each (sorted keys).
 
-        Symbol text uses only ``0-9 , ; -``, all above '"', and a suite has one
-        outcome per pair; so sorting the (ok, Z, Z', ...) tuples orders the
-        records as their JSON text does, without encoding them.
+        ``records`` needs no sort here: symbol text uses only ``0-9 , ; -``,
+        all above '"', and a suite has one record per pair; so sorting the
+        (ok, Z, Z') tuples orders the records as their JSON text does.
         """
         self.failures.sort(key=lambda d: json.dumps(d, sort_keys=True))
-        self.outcomes.sort()
         return self
 
     def to_json(self) -> dict:
@@ -156,19 +163,19 @@ def _check_thm0310(item, report: SuiteReport) -> None:
     report.checked += 1  # counted first: an item that raises is one check
     b_rows, d_rows = relations.b_and_d_rows(Z, range(cap + 1), eps)
     report.checked += len(Zps) - 1
-    z, keep, outcomes = str(Z), report.keep_records, report.outcomes
+    z, bad = str(Z), {}
     for Zp, b, d in zip(Zps, b_rows, d_rows):
         # two empty rows hold the identity (b_and_d_rows has checked the sign)
-        ok, witness = uniform.thm0310_identity(Z, Zp, eps, b, d) if b or d else (True, None)
-        if ok:
-            if keep:
-                outcomes.append((True, z, str(Zp), None))
+        if not (b or d):
             continue
-        tau, taup, got, want = witness
-        at = {"at": [str(tau), str(taup)], "got": str(got), "expected": str(want)}
-        report.failures.append({"Z": z, "Zp": str(Zp), **at})
-        if keep:
-            outcomes.append((False, z, str(Zp), at))
+        ok, witness = uniform.thm0310_identity(Z, Zp, eps, b, d)
+        if not ok:
+            tau, taup, got, want = witness
+            at = {"at": [str(tau), str(taup)], "got": str(got), "expected": str(want)}
+            bad[str(Zp)] = at
+            report.failures.append({"Z": z, "Zp": str(Zp), **at})
+    if report.keep_records:  # the records of an item that raised are left out with it
+        report.outcomes.append((z, cap, bad))
 
 
 _RANK_ZERO = Symbol((0,), ())  # 0;-, the defect-1 symbol of rank 0: its Omega- is empty
@@ -429,19 +436,19 @@ def _check_theta(item, report: SuiteReport) -> None:
 
 def _theta_cells_agree(tm) -> bool:
     """Cell images under the map match the cells of the image arrangement
-    (``ThetaMap.map_index``), on the shape tables."""
+    (``ThetaMap.map_cells``), on the shape tables."""
     src, dst, up = tm.source_base(), tm.target_base(), tm.direction == "up"
     core, flips = (tm.core.flips, tm.core.flipsp) if up else (tm.core.flipsp, tm.core.flips)
     image = {m: tm(m) for m in tm.source_masks()}
     full = (1 << dst.n) - 1  # "up" lands at defect 0: XOR with it transposes
     for arr, need in cells.holding_core(src, core):
+        target, psi1 = tm.map_cells(arr)
         for psi, c in enumerate(arr.cells()):
             if psi & need != need or not up and (-1) ** (src.degree - psi.bit_count()) != tm.eps:
                 continue
-            target, psi1 = tm.map_index(arr, psi)
             images = {image[m] for m in c if m in image}
             images |= {m ^ full for m in images} if up else set()
-            if {m ^ f for m in images for f in flips} != set(target.cells()[psi1]):
+            if {m ^ f for m in images for f in flips} != set(target.cells()[psi1[psi]]):
                 return False
     return True
 

@@ -235,10 +235,12 @@ class SpecialSymbol:
     Gram table (``masks``, ``gram``) depend only on the shape (defect,
     degree), and every symbol of one shape reads the same tuples from the
     module's shape tables.  ``longest`` is the longest row any member can
-    have: every double and every single.  ``kernel_half`` packs each member's
-    interlacing data into integers, computed from the masks.  Lambda_M is
-    built as a ``Symbol`` only for a Symbol view (``member``, ``members``,
-    ``member_mask``, ``family``), once.
+    have: every double and every single.  ``member_rows`` packs one member's
+    interlacing data into integers, derived from its mask: the row kernel
+    calls it as it tests or packs a member and keeps nothing, and
+    ``kernel_half`` keeps a family's records for ``relation_set`` alone.
+    Lambda_M is built as a ``Symbol`` only for a Symbol view (``member``,
+    ``members``, ``member_mask``, ``family``), once.
     """
 
     __slots__ = ("symbol", "defect", "rank", "singles", "doubles", "degree", "index", "n",
@@ -361,40 +363,49 @@ class SpecialSymbol:
 
     # -- the relation kernel's inputs -------------------------------------------
 
+    def member_rows(self, mask: int, width: int) -> Tuple[int, int, int, int]:
+        """(mask, member defect, star row, sub row) of the member of a mask, its
+        bipartition rows packed into ints: part i of a row (from 0, largest
+        first) sits in bits [i * width, (i + 1) * width - 1), and bit (i + 1) *
+        width - 1, the field's guard bit, is left 0.  Raises CheckFailed,
+        naming the member, for a part that does not fit below its guard bit."""
+        limit = 1 << (width - 1)
+        # in increasing order, an entry's staircase step is the count of
+        # smaller entries in its row, and the largest ends in field 0
+        star = sub = n_star = n_sub = 0
+        for v, r, bit in self.bits:
+            if r ^ (mask & bit != 0):  # in the bottom row of the member
+                part = v - n_sub
+                sub = sub << width | part
+                n_sub += 1
+            else:
+                part = v - n_star
+                star = star << width | part
+                n_star += 1
+            if part >= limit:
+                raise CheckFailed("part %d of %s does not fit a %d-bit field"
+                                  % (part, self.member(mask), width))
+        return mask, n_star - n_sub, star, sub
+
     def kernel_half(self, width: int, which: str, eps: int) -> Dict[int, tuple]:
-        """This symbol's side of the relation kernel for one family and sign.
+        """This symbol's side of ``relation_set`` for one family and sign.
 
         {key: records}, built once per (width, family, sign) from the masks of
-        the family; the guard bits depend on both symbols and are left to each
-        call.  A record packs a member's bipartition rows into ints: part i of
-        a row (from 0, largest first) sits in bits [i * width, (i + 1) * width
-        - 1), and bit (i + 1) * width - 1, the field's guard bit, is left 0.
-        A Z member (defect 1) keys on the defect its partner needs, eps -
-        defect, and gives (mask, a, b); a Z' member keys on its defect and
-        gives (mask, a, a >> width, b), where (a, b) is (sub, star) on the Z
-        side and (star, sub) on the Z' side at eps = 1, swapped at eps = -1.
-        Raises CheckFailed for a part that does not fit below its guard bit."""
+        the family and ``member_rows``; the guard bits depend on both symbols
+        and are left to each call.  A Z member (defect 1) keys on the defect
+        its partner needs, eps - defect, and gives (mask, a, b); a Z' member
+        keys on its defect and gives (mask, a, a >> width, b), where (a, b) is
+        (sub, star) on the Z side and (star, sub) on the Z' side at eps = 1,
+        swapped at eps = -1."""
         key = (width, which, eps)
         got = self._halves.get(key)
         if got is not None:
             return got
-        limit, bits, left = 1 << (width - 1), self.bits, self.defect == 1
+        left = self.defect == 1
         swap = left == (eps == 1)
         groups: Dict[int, list] = {}
         for mask in self.masks(which):
-            # in increasing order, an entry's staircase step is the count of
-            # smaller entries in its row, and the largest ends in field 0
-            rows, counts = [0, 0], [0, 0]
-            for v, r, bit in bits:
-                if mask & bit:
-                    r ^= 1
-                part = v - counts[r]
-                if part >= limit:
-                    raise CheckFailed("part %d of %s does not fit a %d-bit field"
-                                      % (part, self.member(mask), width))
-                rows[r] = rows[r] << width | part
-                counts[r] += 1
-            d, (star, sub) = counts[TOP] - counts[BOT], rows
+            _, d, star, sub = self.member_rows(mask, width)
             a, b = (sub, star) if swap else (star, sub)
             if left:
                 groups.setdefault(eps - d, []).append((mask, a, b))

@@ -263,7 +263,8 @@ class TestThetaGeneral:
                         except ValueError:  # psi misses the core, or is not admissible
                             continue
                         arr, bit = cells._indexed(src, phi)
-                        got = tm.map_index(arr, sum(bit[p] for p in psi))
+                        target, psi1 = tm.map_cells(arr)
+                        got = target, psi1[sum(bit[p] for p in psi)]
                         arr1, bit1 = cells._indexed(dst, want[0])
                         assert got == (arr1, sum(bit1[p] for p in want[1]))
                         count += 1

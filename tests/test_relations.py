@@ -371,20 +371,26 @@ class TestPackedRecords:
                 _check_halves(base, width)
 
     def test_a_cold_minus_sweep_builds_only_the_d_records(self, monkeypatch, clear_specials):
-        # at eps = -1 the D pass reads S_{Z,1} at eps = +1, where no B pass has
-        # built the whole S half: built alone, it holds one record per S_{Z,1} mask
+        # at eps = -1 the D pass reads the (S+, +1) table, where no B+ pass has
+        # packed another key: it holds key 0 alone, one lane per S+,0 mask
         monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
         assert suites.run_suite("thm0310", max_rank=10, eps=-1).ok
-        zs = specials_upto(10, 1)
-        assert {key[1:] for Z in zs for key in Z._halves} == {("S", -1), ("S,1", 1)}
-        records = [
-            sum(map(len, half.values()))
-            for Z in zs
-            for key, half in Z._halves.items()
-            if key[2] == 1
-        ]
-        assert records == [len(Z.masks("S,1")) for Z in zs]
-        assert sum(records) < sum(len(Z.masks("S")) for Z in zs)
+        table = relations._TABLES["S+", 1]
+        assert table.zps == specials_upto(10, 0) and list(table._keys) == [0]
+        owners = table._keys[0][0]
+        assert owners == [(i, m) for i, Zp in enumerate(table.zps) for m in Zp.masks("S+,0")]
+        assert len(owners) < sum(len(Zp.masks("S+")) for Zp in table.zps)
+
+    def test_the_sweeps_keep_no_kernel_records(self, monkeypatch, clear_specials):
+        # the row kernel derives each member's rows from its mask as it tests or
+        # packs them: no sweep leaves a kernel half on any special symbol
+        monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+        for name, bounds in [("thm0310", {"max_rank": 10, "eps": 1}),
+                             ("thm0310", {"max_rank": 10, "eps": -1}),
+                             ("prop0216", {"max_rank": 8}), ("lemma1112", {"max_rank": 10})]:
+            assert suites.run_suite(name, **bounds).ok, name
+        assert len(symbols._SPECIALS) > 100
+        assert [z for z in symbols._SPECIALS.values() if z._halves] == []
 
     def test_relation_set_rejects_swapped_bases_and_unknown_kinds(self):
         with pytest.raises(ValueError, match="defect 1, defect 0"):

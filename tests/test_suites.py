@@ -264,7 +264,7 @@ def test_thm0310_records_read_lazily_are_the_eager_records(monkeypatch, workers)
     monkeypatch.setenv("DUALPAIRS_WORKERS", workers)
     rep = run_suite("thm0310", max_rank=7, eps=1)
     want = _thm0310_records_of_every_pair(7, 1, uniform.thm0310_identity)
-    assert not rep.ok and len(rep.outcomes) == len(want)
+    assert not rep.ok and len(rep.records) == len(want)
     assert rep.records == sorted(want, key=lambda d: json.dumps(d, sort_keys=True))
     # each read builds the records again, equal and not shared
     assert rep.records == rep.records and rep.records is not rep.records

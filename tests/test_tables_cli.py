@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -276,3 +278,19 @@ class TestCli:
         assert lines[-1]["suite"] == "thm0310"
         summary = run_cli("verify", "thm0310", "--max-rank", "2", "--summary")
         assert len(summary.stdout.splitlines()) == 1
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("eps,digest", [
+        ("+", "2b77820950721d56374c35cc0af7bceb1c95fba85a41a6e7ec2efece4b486e9d"),
+        ("-", "5574191dc0fe06fd8cf7dbd51ce01a36034c46d8e88cf4f4cb5ad3744f90eda9"),
+    ])
+    def test_verify_thm0310_output_is_byte_identical(self, workers, eps, digest):
+        # the records are built when read: the bytes printed for rank sum 9,
+        # 2 444 records and the summary line, must not move at any worker count
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualpairs.cli", "verify", "thm0310", "--max-rank", "9",
+             "--epsilon", eps],
+            capture_output=True, env={**os.environ, "DUALPAIRS_WORKERS": workers},
+        )
+        assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 2445
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest

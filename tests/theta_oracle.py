@@ -1,5 +1,5 @@
 """The value form of the arrangement map of a ThetaMap, the oracle for
-``ThetaMap.map_index``, which maps index arrangements.
+``ThetaMap.map_cells``, which maps index arrangements.
 
 A core-free pair (s, t) maps to (theta(t), theta(s)), read off the entry
 map; the core pairs of the target join.  Going up, the isolated single pairs
