@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .cells import IndexArrangement, cell_shape, free_values
+from .cells import IndexArrangement, cell_shape, free_values, psi_sign
 from .relations import FAMILIES, CheckFailed, CorePair, b_kind, cores, in_B, prec
 from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, transport_mask
 
@@ -100,8 +100,8 @@ class ThetaMap:
         for pm in moved:  # psi bit k doubles the list, as psi counts up
             images += [x | bit[pm] if pm else x for x in images]
         if up:
-            iso, odd = bit[pairs[-1]], self.eps == -1
-            images = [x | iso if (len(moved) - psi.bit_count()) % 2 == odd else x
+            iso = bit[pairs[-1]]
+            images = [x | iso if psi_sign(len(moved), psi) == self.eps else x
                       for psi, x in enumerate(images)]
         return target, images
 

@@ -102,16 +102,10 @@ def cell_sign(phi: Arrangement, psi: Iterable[Pair]) -> int:
     return 1 if (len(phi.pairs) - len(frozenset(psi))) % 2 == 0 else -1
 
 
-def admissible(phi: Arrangement, psi: Iterable[Pair], eps: int) -> bool:
-    """Whether the complement size parity matches the sign of the base group."""
-    if phi.isolated is not None:
-        raise ValueError("admissibility is a defect-0 notion")
-    return cell_sign(phi, psi) == eps
-
-
-def cell_partition_check(Z: SpecialSymbol, cells: Sequence[Cell]) -> bool:
-    """The cells of one arrangement, one per psi, are disjoint and cover the family (by sign)."""
-    return partitions(Z, ((c.masks, cell_sign(c.phi, c.psi)) for c in cells))
+def psi_sign(pairs: int, psi: int) -> int:
+    """``cell_sign`` of psi given as bits over the `pairs` pairs of an arrangement:
+    (-1)^|phi - psi|."""
+    return -1 if (pairs - psi.bit_count()) & 1 else 1
 
 
 def partitions(Z: SpecialSymbol, signed: Iterable[Tuple[Iterable[int], int]]) -> bool:
@@ -142,7 +136,7 @@ def cell_sum_failures(Z: SpecialSymbol, arr: IndexArrangement) -> Iterator[int]:
     words = {q: sum(((j & q).bit_count() & 1) << j for j in range(size))
              for qs in groups.values() for q in qs}
     for psi, c in enumerate(map(set, arr.cells())):
-        which = "S" if Z.defect else "S-" if (Z.degree - psi.bit_count()) & 1 else "S+"
+        which = "S" if Z.defect else "S+" if psi_sign(Z.degree, psi) == 1 else "S-"
         signs = sum(((j & ~psi).bit_count() & 1) << j for j in range(size))
         for q, ms in groups[which].items():
             total = size - 2 * (signs ^ words[q]).bit_count()

@@ -181,9 +181,7 @@ def cmd_verify(args) -> int:
         # one named suite gets every given bound, so one it does not take is
         # an error; under "all" each suite gets the bounds it takes
         takes = suites.SUITES[name].bounds if args.suite == "all" else given
-        report = suites.run_suite(
-            name, keep_records=not args.summary, **{k: v for k, v in given.items() if k in takes}
-        )
+        report = suites.run_suite(name, **{k: v for k, v in given.items() if k in takes})
         if not args.summary:
             for record in report.records:
                 print(json.dumps(record, sort_keys=True))

@@ -225,38 +225,41 @@ def relation_rows(Z: SpecialSymbol, ranks: range, kind: str) -> List[PairSet]:
     if kind not in FAMILIES:
         raise ValueError("unknown relation kind %r" % kind)
     which, whichp = FAMILIES[kind]
-    return _packed_rows(Z, ranks, which, whichp, -1 if kind == "B-" else 1, None)[0]
+    return _packed_rows(Z, ranks, which, whichp, -1 if kind == "B-" else 1)
 
 
 def b_and_d_rows(Z: SpecialSymbol, ranks: range, eps: int) -> Tuple[List[PairSet], List[PairSet]]:
     """The rows of B^eps and of D over `ranks` (``relation_rows`` of both kinds).
 
-    At eps = +1 they come from one pass: D is B+ on S_{Z,1} x S+_{Z',0}, that
-    is, the hits of key 0, where a Z member of defect 1 meets
-    the Z' members of defect 0.
+    At eps = +1, D is read off the B+ rows: D is B+ on S_{Z,1} x S+_{Z',0},
+    and a B+ partner of a defect-1 member has defect 0, so a D row is the
+    pairs of its B+ row whose first mask is in S_{Z,1}.
     """
     kind = b_kind(eps)
+    b_rows = relation_rows(Z, ranks, kind)
     if kind == "B-":
-        return relation_rows(Z, ranks, kind), relation_rows(Z, ranks, "D")
-    return _packed_rows(Z, ranks, *FAMILIES[kind], 1, 0)
+        return b_rows, relation_rows(Z, ranks, "D")
+    ones = set(Z.masks(FAMILIES["D"][0]))
+    return b_rows, [
+        (frozenset(p for p in b if p[0] in ones) or EMPTY_PAIRSET) if b else EMPTY_PAIRSET
+        for b in b_rows
+    ]
 
 
-def _packed_rows(Z, ranks, which: str, whichp: str, eps: int, split: Optional[int]):
-    """(rows, split rows): the relation rows of Z's family `which` against the
-    Z' family `whichp` over `ranks` and, for a key `split`, the rows of that
-    key's hits alone (None when split is None).  Each member of Z is derived
-    from its mask and tested at once; a family of one defect reads only the
-    lanes of its one key."""
+def _packed_rows(Z, ranks, which: str, whichp: str, eps: int) -> List[PairSet]:
+    """The relation rows of Z's family `which` against the Z' family `whichp`
+    over `ranks`, by the B^eps predicate.  Each member of Z is derived from
+    its mask and tested at once; a family of one defect reads only the lanes
+    of its one key."""
     if not isinstance(ranks, range) or ranks.step != 1 or ranks.start < 0:
         raise ValueError("ranks must be a range of step 1 from a rank >= 0, got %r" % (ranks,))
     if Z.defect != 1:
         raise ValueError("expected a (defect 1, defect 0) special pair")
     if not ranks:
-        return [], None if split is None else []
+        return []
     table, lo, hi = _table_for(Z, ranks, whichp.partition(",")[0], eps)
     width, size = table.width, table.size
     found: Dict[int, list] = {}
-    split_found: Dict[int, list] = {}
     keyed: Dict[int, Optional[tuple]] = {}
     for mask in Z.masks(which):
         # a member's rows are tested as soon as they are derived, and kept nowhere
@@ -272,23 +275,16 @@ def _packed_rows(Z, ranks, which: str, whichp: str, eps: int, split: Optional[in
         rel = ((x & (bp_hh - (b >> width) * rep) & hh) + spare_hh) & spare
         if rel:
             # each related lane's top byte is 0x80, every other byte 0
-            sink = split_found if d == split else found
             buf = rel.to_bytes(len(owners) * size, "little")
             pos = buf.find(0x80)
             while pos >= 0:
                 i, mp = owners[pos // size]
-                sink.setdefault(i, []).append((m, mp))
+                found.setdefault(i, []).append((m, mp))
                 pos = buf.find(0x80, pos + size)
     rows = [EMPTY_PAIRSET] * (hi - lo)
     for i, pairs in found.items():
         rows[i] = frozenset(pairs)
-    if split is None:
-        return rows, None
-    split_rows = [EMPTY_PAIRSET] * (hi - lo)
-    for i, pairs in split_found.items():
-        split_rows[i] = frozenset(pairs)
-        rows[i] = rows[i] | split_rows[i]
-    return rows, split_rows
+    return rows
 
 
 def _geometry(rank: int, fields: int) -> Tuple[int, int]:

@@ -36,7 +36,6 @@ class SuiteReport:
     # one compact entry per checked item: (Z text, cap, {Z' text: witness} of
     # the failed pairs), for the pairs of Z with every Z' of rank up to cap
     outcomes: List[tuple] = field(default_factory=list)
-    keep_records: bool = True  # False: checks leave ``outcomes`` empty
 
     @property
     def ok(self) -> bool:
@@ -174,8 +173,7 @@ def _check_thm0310(item, report: SuiteReport) -> None:
             at = {"at": [str(tau), str(taup)], "got": str(got), "expected": str(want)}
             bad[str(Zp)] = at
             report.failures.append({"Z": z, "Zp": str(Zp), **at})
-    if report.keep_records:  # the records of an item that raised are left out with it
-        report.outcomes.append((z, cap, bad))
+    report.outcomes.append((z, cap, bad))  # an item that raises leaves no records
 
 
 _RANK_ZERO = Symbol((0,), ())  # 0;-, the defect-1 symbol of rank 0: its Omega- is empty
@@ -284,7 +282,7 @@ def _check_cells(Z, report: SuiteReport) -> None:
     for arr in shape.arrangements:
         report.checked += 1
         cs = arr.cells()
-        signs = ((-1) ** (Z.degree - psi.bit_count()) for psi in range(size))  # of |phi - psi|
+        signs = (cells.psi_sign(Z.degree, psi) for psi in range(size))
         if not cells.partitions(Z, zip(cs, signs)):
             fail(arr, partition=False)
         for c in cs:
@@ -444,7 +442,7 @@ def _theta_cells_agree(tm) -> bool:
     for arr, need in cells.holding_core(src, core):
         target, psi1 = tm.map_cells(arr)
         for psi, c in enumerate(arr.cells()):
-            if psi & need != need or not up and (-1) ** (src.degree - psi.bit_count()) != tm.eps:
+            if psi & need != need or not up and cells.psi_sign(src.degree, psi) != tm.eps:
                 continue
             images = {image[m] for m in c if m in image}
             images |= {m ^ full for m in images} if up else set()
@@ -505,19 +503,25 @@ def _product_filter(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str) -> set:
 
 def _check_kernel(item, report: SuiteReport) -> None:
     """The packed-field relation sets, per pair and as rows over every Z' of
-    the bound, equal the product filter on Symbols."""
+    the bound, equal the product filter on Symbols; so do the D rows read off
+    the B+ rows (``b_and_d_rows`` at eps = +1), which the main identity cannot
+    check: a pair whose first member is outside S_{Z,1} adds 0 to its sums."""
     Z, max_rank = item
     cap = max_rank - Z.rank
     Zps = specials_upto(cap, 0)
     # the uncached body of relation_set (when it is the cached function): these
     # sets are asked for once, and would evict the sets other suites reuse
     relation_set = getattr(relations.relation_set, "__wrapped__", relations.relation_set)
+    read_off = relations.b_and_d_rows(Z, range(cap + 1), 1)[1]
     for kind in relations.KINDS:
-        for Zp, row in zip(Zps, relations.relation_rows(Z, range(cap + 1), kind)):
+        rows = relations.relation_rows(Z, range(cap + 1), kind)
+        for i, Zp in enumerate(Zps):
             report.checked += 1
             want = _product_filter(Z, Zp, kind)
-            got_set = relation_set(Z, Zp, kind).masks
-            for got, path in ((got_set, {}), (row, {"rows": True})):
+            paths = [(relation_set(Z, Zp, kind).masks, {}), (rows[i], {"rows": True})]
+            if kind == "D":
+                paths.append((read_off[i], {"rows": "read off B+"}))
+            for got, path in paths:
                 if got != want:
                     report.failures.append({
                         "Z": str(Z), "Zp": str(Zp), "kind": kind, **path,
@@ -589,10 +593,10 @@ def _item_json(item):
     return item if isinstance(item, int) else str(item)
 
 
-def _check_chunk(name: str, keep_records: bool, chunk: list) -> SuiteReport:
+def _check_chunk(name: str, chunk: list) -> SuiteReport:
     """Check every item of one chunk; a raised exception fails only its item."""
     check = SUITES[name].check
-    sub = SuiteReport(name, {}, keep_records=keep_records)
+    sub = SuiteReport(name, {})
     for item in chunk:
         try:
             check(item, sub)
@@ -601,12 +605,8 @@ def _check_chunk(name: str, keep_records: bool, chunk: list) -> SuiteReport:
     return sub
 
 
-def run_suite(name: str, *, keep_records: bool = True, **bounds) -> SuiteReport:
-    """Run one suite; a bound left out (or None) takes the suite's default.
-
-    With keep_records False the report's ``records`` stay empty; its count,
-    failures and ``line()`` are the same.
-    """
+def run_suite(name: str, **bounds) -> SuiteReport:
+    """Run one suite; a bound left out (or None) takes the suite's default."""
     if name not in SUITES:
         raise ValueError("unknown suite %r (have: %s)" % (name, ", ".join(sorted(SUITES))))
     suite = SUITES[name]
@@ -624,11 +624,9 @@ def run_suite(name: str, *, keep_records: bool = True, **bounds) -> SuiteReport:
         # eps is checked where it is used: b_kind rejects any other sign
         if key != "eps" and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
             raise ValueError("suite %r: bound %s must be an int >= 0, got %r" % (name, key, value))
-    report = SuiteReport(
-        name, {suite.bounds[key][0]: v for key, v in values.items()}, keep_records=keep_records
-    )
+    report = SuiteReport(name, {suite.bounds[key][0]: v for key, v in values.items()})
     items = suite.items(**values)
-    work = functools.partial(_check_chunk, name, keep_records)
+    work = functools.partial(_check_chunk, name)
     nworkers = _worker_count(os.environ.get("DUALPAIRS_WORKERS"), len(items))
     if nworkers > 1:
         from concurrent.futures import ProcessPoolExecutor

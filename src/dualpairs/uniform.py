@@ -54,7 +54,7 @@ def tensor(u: Vec, v: Vec) -> Ten:
 
 @dataclass(frozen=True)
 class Space:
-    """The coefficient space attached to one side of a special pair."""
+    """The coefficient space of one side of a special pair (the dense oracle's)."""
 
     base: SpecialSymbol
     side: str            # "Sp" (defect 1) or "O" (defect 0)
@@ -74,7 +74,7 @@ class Space:
     @property
     def r_kind(self) -> str:
         """The family indexing R vectors (defect exactly 1 resp. 0)."""
-        return "S,1" if self.side == "Sp" else "S+,0"
+        return FAMILIES["D"][0 if self.side == "Sp" else 1]
 
     def family(self) -> Tuple[Symbol, ...]:
         return self.base.family(self.kind)
@@ -212,7 +212,7 @@ def _tau_rows(Zp: SpecialSymbol, whichp: str, width: int) -> Tuple[Tuple[int, ..
     key = (Zp.degree, whichp, width)
     got = _TAU_ROWS.get(key)
     if got is None:
-        taups, gp = Zp.masks("S+,0"), Zp.gram(whichp)
+        taups, gp = Zp.masks(FAMILIES["D"][1]), Zp.gram(whichp)
         got = _TAU_ROWS[key] = (
             taups,
             _Rows(lambda mp: _pack([-1 if (mp & t).bit_count() & 1 else 1 for t in taups], width)),
@@ -258,14 +258,15 @@ def thm0310_identity(
     """
     # the families of the two spaces, keyed by the kind: any sign but +1 and -1 raises
     which, whichp = FAMILIES[b_kind(eps)]
+    if Z.defect != 1 or Zp.defect != 0:
+        raise ValueError("expected a (defect 1, defect 0) special pair")
     if not b and not d:
         return True, None
     scale = 1 << (Z.degree + Zp.degree)
     # with P = |family(Z)| * |family(Z')|: B has at most P pairs, D (in
     # S_{Z,1} x S+_{Z',0}) at most P unless g' = 0, and |g| |g'| <= P, so
     # scale * P + P^2 bounds every entry of either side, and so of their
-    # difference, for every pair of these two shapes and this kind (swapped
-    # defects raise here)
+    # difference, for every pair of these two shapes and this kind
     products = len(Z.masks(which)) * len(Zp.masks(whichp))
     width = (scale * products + products * products).bit_length() + 1
     taups, chars, grams = _tau_rows(Zp, whichp, width)
@@ -280,7 +281,7 @@ def thm0310_identity(
         d_rows[sm] = d_rows.get(sm, 0) + grams[smp]
 
     g = Z.gram(which)
-    for tau in Z.masks("S,1"):
+    for tau in Z.masks(FAMILIES["D"][0]):
         lhs = sum(-u if (m & tau).bit_count() & 1 else u for m, u in b_rows.items())
         rhs = sum(g[s ^ tau] * v for s, v in d_rows.items())
         if scale * lhs != rhs:
@@ -348,15 +349,17 @@ def check_step_scaling(step: DerivativeStep) -> bool:
     return _scaled_equal(step, full, reduced, lambda t: not any(t.values()))
 
 
-def _r_sum_is_zero(spz: Space, spo: Space, coeffs: Counter) -> bool:
-    """Whether the sum of coeffs[s, s'] * R_s x R_s' over R-index masks is 0.
+def _r_sum_is_zero(Z: SpecialSymbol, Zp: SpecialSymbol, kind: str, coeffs: Counter) -> bool:
+    """Whether the sum of coeffs[s, s'] * R_s x R_s' is 0, s and s' indexing R
+    vectors by masks of D's families, in the rho families of the B kind `kind`.
 
     It lies in span(R) x span(R'), so it is 0 exactly when its inner product
     with every R_tau x R_tau' is; up to the R normalizations that product is
     the sum of coeffs[s, s'] * g(s ^ tau) * g'(s' ^ tau') (see thm0310_identity).
     """
-    g, gp = spz.base.gram(spz.kind), spo.base.gram(spo.kind)
-    taups = spo.base.masks(spo.r_kind)
+    which, whichp = FAMILIES[kind]
+    g, gp = Z.gram(which), Zp.gram(whichp)
+    taups = Zp.masks(FAMILIES["D"][1])
     rows: Dict[int, list] = {}
     for (s, sp), c in coeffs.items():
         if c:
@@ -365,7 +368,7 @@ def _r_sum_is_zero(spz: Space, spo: Space, coeffs: Counter) -> bool:
                 row[j] += c * gp[sp ^ t]
     return not any(
         sum(g[s ^ tau] * row[j] for s, row in rows.items())
-        for tau in spz.base.masks(spz.r_kind)
+        for tau in Z.masks(FAMILIES["D"][0])
         for j in range(len(taups))
     )
 
@@ -376,8 +379,7 @@ def check_step_r_scaling(step: DerivativeStep) -> bool:
     The half is on both sides and cancels.
     """
     full, reduced = _step_tensors(step, "D")
-    spz, spo = sp_space(step.Z), o_space(step.Zp, 1)
-    return _scaled_equal(step, full, reduced, lambda t: _r_sum_is_zero(spz, spo, t))
+    return _scaled_equal(step, full, reduced, lambda t: _r_sum_is_zero(step.Z, step.Zp, "B+", t))
 
 
 def check_step_pairing_transport(step: DerivativeStep) -> bool:
@@ -388,25 +390,25 @@ def check_step_pairing_transport(step: DerivativeStep) -> bool:
     each add a factor 2^(-1/2).  The O side's factor 2 is on both sides of
     the identity.  So the left side is a sum of characters times
     2^(-deg - core), the right side is chi(f(s) & f(l)) times 2^(-deg'), and
-    both are compared as integers.
+    both are compared as integers.  The rho families are those of B+, the R
+    families those of D.
     """
     r, rp = step.removed_masks()
-    for space, derived, fmap, rm in (
-        (sp_space(step.Z), step.Z1, step.fmap, r),
-        (o_space(step.Zp, 1), step.Zp1, step.fpmap, rp),
+    for base, derived, fmap, rm, kind, r_kind in zip(
+        (step.Z, step.Zp), (step.Z1, step.Zp1), (step.fmap, step.fpmap), (r, rp),
+        FAMILIES["B+"], FAMILIES["D"],
     ):
-        base = space.base
         # chars * 2^(-deg - core) == image * 2^(-deg'): shift both to integers
         shift = base.degree + bool(rm) - derived.degree
         left, right = max(-shift, 0), max(shift, 0)
-        rho_d = set(derived.masks(space.kind))
-        r_d = set(derived.masks(space.r_kind))
+        rho_d = set(derived.masks(kind))
+        r_d = set(derived.masks(r_kind))
         lams = [
             (m, transport_mask(base, derived, fmap, m))
-            for m in base.masks(space.kind)
+            for m in base.masks(kind)
             if not m & rm
         ]
-        for s in base.masks(space.r_kind):
+        for s in base.masks(r_kind):
             if s & rm:
                 continue
             fs = transport_mask(base, derived, fmap, s)

@@ -7,11 +7,11 @@ from dualpairs import cells
 from dualpairs.branching import z_cuspidal, zp_cuspidal
 from dualpairs.cells import (
     Arrangement,
-    admissible,
     arrangements,
     cell,
-    cell_partition_check,
     cell_sign,
+    partitions,
+    psi_sign,
     semi_consecutive_arrangements,
     separating_pair,
     singleton_intersection,
@@ -70,8 +70,18 @@ class TestStructure:
     def test_sizes_and_partition(self, z):
         for phi in arrangements(z):
             built = [cell(z, phi, psi) for psi in subsets_of_pairs(phi.pair_set())]
-            assert cell_partition_check(z, built)
+            assert partitions(z, ((c.masks, cell_sign(c.phi, c.psi)) for c in built))
             assert all(len(c) == 2**z.degree for c in built)
+
+    @pytest.mark.parametrize("z", [Z1, Z0, SpecialSymbol.parse("1;1")])
+    def test_psi_sign_is_cell_sign(self, z):
+        # psi as bits over phi's pairs, bit k for pairs[k]
+        for phi in arrangements(z):
+            n = len(phi.pairs)
+            for bits in range(2**n):
+                psi = {phi.pairs[k] for k in range(n) if bits >> k & 1}
+                assert psi_sign(n, bits) == cell_sign(phi, psi), (phi, psi)
+        assert psi_sign(3, 0b111) == 1 and psi_sign(3, 0b101) == -1 == psi_sign(3, 0)
 
     def test_transpose_closure_defect0(self):
         for phi in arrangements(Z0):
@@ -91,13 +101,6 @@ class TestStructure:
     def test_psi_not_below_phi(self):
         with pytest.raises(ValueError):
             cell(Z1, PHI1, {(2, 1)})
-
-    def test_admissible(self):
-        assert admissible(PHI0, PHI0.pair_set(), 1)
-        assert admissible(PHI0, {(5, 4), (1, 0)}, -1)
-        assert not admissible(PHI0, {(5, 4), (1, 0)}, 1)
-        with pytest.raises(ValueError):
-            admissible(PHI1, set(), 1)
 
 
 class TestArrangementValidation:

@@ -478,7 +478,7 @@ class TestRelationRows:
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_the_fused_d_rows_are_the_d_pass(self, eps):
-        # at eps = +1, D is read off the B+ pass as the hits of key 0
+        # at eps = +1, D is read off the B+ rows: the pairs whose first mask is in S_{Z,1}
         kind = b_kind(eps)
         for Z in specials_upto(10, 1):
             top = 10 - Z.rank
@@ -486,6 +486,16 @@ class TestRelationRows:
                 b_rows, d_rows = relations.b_and_d_rows(Z, ranks, eps)
                 assert b_rows == relation_rows(Z, ranks, kind), Z
                 assert d_rows == relation_rows(Z, ranks, "D") == _rows_oracle(Z, ranks, "D"), Z
+
+    def test_the_d_rows_read_off_b_plus_are_subsets_sharing_the_empty_set(self):
+        # the filter keeps a subset of each B+ row, and an empty D row is EMPTY_PAIRSET
+        dropped = 0
+        for Z in specials_upto(10, 1):
+            b_rows, d_rows = relations.b_and_d_rows(Z, range(10 - Z.rank + 1), 1)
+            for b, d in zip(b_rows, d_rows):
+                assert d <= b and (d or d is relations.EMPTY_PAIRSET), Z
+                dropped += len(b) - len(d)
+        assert dropped
 
     def test_a_table_grows_to_the_largest_bound_and_serves_the_smaller_ones(self, monkeypatch):
         builds = []

@@ -109,6 +109,27 @@ def test_kernel_suite_compares_with_the_product_filter(monkeypatch):
     assert all(f["missing"] == [(0, 0)] and not f["extra"] for f in rep.failures)
 
 
+def test_kernel_suite_compares_the_d_rows_read_off_b_plus(monkeypatch):
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    # D rows that keep every B+ pair, not only those whose first member is in
+    # S_{Z,1}: the main identity cannot see the extra pairs, the kernel suite must
+    def wide(Z, ranks, eps):
+        b_rows = relations.relation_rows(Z, ranks, relations.b_kind(eps))
+        return b_rows, b_rows
+
+    monkeypatch.setattr(relations, "b_and_d_rows", wide)
+    assert run_suite("thm0310", max_rank=8).ok
+    rep = run_suite("kernel", max_rank=7)
+    want = [
+        (str(Z), str(Zp), "D")
+        for Z, Zp in suites._special_pairs(7, summed=True)
+        if relations.relation_set(Z, Zp, "B+").masks != relations.relation_set(Z, Zp, "D").masks
+    ]
+    assert want and sorted((f["Z"], f["Zp"], f["kind"]) for f in rep.failures) == sorted(want)
+    assert all(f["rows"] == "read off B+" and f["extra"] and not f["missing"]
+               for f in rep.failures)
+
+
 def test_kernel_suite_compares_the_rows_with_the_product_filter(monkeypatch):
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
     # rows that lose the base pair fail exactly the relations holding it
@@ -122,7 +143,7 @@ def test_kernel_suite_compares_the_rows_with_the_product_filter(monkeypatch):
     want = [
         (str(Z), str(Zp), kind)
         for Z, Zp in suites._special_pairs(5, summed=True)
-        for kind in relations.KINDS
+        for kind in relations.KINDS + ("D",)  # D twice: its rows and those read off B+
         if (0, 0) in relations.relation_set(Z, Zp, kind).masks
     ]
     assert want and sorted((f["Z"], f["Zp"], f["kind"]) for f in rep.failures) == sorted(want)
@@ -268,8 +289,6 @@ def test_thm0310_records_read_lazily_are_the_eager_records(monkeypatch, workers)
     assert rep.records == sorted(want, key=lambda d: json.dumps(d, sort_keys=True))
     # each read builds the records again, equal and not shared
     assert rep.records == rep.records and rep.records is not rep.records
-    bare = run_suite("thm0310", max_rank=7, eps=1, keep_records=False)
-    assert bare.outcomes == [] and bare.records == [] and bare.line() == rep.line()
 
 
 def _run_optimized(planted: str, suite: str) -> tuple:
@@ -575,32 +594,12 @@ def test_the_cache_bound_covers_each_item_at_the_default_bounds(monkeypatch):
     assert 0 < largest["cores"] <= largest["relation_set"] <= relations.CACHE_SIZE
 
 
-@pytest.mark.usefixtures("planted_b_defect")
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_a_report_without_records_has_the_same_line(monkeypatch, workers):
-    monkeypatch.setenv("DUALPAIRS_WORKERS", workers)
-    full = run_suite("thm0310", max_rank=6, eps=1)
-    bare = run_suite("thm0310", max_rank=6, eps=1, keep_records=False)
-    assert full.records and not full.ok  # planted failures, with witnesses
-    assert bare.records == [] and bare.line() == full.line()
-    assert bare.failures == full.failures
-
-
-def test_verify_summary_keeps_no_records(monkeypatch, capsys):
+def test_verify_summary_prints_only_the_last_line(monkeypatch, capsys):
     from dualpairs import cli
 
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
-    reports = []
-    real = suites.run_suite
-
-    def kept(*args, **kwargs):
-        reports.append(real(*args, **kwargs))
-        return reports[-1]
-
-    monkeypatch.setattr(suites, "run_suite", kept)
     assert cli.main(["verify", "thm0310", "--max-rank", "6"]) == 0
     full = capsys.readouterr().out.splitlines()
     assert cli.main(["verify", "thm0310", "--max-rank", "6", "--summary"]) == 0
     summary = capsys.readouterr().out.splitlines()
-    assert len(full) == len(reports[0].records) + 1 > 1
-    assert summary == full[-1:] and reports[1].records == []
+    assert len(full) > 1 and summary == full[-1:]

@@ -350,9 +350,15 @@ class TestMainIdentity:
             verify_thm0310(ZW, ZPW, bad)
 
     def test_swapped_bases_raise(self):
+        # the defects are checked before anything else, also on empty relation sets
         d = relations.relation_set(ZW, ZPW, "D").masks
-        with pytest.raises(ValueError, match="family S needs defect 1"):
-            thm0310_identity(ZPW, ZW, 1, d, d)
+        swapped = r"expected a \(defect 1, defect 0\) special pair"
+        for Z, Zp in ((ZPW, ZW), (ZW, ZW)):
+            for sets in ((d, d), (frozenset(), frozenset())):
+                with pytest.raises(ValueError, match=swapped):
+                    thm0310_identity(Z, Zp, 1, *sets)
+            with pytest.raises(ValueError, match=swapped):
+                verify_thm0310(Z, Zp, 1)
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_degree_three_and_four_cuspidal_pairs(self, eps):
@@ -428,6 +434,19 @@ class TestStepIdentities:
             assert getattr(uniform, name)(step), step.to_json()
             assert getattr(rt2_oracle, name)(step), step.to_json()
 
+    def test_the_fast_checks_build_no_space(self, monkeypatch):
+        # Space is the dense oracle's: the step identities read FAMILIES
+        steps = _d_related_steps()
+
+        def refuse(space):
+            raise AssertionError("built a Space of %s" % space.base)
+
+        monkeypatch.setattr(uniform.Space, "__post_init__", refuse)
+        monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+        assert len(steps) == 253 and not _failures(uniform, steps)
+        rep = suites.run_suite("derivative", max_rank=8)
+        assert rep.ok and rep.checked == 253
+
     @pytest.mark.usefixtures("planted_b_defect")
     def test_planted_b_defect_fails_both_paths_on_the_same_steps(self):
         steps = _d_related_steps()
@@ -483,9 +502,9 @@ class TestStepIdentities:
     @pytest.mark.parametrize("eps", [1, -1])
     def test_r_sums_vanish_as_tensors_not_coefficientwise(self, eps):
         # R_{sigma^t} = eps R_sigma on the O side
-        spz, spo = sp_space(ZW), o_space(ZPW, eps)
+        kind = relations.b_kind(eps)
         s = ZW.masks("S,1")[0]
         sig = next(x for x in ZPW.family("S+,0") if x.t != x)
         sp, spt = ZPW.member_mask(sig), ZPW.member_mask(sig.t)
-        assert uniform._r_sum_is_zero(spz, spo, Counter({(s, sp): 1, (s, spt): -eps}))
-        assert not uniform._r_sum_is_zero(spz, spo, Counter({(s, sp): 1}))
+        assert uniform._r_sum_is_zero(ZW, ZPW, kind, Counter({(s, sp): 1, (s, spt): -eps}))
+        assert not uniform._r_sum_is_zero(ZW, ZPW, kind, Counter({(s, sp): 1}))
