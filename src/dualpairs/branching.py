@@ -11,10 +11,11 @@ correspondence relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .cells import IndexArrangement, cell_shape, free_values, psi_sign
-from .relations import FAMILIES, CheckFailed, CorePair, b_kind, cores, in_B, prec
+from .relations import FAMILIES, CheckFailed, CorePair, b_kind, cores, in_B
 from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, transport_mask
 
 
@@ -202,57 +203,41 @@ def theta_set(lam: Symbol, omega: Iterable[Symbol]) -> Tuple[Symbol, ...]:
     return tuple(out)
 
 
-def add_box(part: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-    """The partitions with one box more than part (a new row last)."""
-    out = [part[:i] + (v + 1,) + part[i + 1:]
-           for i, v in enumerate(part) if i == 0 or part[i - 1] > v]
-    out.append(part + (1,))
-    return tuple(out)
-
-
-def remove_box(part: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-    """The partitions with one box less than part (a row of one box dropped)."""
-    last = len(part) - 1
-    return tuple(
-        part[:i] + (v - 1,) + part[i + 1:] if v > 1 or i < last else part[:i]
-        for i, v in enumerate(part)
-        if i == last or v > part[i + 1]
-    )
-
-
 def growth_counts(lam: Symbol, lamp: Symbol) -> Tuple[int, int, int, int]:
     """|Theta_lam(Omega+ lamp)|, |Theta_lamp(Omega- lam)|, |Theta_lamp(Omega+ lam)|
-    and |Theta_lam(Omega- lamp)|, counted on bipartitions.
+    and |Theta_lam(Omega- lamp)| for a B+ pair, in closed form on bipartitions.
 
     Omega+ and Omega- of a symbol are the symbols of its defect whose
-    bipartition has one box more or one box less, so every candidate keeps
-    the defects of (lam, lamp) and in_B reduces to its two prec tests, one of
-    which is the pair's own.  lam must have odd defect d and lamp defect
-    1 - d; ``theta_set`` on ``omega_plus``/``omega_minus`` is the oracle.
+    bipartition has one box more or one box less, so in_B on a candidate is
+    the pair's two prec tests, prec(t, s') and prec(t', s), with one row
+    changed by a box.  When prec(low, high) holds, the changes that keep it
+    are counted by comparing the two rows (``_drops`` and ``_steps``): a box
+    added to high at row 0 or where low[i-1] > high[i], removed from low where
+    low[i] > high[i+1], and added to low or removed from high where high[i] >
+    low[i].  lam must have odd defect d and lamp defect 1 - d, and the pair
+    must be related; ``theta_set`` on ``omega_plus``/``omega_minus`` is the
+    oracle.
     """
-    if lam.defect % 2 != 1 or lamp.defect != 1 - lam.defect:
-        raise ValueError("(%s, %s) does not have defects (d, 1 - d), d odd" % (lam, lamp))
+    if lam.defect % 2 != 1 or not in_B(lam, lamp, 1):
+        raise ValueError("(%s, %s) is not a B+ pair of defects (d, 1 - d), d odd" % (lam, lamp))
     u, up = lam.bipartition(), lamp.bipartition()
     s, t, sp, tp = u.star, u.sub, up.star, up.sub
-    # the pair's own tests; a candidate that changes s or t keeps the one
-    # on the other rows (False + n == n, and False + False == 0)
-    keep_t, keep_s = prec(t, sp), prec(tp, s)
     return (
-        (keep_s and _above(t, add_box(sp))) + (keep_t and _below(s, add_box(tp))),
-        (keep_t and _above(tp, remove_box(s))) + (keep_s and _below(sp, remove_box(t))),
-        (keep_t and _above(tp, add_box(s))) + (keep_s and _below(sp, add_box(t))),
-        (keep_s and _above(t, remove_box(sp))) + (keep_t and _below(s, remove_box(tp))),
+        1 + _steps(t, sp) + _drops(tp, s),
+        _drops(tp, s) + _steps(t, sp),
+        1 + _steps(tp, s) + _drops(t, sp),
+        _drops(t, sp) + _steps(tp, s),
     )
 
 
-def _above(low: Tuple[int, ...], parts) -> int:
-    """How many of the partitions interlace above low: prec(low, part)."""
-    return sum(1 for part in parts if prec(low, part))
+def _drops(low: Tuple[int, ...], high: Tuple[int, ...]) -> int:
+    """The rows i with high[i] > low[i], for prec(low, high); high is the longer."""
+    return sum(map(gt, high, low + (0,)))
 
 
-def _below(high: Tuple[int, ...], parts) -> int:
-    """How many of the partitions interlace below high: prec(part, high)."""
-    return sum(1 for part in parts if prec(part, high))
+def _steps(low: Tuple[int, ...], high: Tuple[int, ...]) -> int:
+    """The rows i with low[i] > high[i + 1], for prec(low, high); low is the shorter."""
+    return sum(map(gt, low, high[1:] + (0,)))
 
 
 def theta_star(lam: Symbol, omega: Iterable[Symbol]) -> Tuple[Symbol, ...]:

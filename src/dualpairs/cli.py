@@ -113,8 +113,11 @@ def _parse_pairs(text: str):
         return []
     pairs = []
     for tok in text.split(","):
-        s, t = tok.split(";") if ";" in tok else tok.split(":")
-        pairs.append((int(s), int(t)))
+        try:
+            s, t = map(int, tok.split(";") if ";" in tok else tok.split(":"))
+        except ValueError:
+            raise ValueError("pair %r is not of the form s;t or s:t" % tok) from None
+        pairs.append((s, t))
     return pairs
 
 

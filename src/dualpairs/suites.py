@@ -185,7 +185,9 @@ def _check_lemma1112(item, report: SuiteReport) -> None:
     At defects (1, 0) the B+ predicate is the D predicate, and a symbol of
     defect 1 or 0 lies in S_{Z,1} or S^+_{Z',0} of its special closure, so
     the D pairs of the special pairs within the bound are all B+ pairs.  The
-    Theta sets are counted on bipartitions (``branching.growth_counts``).
+    Theta sets are counted in closed form on the pair's bipartition rows
+    (``branching.growth_counts``), so the identity holds once its row counts
+    pair off; tier-1 gates the counts against ``theta_set`` and the box form.
     """
     Z, max_rank = item
     cap = max_rank - Z.rank

@@ -1,12 +1,11 @@
+import operator
+
 import pytest
 
 from dualpairs import branching, cells, relations
 from dualpairs.branching import (
-    add_box,
-    growth_counts,
     omega_minus,
     omega_plus,
-    remove_box,
     theta_general,
     theta_graph,
     theta_set,
@@ -24,7 +23,9 @@ from dualpairs.relations import (
 )
 from dualpairs.suites import _d_pairs
 from dualpairs.symbols import SpecialSymbol, Symbol, enumerate_symbols, parse, specials_upto
+import growth_oracle
 from cuspidal_oracle import cuspidal_symbol, theta_cuspidal
+from growth_oracle import add_box, remove_box
 from theta_oracle import oracle_map_arrangement
 
 
@@ -323,28 +324,32 @@ def _box_mismatches(max_rank: int) -> tuple:
         for d in range(-3, 4):
             for sym in enumerate_symbols(n, d):
                 count += 1
-                for omega, boxes in ((omega_plus, branching.add_box),
-                                     (omega_minus, branching.remove_box)):
+                for omega, boxes in ((omega_plus, growth_oracle.add_box),
+                                     (omega_minus, growth_oracle.remove_box)):
                     want = {(b.star, b.sub) for b in map(Symbol.bipartition, omega(sym))}
                     bad += _box_bipartitions(sym, boxes) != want
     return bad, count
+
+
+def _d_pairs_upto(max_rank_sum: int):
+    """The D pairs of the special pairs at rank sum <= the bound, as symbols."""
+    for Z, Zp in _d_pairs(max_rank_sum):
+        yield from relations.relation_set(Z, Zp, "D").pairs
 
 
 def _growth_mismatches(max_rank_sum: int) -> tuple:
     """D pairs at rank sum <= the bound whose growth_counts differ from the
     theta_set counts on Omega+/-; also returns the pair count."""
     bad = count = 0
-    for Z in specials_upto(max_rank_sum, 1):
-        for Zp in specials_upto(max_rank_sum - Z.rank, 0):
-            for lam, lamp in relations.relation_set(Z, Zp, "D").pairs:
-                count += 1
-                want = (
-                    len(theta_set(lam, omega_plus(lamp))),
-                    len(theta_set(lamp, omega_minus(lam))),
-                    len(theta_set(lamp, omega_plus(lam))),
-                    len(theta_set(lam, omega_minus(lamp))),
-                )
-                bad += growth_counts(lam, lamp) != want
+    for lam, lamp in _d_pairs_upto(max_rank_sum):
+        count += 1
+        want = (
+            len(theta_set(lam, omega_plus(lamp))),
+            len(theta_set(lamp, omega_minus(lam))),
+            len(theta_set(lamp, omega_plus(lam))),
+            len(theta_set(lam, omega_minus(lamp))),
+        )
+        bad += branching.growth_counts(lam, lamp) != want
     return bad, count
 
 
@@ -355,6 +360,9 @@ def _rems_keeping_zeros(part):
         for i, v in enumerate(part)
         if i == len(part) - 1 or v > part[i + 1]
     )
+
+
+_CLOSED_FORM = branching.growth_counts  # taken before a test patches it
 
 
 class TestGrowthOnBipartitions:
@@ -378,7 +386,7 @@ class TestGrowthOnBipartitions:
         ],
     )
     def test_box_mutants_break_the_omega_comparison(self, monkeypatch, name, mutant):
-        monkeypatch.setattr(branching, name, mutant)
+        monkeypatch.setattr(growth_oracle, name, mutant)
         assert _box_mismatches(5)[0] > 0
 
     def test_growth_counts_equal_the_theta_set_counts(self):
@@ -386,22 +394,35 @@ class TestGrowthOnBipartitions:
         bad, count = _growth_mismatches(11)
         assert count == 1967 and bad == 0
 
+    def test_growth_counts_equal_the_box_counts(self):
+        # the closed form against the oracle that lists every one-box candidate
+        bad = count = 0
+        for lam, lamp in _d_pairs_upto(12):
+            count += 1
+            bad += branching.growth_counts(lam, lamp) != growth_oracle.growth_counts(lam, lamp)
+        assert count == 3132 and bad == 0
+
     @pytest.mark.parametrize(
         "name,mutant",
         [
-            ("add_box", lambda part: add_box(part)[:-1]),
-            # a trailing 0 leaves every prec test as it is, so that mutant
-            # shows only in the Omega comparison; here the last row keeps its box
-            ("remove_box", lambda part: remove_box(part)[:-1]),
+            pytest.param("_drops", lambda low, high: sum(map(operator.ge, high, low + (0,))),
+                         id="ge-in-place-of-gt"),
+            pytest.param("_drops", lambda low, high: sum(map(operator.gt, high, low)),
+                         id="drops-one-row-short"),
+            pytest.param("_steps", lambda low, high: sum(map(operator.gt, low, high[1:])),
+                         id="steps-one-row-short"),
+            pytest.param("growth_counts", lambda lam, lamp: (
+                lambda c: (c[0] - 1,) + c[1:])(_CLOSED_FORM(lam, lamp)), id="row-0-dropped"),
         ],
     )
-    def test_box_mutants_break_the_growth_counts(self, monkeypatch, name, mutant):
+    def test_closed_form_mutants_break_the_growth_counts(self, monkeypatch, name, mutant):
         monkeypatch.setattr(branching, name, mutant)
         assert _growth_mismatches(7)[0] > 0
 
     def test_growth_counts_need_defects_d_and_one_minus_d(self):
         lam, lamp = parse("8,5,1;6,2"), parse("7,4,1;8,5,1")
-        assert growth_counts(lam, lamp) == (3, 2, 6, 5)
-        for a, b in ((lamp, lam), (lam, lam), (lamp, lamp)):
+        assert branching.growth_counts(lam, lamp) == (3, 2, 6, 5)
+        # the last pair has defects (1, 0) but is not related
+        for a, b in ((lamp, lam), (lam, lam), (lamp, lamp), (parse("0;-"), parse("0;1"))):
             with pytest.raises(ValueError, match="defects"):
-                growth_counts(a, b)
+                branching.growth_counts(a, b)

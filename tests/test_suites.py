@@ -323,10 +323,11 @@ def test_lemma1112_checks_every_b_plus_pair(monkeypatch):
     assert run_suite("lemma1112", max_rank=7).checked == want
 
 
-def test_lemma1112_fails_on_a_growth_set_without_new_rows(monkeypatch):
+def test_lemma1112_fails_on_a_count_off_by_one(monkeypatch):
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
-    real = branching.add_box
-    monkeypatch.setattr(branching, "add_box", lambda part: real(part)[:-1])
+    real = branching.growth_counts
+    monkeypatch.setattr(branching, "growth_counts", lambda lam, lamp: (
+        lambda c: c[:2] + (c[2] - 1, c[3]))(real(lam, lamp)))
     rep = run_suite("lemma1112", max_rank=7)
     assert rep.checked == 249 and not rep.ok
     assert all(set(f) <= {"pair", "counts", "empty"} for f in rep.failures)

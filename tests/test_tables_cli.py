@@ -165,6 +165,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "flag,text,token",
+        [
+            ("--phi", "5", "'5'"),
+            ("--phi", "(5;3),", "''"),
+            ("--phi", "(5;3;1)", "'5;3;1'"),
+            ("--psi", "(2:3:0)", "'2:3:0'"),
+        ],
+    )
+    def test_cells_command_names_a_malformed_pair(self, flag, text, token, capsys):
+        args = ["--phi", "(4;-),(2;3),(0;1)", flag, text] if flag == "--psi" else [flag, text]
+        assert main(["cells", "--Z", "4,2,0;3,1", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: pair %s is not of the form s;t or s:t\n" % token
+
     def test_cells_command_rejects_psi_without_phi(self, capsys):
         assert main(["cells", "--Z", "4,2,0;3,1", "--psi", "(2;3)"]) == 2
         captured = capsys.readouterr()
