@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import branching, cells, derivative, relations, suites, tables
-from .symbols import SpecialSymbol, enumerate_special, parse, render, special_closure
+from .symbols import SpecialSymbol, enumerate_special, parse, parse_entry, render, special_closure
 
 RANK_CAP = 24  # family sizes grow like 4^degree; refuse big sweeps without --force
 
@@ -100,36 +100,32 @@ def cmd_cells(args) -> int:
             out[key] = sorted(render(s) for s in c.members)
         print(json.dumps(out, indent=2))
         return 0
-    psi = frozenset(_parse_pairs(args.psi))
+    psi = frozenset(tuple(parse_entry(v, args.psi) for v in pair) for pair in _pair_texts(args.psi))
     c = cells.cell(Z, phi, psi)
     print(json.dumps(sorted(render(s) for s in c.members)))
     return 0
 
 
-def _parse_pairs(text: str):
-    # "(5;3),(2;0)" or "5:3,2:0"
-    text = text.replace("(", "").replace(")", "").strip()
-    if not text:
-        return []
-    pairs = []
-    for tok in text.split(","):
-        try:
-            s, t = map(int, tok.split(";") if ";" in tok else tok.split(":"))
-        except ValueError:
-            raise ValueError("pair %r is not of the form s;t or s:t" % tok) from None
-        pairs.append((s, t))
-    return pairs
+def _pair_texts(text: str):
+    """The (s, t) texts of "(5;3),(2;0)" or "5:3,2:0"."""
+    inner, out = text.replace("(", "").replace(")", "").strip(), []
+    for tok in inner.split(",") if inner else ():
+        half = tok.split(";") if ";" in tok else tok.split(":")
+        if len(half) != 2:
+            raise ValueError("pair %r is not of the form s;t or s:t" % tok)
+        out.append(half)
+    return out
 
 
 def _parse_arrangement(text: str) -> cells.Arrangement:
     pairs, isolated = [], None
-    for (s, t) in _parse_pairs(text.replace(";-", ";-1")):
-        if t == -1:
-            if isolated is not None:
-                raise ValueError("arrangement %r has two isolated singles" % text)
-            isolated = s
+    for s, t in _pair_texts(text):
+        if t.strip() != "-":  # a "-" in place of t marks the isolated single
+            pairs.append((parse_entry(s, text), parse_entry(t, text)))
+        elif isolated is not None:
+            raise ValueError("arrangement %r has two isolated singles" % text)
         else:
-            pairs.append((s, t))
+            isolated = parse_entry(s, text)
     return cells.Arrangement(tuple(pairs), isolated)
 
 

@@ -504,10 +504,10 @@ def moveback_step(lam: Symbol, lamp: Symbol) -> Tuple[Symbol, Symbol, str]:
     return Z.member(m), Zp.member(mp), case
 
 
-def moveback_masks(Z: SpecialSymbol, Zp: SpecialSymbol, m: int, mp: int) -> List[tuple]:
+def moveback_masks(Z: SpecialSymbol, Zp: SpecialSymbol, bbar, m: int, mp: int) -> List[tuple]:
     """``moveback_chain`` of (Lambda_m, Lambda'_m') on the masks over the
-    singles of Z and Z': a step stays in their families, and each is an XOR."""
-    bbar = relation_set(Z, Zp, "Bbar+").masks
+    singles of Z and Z', walked inside bbar, the Bbar+ masks of (Z, Z') that
+    the caller hands in: a step stays in their families, and each is an XOR."""
     if (m, mp) not in bbar:
         raise ValueError("(%s, %s) is not in the bar relation" % (Z.member(m), Zp.member(mp)))
     chain: List[Tuple[int, int, Optional[str]]] = [(m, mp, None)]
@@ -583,7 +583,8 @@ def moveback_chain(lam: Symbol, lamp: Symbol) -> List[Tuple[Symbol, Symbol, Opti
     """Full normalization history, ending with first component special."""
     # a step stays in the families of Z and Z', so their closures are fixed
     Z, Zp = special_closure(lam), special_closure(lamp)
-    chain = moveback_masks(Z, Zp, Z.member_mask(lam), Zp.member_mask(lamp))
+    bbar = relation_set(Z, Zp, "Bbar+").masks
+    chain = moveback_masks(Z, Zp, bbar, Z.member_mask(lam), Zp.member_mask(lamp))
     return [(Z.member(m), Zp.member(mp), case) for m, mp, case in chain]
 
 

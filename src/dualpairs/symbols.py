@@ -202,14 +202,22 @@ def parse(text: str) -> Symbol:
     if text.count(";") != 1:
         raise ValueError("symbol text must contain exactly one ';': %r" % text)
     left, right = text.split(";")
-    return Symbol(_parse_row(left), _parse_row(right))
+    return Symbol(_parse_row(left, text), _parse_row(right, text))
 
 
-def _parse_row(part: str) -> Tuple[int, ...]:
-    part = part.strip()
-    if part in ("", "-"):
+def _parse_row(part: str, text: str) -> Tuple[int, ...]:
+    if part.strip() in ("", "-"):
         return ()
-    return tuple(int(tok) for tok in part.split(","))
+    return tuple(parse_entry(tok, text) for tok in part.split(","))
+
+
+def parse_entry(token: str, text: str) -> int:
+    """One entry of `text`: ASCII decimal digits, with spaces around them.
+    ``int`` alone would also take signs, underscores and non-ASCII digits."""
+    digits = token.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("entry %r of %r is not a decimal number" % (token, text))
+    return int(digits)
 
 
 # -- special symbols ---------------------------------------------------------

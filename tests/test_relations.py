@@ -652,18 +652,27 @@ class TestMaskPathsBuildNoSymbol:
 
     def test_the_moveback_suite(self, monkeypatch, clear_specials):
         # move-back steps on masks and reads members as cached views, built
-        # unchecked: the suite calls no Symbol(...)
-        built = []
+        # unchecked: the suite calls no Symbol(...).  It reads Bbar+ and D off
+        # one row pass each per Z, and asks for no single relation set or core
+        built, asked = [], []
         real = Symbol.__init__
 
         def counting(self, *args):
             built.append(args)
             real(self, *args)
 
+        def asking(name):
+            fn = getattr(relations, name)
+            return lambda *args: asked.append(name) or fn(*args)
+
+        monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
         monkeypatch.setattr(Symbol, "__init__", counting)
+        for name in ("relation_set", "cores"):
+            monkeypatch.setattr(relations, name, asking(name))
         report = suites.run_suite("lemma0616", max_rank=8)
         assert report.ok and report.checked == 698
         assert built == []
+        assert asked == []
 
 
 class TestMoveback:
@@ -754,6 +763,17 @@ class TestMoveback:
         report = suites.run_suite("lemma0616", max_rank=8)
         assert not report.ok
         assert any("left the relation" in f.get("error", "") for f in report.failures)
+
+    def test_moveback_masks_walks_only_the_masks_it_is_handed(self):
+        bbar = relation_set(ZWRK, ZPWRK, "Bbar+").masks
+        m, mp = next(p for p in sorted(bbar) if p[0])
+        chain = relations.moveback_masks(ZWRK, ZPWRK, bbar, m, mp)
+        assert chain[0] == (m, mp, None) and chain[-1][0] == 0
+        with pytest.raises(ValueError, match="not in the bar relation"):
+            relations.moveback_masks(ZWRK, ZPWRK, bbar - {(m, mp)}, m, mp)
+        # a step that lands outside the masks handed in fails the walk
+        with pytest.raises(CheckFailed, match="left the relation"):
+            relations.moveback_masks(ZWRK, ZPWRK, {(m, mp)}, m, mp)
 
     def test_rejects_settled_first_component(self):
         with pytest.raises(ValueError):

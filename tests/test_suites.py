@@ -584,7 +584,7 @@ def test_the_caches_stay_within_their_bound(monkeypatch):
 def test_the_cache_bound_covers_each_item_at_the_default_bounds(monkeypatch):
     # An item asking for at most CACHE_SIZE distinct relation sets (core pairs)
     # computes none twice.  These suites' items ask for some again; the others
-    # ask for each at most once (kernel, lemma0616) or never.
+    # ask for each at most once (kernel) or never (lemma0616 reads row passes).
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
     largest = collections.Counter()
     for name in ("derivative", "theta", "factorization"):

@@ -175,6 +175,15 @@ class TestGrammar:
             parse("1,2;0")
         with pytest.raises(ValueError):
             parse("1;2;3")
+        # only ASCII decimal entries: no int() coercion of signs, underscores
+        # or other digits, and the message names the token and the text
+        for text, token in [("1_0;2", "1_0"), ("+3;1", "+3"), ("\u0663;1", "\u0663"),
+                            ("a;0", "a"), ("1,,0;2", ""), ("-1;2", "-1")]:
+            with pytest.raises(ValueError) as info:
+                parse(text)
+            assert str(info.value) == "entry %r of %r is not a decimal number" % (token, text)
+        # spaces around tokens and "-" for an empty row stay accepted
+        assert parse(" 3 , 1 ; - ") == parse("3,1;-") == Symbol((3, 1), ())
 
     def test_rejects_non_integral_entries(self):
         for bad in ([2.7, 1], [2, True], [2.0], ["3"]):

@@ -181,6 +181,23 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: pair %s is not of the form s;t or s:t\n" % token
 
+    @pytest.mark.parametrize(
+        "argv,token,text",
+        [
+            (["symbol", "info", "--Z", "1_0;2"], "1_0", "1_0;2"),
+            (["cells", "--Z", "4,2,0;3,1", "--phi", "(4;-),(2;3),(0;1)", "--psi", "1_0:3"],
+             "1_0", "1_0:3"),
+            (["cells", "--Z", "4,2,0;3,1", "--phi", "(4;-),(2;3),(0;+1)"],
+             "+1", "(4;-),(2;3),(0;+1)"),
+        ],
+    )
+    def test_symbol_and_pair_text_take_only_decimal_entries(self, argv, token, text, capsys):
+        # int() would read 1_0 as 10 and +1 as 1
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: entry %r of %r is not a decimal number\n" % (token, text)
+
     def test_cells_command_rejects_psi_without_phi(self, capsys):
         assert main(["cells", "--Z", "4,2,0;3,1", "--psi", "(2;3)"]) == 2
         captured = capsys.readouterr()
