@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import gt
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .cells import IndexArrangement, cell_shape, free_values, psi_sign
+from .cells import IndexArrangement, cell_shape, free_values
 from .relations import FAMILIES, CheckFailed, CorePair, b_kind, cores, in_B
 from .symbols import BOT, TOP, Entry, SpecialSymbol, Symbol, transport_mask
 
@@ -78,15 +78,16 @@ class ThetaMap:
             return frozenset((m, self(m)) for m in self.source_masks())
         return frozenset((self(m), m) for m in self.source_masks())
 
-    def map_cells(self, arr: IndexArrangement) -> Tuple[IndexArrangement, List[int]]:
+    def map_cells(self, arr: IndexArrangement) -> Tuple[IndexArrangement, List[int], int]:
         """The image of an arrangement of the source base that holds the source
-        core pairs, as an arrangement of the target base, and the image of each
+        core pairs, as an arrangement of the target base; the image of each
         psi (bits over the pairs of arr; one that holds the core) as psi bits
-        over its pairs, listed by psi.  A core-free pair (s, t) maps to
-        (theta(t), theta(s)), and the target's core pairs join.  Going up, the
-        isolated single pairs with the entry missing from the image, in psi
-        when |phi - psi| is even at eps = +1 and odd at eps = -1; going down,
-        the released largest entry becomes the isolated single."""
+        over its pairs, listed by psi; and iso.  A core-free pair (s, t) maps
+        to (theta(t), theta(s)), and the target's core pairs join.  Going up,
+        the isolated single pairs with the entry missing from the image, and
+        this pair's bit iso joins psi's image when ``psi_sign(len(arr.pairs),
+        psi)`` is eps; going down, the released largest entry becomes the
+        isolated single, and iso is 0.  Nothing here reads eps."""
         src, dst, up = self.source_base(), self.target_base(), self.direction == "up"
         # the core pairs are the flips of two singles
         core = [f for f in (self.core.flipsp if up else self.core.flips) if f.bit_count() == 2]
@@ -100,11 +101,7 @@ class ThetaMap:
         images = [sum(bit[pm] for pm in core)]
         for pm in moved:  # psi bit k doubles the list, as psi counts up
             images += [x | bit[pm] if pm else x for x in images]
-        if up:
-            iso = bit[pairs[-1]]
-            images = [x | iso if psi_sign(len(moved), psi) == self.eps else x
-                      for psi, x in enumerate(images)]
-        return target, images
+        return target, images, bit[pairs[-1]] if up else 0
 
 
 def theta_general(Z: SpecialSymbol, Zp: SpecialSymbol, eps: int) -> ThetaMap:

@@ -28,6 +28,13 @@ def _glue_symbols(argv):
     return out
 
 
+def decimal(text: str) -> int:
+    """An integer option, read as a symbol entry is (``parse_entry``; int() reads 1_0
+    as 10), with a minus sign left for the command to reject.  argparse names a value
+    it refuses by this function: "invalid decimal value: '1_0'"."""
+    return -parse_entry(text[1:], text) if text.startswith("-") else parse_entry(text, text)
+
+
 def _eps(text: str) -> int:
     if text in ("+", "+1", "1"):
         return 1
@@ -203,8 +210,8 @@ def main(argv=None) -> int:
     info.set_defaults(func=cmd_symbol)
 
     p = sub.add_parser("enumerate-specials", help="reduced special symbols of a rank")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--defect", type=int, choices=(0, 1), required=True)
+    p.add_argument("--rank", type=decimal, required=True)
+    p.add_argument("--defect", type=decimal, choices=(0, 1), required=True)
     p.set_defaults(func=cmd_enumerate_specials)
 
     p = sub.add_parser("relation", help="relation table of a special pair")
@@ -237,8 +244,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_branch)
 
     p = sub.add_parser("correspond", help="full correspondence at fixed ranks")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--np", type=int, required=True)
+    p.add_argument("--n", type=decimal, required=True)
+    p.add_argument("--np", type=decimal, required=True)
     p.add_argument("--epsilon", type=_eps, default=1)
     p.add_argument("--format", choices=("md", "csv", "json"), default="json")
     p.add_argument("--force", action="store_true")
@@ -246,8 +253,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
-    p.add_argument("--max-rank", type=int, default=None)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-rank", type=decimal, default=None)
+    p.add_argument("--max-degree", type=decimal, default=None)
     p.add_argument("--epsilon", type=_eps, default=None)
     p.add_argument(
         "--summary", action="store_true", help="suppress the per-pair JSON lines"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -268,22 +269,22 @@ def _packed_rows(Z, ranks, which: str, whichp: str, eps: int) -> List[PairSet]:
         lanes = keyed[d] if d in keyed else keyed.setdefault(d, table.lanes(lo, hi, d))
         if lanes is None:
             continue
-        owners, rep, hh, ap_hh, hh_aps, hh_bp, bp_hh, spare_hh, spare = lanes
+        zp_of, mask_of, rep, hh, ap_hh, hh_aps, hh_bp, bp_hh, spare_hh, spare = lanes
         a, b = (sub, star) if eps == 1 else (star, sub)
         a_rep = a * rep
         x = (ap_hh - a_rep) & (a_rep + hh_aps) & (b * rep + hh_bp)
         rel = ((x & (bp_hh - (b >> width) * rep) & hh) + spare_hh) & spare
         if rel:
             # each related lane's top byte is 0x80, every other byte 0
-            buf = rel.to_bytes(len(owners) * size, "little")
+            buf = rel.to_bytes(len(zp_of) * size, "little")
             pos = buf.find(0x80)
             while pos >= 0:
-                i, mp = owners[pos // size]
-                found.setdefault(i, []).append((m, mp))
+                j = pos // size
+                found.setdefault(zp_of[j], []).append((m, mask_of[j]))
                 pos = buf.find(0x80, pos + size)
     rows = [EMPTY_PAIRSET] * (hi - lo)
-    for i, pairs in found.items():
-        rows[i] = frozenset(pairs)
+    for i, pairs in found.items():  # i indexes the table's zps
+        rows[i - lo] = frozenset(pairs)
     return rows
 
 
@@ -298,16 +299,17 @@ class _LaneTable:
     """The Z' side of the row kernel: lane j of the ints of key d holds the
     rows (``SpecialSymbol.member_rows``) of the j-th member of defect d of the
     family `which` over ``zps``, every defect-0 special symbol of rank up to
-    ``bound``, and ``owners[j]`` is its (index in zps, mask).  A lane is
-    `size` bytes: `fields` fields of `width` bits, whose guard bits keep every
-    borrow in the lane, and a spare top bit.  The fields cover the longest row
-    of zps and `longest`.  The lanes of a key are built on first use, in
-    linear time, from the masks: no member's rows are kept beside them.
+    ``bound``; item j of the owner arrays (memoryviews of 4-byte unsigned
+    ints) is its index in zps and its mask.  A lane is `size` bytes: `fields`
+    fields of `width` bits, whose guard bits keep every borrow in the lane,
+    and a spare top bit.  The fields cover the longest row of zps and
+    `longest`, and fit every part of rank up to ``rank``.  A key's lanes are
+    built on first use, from the masks.
 
-    ``lanes(lo, hi, d)`` reads the lanes of the run zps[lo:hi], with owner
-    indices from lo: a key's members are in zps order, so a run's lanes are
-    one bit slice of each int.  Only the last run's slices are kept.  The
-    width fits every part of a symbol of rank up to ``rank``.
+    ``lanes(lo, hi, d)`` is (*owner arrays, *ints) of the run zps[lo:hi]: a
+    key's members are in zps order, so a run is a slice of each array, a view
+    that copies nothing, and one bit slice of each int.  Only the last run's
+    slices are kept.
     """
 
     def __init__(self, bound: int, rank: int, longest: int, which: str, eps: int):
@@ -327,36 +329,41 @@ class _LaneTable:
         if (lo, hi) != self._span:
             self._span, self._cut = (lo, hi), {}
         if d not in self._cut:
-            owners = whole[0]
-            a, b = bisect_left(owners, (lo, -1)), bisect_left(owners, (hi, -1))
+            zp_of, mask_of = whole[:2]
+            a, b = bisect_left(zp_of, lo), bisect_left(zp_of, hi)
             bits = self.size * 8
             shift, keep = a * bits, (1 << (b - a) * bits) - 1
             self._cut[d] = (
-                [(i - lo, mp) for i, mp in owners[a:b]],
-                *((v >> shift) & keep for v in whole[1:]),
+                zp_of[a:b], mask_of[a:b], *((v >> shift) & keep for v in whole[2:]),
             ) if a < b else None
         return self._cut[d]
 
     def _key(self, d: int) -> Optional[tuple]:
         if d not in self._keys:
             width, size, which = self.width, self.size, "%s,%d" % (self.which, d)
-            owners, ap, aps, bp = [], bytearray(), bytearray(), bytearray()
+            # the owners are read as memoryview.cast("I"): 4 bytes each, in the native
+            # order (as an unsigned int is wherever CPython runs), or to_bytes raises
+            order = sys.byteorder
+            zp_of, mask_of, ap, aps, bp = (bytearray() for _ in range(5))
             for i, Zp in enumerate(self.zps):
-                for mask in Zp.masks(which):
+                masks = Zp.masks(which)
+                zp_of += i.to_bytes(4, order) * len(masks)
+                for mask in masks:
                     # each member's rows go straight into its lane bytes
+                    mask_of += mask.to_bytes(4, order)
                     _, _, a, b = Zp.member_rows(mask, width)
                     if self.eps == -1:
                         a, b = b, a
-                    owners.append((i, mask))
                     ap += a.to_bytes(size, "little")
                     aps += (a >> width).to_bytes(size, "little")
                     bp += b.to_bytes(size, "little")
             got = None
-            if owners:
-                rep = int.from_bytes(b"\x01".ljust(size, b"\x00") * len(owners), "little")
+            if zp_of:
+                zp_of, mask_of = memoryview(zp_of).cast("I"), memoryview(mask_of).cast("I")
+                rep = int.from_bytes(b"\x01".ljust(size, b"\x00") * len(zp_of), "little")
                 hh, spare = self.H * rep, rep << (8 * size - 1)
                 ap, aps, bp = (int.from_bytes(v, "little") for v in (ap, aps, bp))
-                got = (owners, rep, hh, ap + hh, hh - aps, hh - bp, bp + hh, spare - hh, spare)
+                got = (zp_of, mask_of, rep, hh, ap + hh, hh - aps, hh - bp, bp + hh, spare - hh, spare)
             self._keys[d] = got
         return self._keys[d]
 

@@ -423,42 +423,36 @@ def _check_step(step, report: SuiteReport) -> None:
 
 
 def _check_theta(item, report: SuiteReport) -> None:
-    """The map's graph equals the core-restricted relation; cell images match."""
+    """The map's graph equals the core-restricted relation; cell images match the
+    image arrangement's cells (``ThetaMap.map_cells``, once for both signs)."""
     Z, Zp = item
-    for eps in (1, -1):
-        if eps == -1 and Zp.is_degenerate:
-            continue
+    images = {}  # sign -> {source mask: its image}, for each map whose graph holds
+    for eps in (1,) if Zp.is_degenerate else (1, -1):
         report.checked += 1
         tm = branching.theta_general(Z, Zp, eps)
-        nat = relations.b_natural(Z, Zp, eps)
-        if tm.graph() != nat.masks:
-            report.failures.append(
-                {"Z": str(Z), "Zp": str(Zp), "eps": eps, "graph": False}
-            )
-            continue
-        if not _theta_cells_agree(tm):
-            report.failures.append(
-                {"Z": str(Z), "Zp": str(Zp), "eps": eps, "cells": False}
-            )
-
-
-def _theta_cells_agree(tm) -> bool:
-    """Cell images under the map match the cells of the image arrangement
-    (``ThetaMap.map_cells``), on the shape tables."""
+        graph = tm.graph()
+        if graph != relations.b_natural(Z, Zp, eps).masks:
+            report.failures.append({"Z": str(Z), "Zp": str(Zp), "eps": eps, "graph": False})
+        else:  # the graph is oriented (defect-1 side, defect-0 side)
+            images[eps] = dict(graph) if tm.direction == "up" else {m: x for x, m in graph}
     src, dst, up = tm.source_base(), tm.target_base(), tm.direction == "up"
     core, flips = (tm.core.flips, tm.core.flipsp) if up else (tm.core.flipsp, tm.core.flips)
-    image = {m: tm(m) for m in tm.source_masks()}
     full = (1 << dst.n) - 1  # "up" lands at defect 0: XOR with it transposes
-    for arr, need in cells.holding_core(src, core):
-        target, psi1 = tm.map_cells(arr)
+    bad = []
+    for arr, need in cells.holding_core(src, core) if images else ():
+        target, psi1, iso = tm.map_cells(arr)
+        target_cells = target.cells()
         for psi, c in enumerate(arr.cells()):
-            if psi & need != need or not up and cells.psi_sign(src.degree, psi) != tm.eps:
-                continue
-            images = {image[m] for m in c if m in image}
-            images |= {m ^ full for m in images} if up else set()
-            if {m ^ f for m in images for f in flips} != set(target.cells()[psi1[psi]]):
-                return False
-    return True
+            sign = cells.psi_sign(src.degree, psi)
+            for eps, image in images.items():
+                if psi & need != need or eps in bad or not up and sign != eps:
+                    continue
+                got = {image[m] for m in c if m in image}
+                got |= {m ^ full for m in got} if up else set()
+                want = target_cells[psi1[psi] | (iso if sign == eps else 0)]
+                if {m ^ f for m in got for f in flips} != set(want):
+                    bad.append(eps)
+                    report.failures.append({"Z": str(Z), "Zp": str(Zp), "eps": eps, "cells": False})
 
 
 def _correspondence_items(max_rank: int) -> List[Tuple[int, int, int]]:

@@ -13,9 +13,9 @@ is carried out on symbols directly.  Core notions:
   symbols sharing the entries of a special symbol Z;
 * Lambda_M, the symbol obtained from Z by flipping the rows of a subset M
   of singles, whose group law is the XOR of the masks of M;
-* one SpecialSymbol object per value, which holds its singles and
-  doubles, each member's interlacing data computed from an int mask over
-  the singles, and each Lambda_M built as a Symbol only when asked for.
+* one SpecialSymbol object per value, which holds its entries, each
+  member's interlacing data computed from an int mask over the singles,
+  and each Lambda_M built as a Symbol only when asked for.
 
 Entries tagged with a row are represented as plain ``(value, row)`` tuples
 with ``row`` 0 for the first (top) row and 1 for the second (bottom) row.
@@ -228,32 +228,31 @@ class SpecialSymbol:
 
     ``SpecialSymbol(symbol)`` returns the one object for that value in this
     process (validated by ``_special``; ``enumerate_special`` checks the
-    chains it lists instead; both derive the object from the interleaved
-    rows), which holds the shape and the family.  ``singles`` are the
-    entries in exactly one row, tagged with their natural row, top row first;
-    bit i of a mask stands for ``singles[i]`` (``index`` maps a single to i),
-    and ``top_mask`` and ``bot_mask`` mask the top-row and bottom-row
-    singles.  ``doubles`` are the values in both rows, ``degree`` is the
-    number of bottom-row singles.  ``bits`` lists the entries in increasing
+    chains it lists instead).  It holds what the sweeps read: ``symbol``,
+    ``defect``, ``rank``, ``degree`` (the number of bottom-row singles), ``n``
+    (of singles), ``longest`` (every double and every single: the longest
+    row a member can have), the hash and ``bits``, the entries in increasing
     order as (value, row, bit), with the bit that flips the entry's row (0
-    for a double).  A family kind is the tuple of masks with a given parity
-    of |M| and, optionally, a given member defect
-    ``d + 2 * (|M & bot_mask| - |M & top_mask|)``, ordered by |M|, then as
-    ``itertools.combinations`` lists the singles.  Those masks and a family's
-    Gram table (``masks``, ``gram``) depend only on the shape (defect,
-    degree), and every symbol of one shape reads the same tuples from the
-    module's shape tables.  ``longest`` is the longest row any member can
-    have: every double and every single.  ``member_rows`` packs one member's
-    interlacing data into integers, derived from its mask: the row kernel
-    calls it as it tests or packs a member and keeps nothing, and
-    ``kernel_half`` keeps a family's records for ``relation_set`` alone.
+    for a double).  The rest is derived from ``bits`` when asked for, the
+    singles, their index and the doubles once, and the member, family and
+    halves caches are made on first use.  ``singles`` are the entries in
+    exactly one row, tagged with their natural row, top row first; bit i of a
+    mask stands for ``singles[i]`` (``index`` maps a single to i), and
+    ``top_mask`` and ``bot_mask`` mask the top-row and bottom-row singles.
+    ``doubles`` are the values in both rows.  A family kind (``masks``) is
+    the tuple of masks with a given parity of |M| and, optionally, a given
+    member defect ``d + 2 * (|M & bot_mask| - |M & top_mask|)``, ordered by
+    |M|, then as ``itertools.combinations`` lists the singles; the masks and
+    Gram table (``gram``) of a kind depend only on the shape (defect,
+    degree), and are read from the module's shape tables.  ``member_rows``
+    packs one member's interlacing data into integers, derived from its
+    mask, and ``kernel_half`` keeps a family's records for ``relation_set``.
     Lambda_M is built as a ``Symbol`` only for a Symbol view (``member``,
     ``members``, ``member_mask``, ``family``), once.
     """
 
-    __slots__ = ("symbol", "defect", "rank", "singles", "doubles", "degree", "index", "n",
-                 "top_mask", "bot_mask", "bits", "longest", "_hash", "_text",
-                 "_members", "_families", "_halves")
+    __slots__ = ("symbol", "defect", "rank", "degree", "n", "bits", "longest", "_hash", "_text",
+                 "_singles", "_index", "_doubles", "_members", "_families", "_halves")
 
     def __new__(cls, symbol: Symbol) -> "SpecialSymbol":
         got = _SPECIALS.get(symbol)
@@ -283,6 +282,39 @@ class SpecialSymbol:
             text = self._text = render(self.symbol)
         return text
 
+    # -- the fields no sweep reads, derived from bits when asked for --------------
+
+    @property
+    def singles(self) -> Tuple[Entry, ...]:
+        got = self._singles
+        if got is None:  # a single's bit orders the top singles, then the bottom ones
+            got = self._singles = tuple((v, r) for row in (TOP, BOT)
+                                        for v, r, bit in reversed(self.bits) if bit and r == row)
+        return got
+
+    @property
+    def index(self) -> Dict[Entry, int]:
+        got = self._index
+        if got is None:
+            got = self._index = {e: i for i, e in enumerate(self.singles)}
+        return got
+
+    @property
+    def doubles(self) -> Tuple[int, ...]:
+        got = self._doubles
+        if got is None:
+            got = self._doubles = tuple(v for v, r, bit in reversed(self.bits)
+                                        if not bit and r == TOP)
+        return got
+
+    @property
+    def top_mask(self) -> int:
+        return (1 << self.degree + self.defect) - 1  # the top singles come first
+
+    @property
+    def bot_mask(self) -> int:
+        return (1 << self.n) - 1 ^ self.top_mask
+
     @property
     def is_regular(self) -> bool:
         return not self.doubles
@@ -298,7 +330,10 @@ class SpecialSymbol:
 
     def member(self, mask: int) -> Symbol:
         """Lambda_M for the flip set M given as a bitmask over the singles."""
-        got = self._members.get(mask)
+        members = self._members
+        if members is None:
+            members = self._members = {}
+        got = members.get(mask)
         if got is None:
             if not 0 <= mask < 1 << self.n:
                 raise ValueError("mask %r out of range for %s" % (mask, self.symbol))
@@ -307,7 +342,7 @@ class SpecialSymbol:
                 rows[r ^ 1 if mask & bit else r].append(v)
             # decreasing values, a double in both rows and a single in one:
             # strictly decreasing rows, and reduced as the base is (no double 0)
-            got = self._members[mask] = _from_rows(tuple(rows[TOP]), tuple(rows[BOT]))
+            got = members[mask] = _from_rows(tuple(rows[TOP]), tuple(rows[BOT]))
         return got
 
     @property
@@ -352,9 +387,12 @@ class SpecialSymbol:
         ``"S+"``/``"S-"``  defect 0 mod 4 / 2 mod 4 (require defect 0);
         ``"S,<b>"``   subset of S (resp. S+ for defect 0) of defect exactly b.
         """
-        got = self._families.get(which)
+        families = self._families
+        if families is None:
+            families = self._families = {}
+        got = families.get(which)
         if got is None:
-            got = self._families[which] = tuple(map(self.member, self.masks(which)))
+            got = families[which] = tuple(map(self.member, self.masks(which)))
         return got
 
     def masks(self, which: str) -> Tuple[int, ...]:
@@ -406,7 +444,10 @@ class SpecialSymbol:
         (sub, star) on the Z side and (star, sub) on the Z' side at eps = 1,
         swapped at eps = -1."""
         key = (width, which, eps)
-        got = self._halves.get(key)
+        halves = self._halves
+        if halves is None:
+            halves = self._halves = {}
+        got = halves.get(key)
         if got is not None:
             return got
         left = self.defect == 1
@@ -419,7 +460,7 @@ class SpecialSymbol:
                 groups.setdefault(eps - d, []).append((mask, a, b))
             else:
                 groups.setdefault(d, []).append((mask, a, a >> width, b))
-        got = self._halves[key] = {k: tuple(g) for k, g in groups.items()}
+        got = halves[key] = {k: tuple(g) for k, g in groups.items()}
         return got
 
 
@@ -448,42 +489,39 @@ def _from_chain(symbol: Symbol, chain: Tuple[int, ...], rank: int) -> SpecialSym
     """
     n = len(chain)
     defect = n & 1
-    degree = (n - defect) // 2 - sum(map(operator.eq, chain, chain[1:]))
+    doubles = sum(map(operator.eq, chain, chain[1:]))
+    degree = (n - defect) // 2 - doubles
     nxt = [0, degree + defect]  # the next index of a top and of a bottom single
-    doubles, tagged, down = [], ([], []), []  # down: the entries, decreasing
+    down = []  # the entries, decreasing
     i = 0
     while i < n:
         v = chain[i]
         if i + 1 < n and chain[i + 1] == v:
-            doubles.append(v)
             down += ((v, BOT, 0), (v, TOP, 0))
             i += 2
         else:
             r = i & 1
-            tagged[r].append((v, r))
             down.append((v, r, 1 << nxt[r]))
             nxt[r] += 1
             i += 1
     z = object.__new__(SpecialSymbol)
     z.symbol = symbol
     z._hash = hash(("special", symbol))  # computed once: sweeps hash whole tuples of these
-    z._text = None
+    z._text = z._singles = z._index = z._doubles = z._members = z._families = z._halves = None
     z.defect = defect
     z.rank = rank
     z.degree = degree
-    z.doubles = tuple(doubles)
-    z.singles = tuple(tagged[TOP] + tagged[BOT])
-    z.index = {e: i for i, e in enumerate(z.singles)}
-    z.bits = tuple(reversed(down))
-    z.n = len(z.singles)
-    z.top_mask = (1 << degree + defect) - 1  # the top singles come first
-    z.bot_mask = (1 << z.n) - 1 ^ z.top_mask
-    z.longest = len(doubles) + z.n
-    z._members: Dict[int, Symbol] = {}
-    z._families: Dict[str, Tuple[Symbol, ...]] = {}
-    z._halves: Dict[Tuple[int, str, int], Dict[int, tuple]] = {}
+    z.bits = tuple(_ENTRIES.setdefault(e, e) for e in reversed(down))
+    z.n = 2 * degree + defect
+    z.longest = doubles + z.n
     _SPECIALS[symbol] = z
     return z
+
+
+# The (value, row, bit) entries of every ``bits``, each kept once.  A special
+# symbol of rank R has entries up to R and at most 2 sqrt(R) + 1 singles, so for R
+# the largest rank built the table holds at most (R + 1) * 2 * (2 sqrt(R) + 2).
+_ENTRIES: Dict[Tuple[int, int, int], Tuple[int, int, int]] = {}
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from dualpairs.branching import (
     z_cuspidal,
     zp_cuspidal,
 )
-from dualpairs.cells import arrangements, cell
+from dualpairs.cells import arrangements, cell, psi_sign
 from dualpairs.relations import (
     b_natural,
     in_B,
@@ -264,8 +264,11 @@ class TestThetaGeneral:
                         except ValueError:  # psi misses the core, or is not admissible
                             continue
                         arr, bit = cells._indexed(src, phi)
-                        target, psi1 = tm.map_cells(arr)
-                        got = target, psi1[sum(bit[p] for p in psi)]
+                        target, psi1, iso = tm.map_cells(arr)
+                        k = sum(bit[p] for p in psi)
+                        # iso joins the image of psi when psi's sign is the map's
+                        sign = psi_sign(len(arr.pairs), k)
+                        got = target, psi1[k] | (iso if sign == tm.eps else 0)
                         arr1, bit1 = cells._indexed(dst, want[0])
                         assert got == (arr1, sum(bit1[p] for p in want[1]))
                         count += 1

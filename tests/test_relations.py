@@ -377,7 +377,9 @@ class TestPackedRecords:
         assert suites.run_suite("thm0310", max_rank=10, eps=-1).ok
         table = relations._TABLES["S+", 1]
         assert table.zps == specials_upto(10, 0) and list(table._keys) == [0]
-        owners = table._keys[0][0]
+        # the owners are two arrays, the index in zps and the mask of each lane
+        zp_of, mask_of = table._keys[0][:2]
+        owners = list(zip(zp_of, mask_of))
         assert owners == [(i, m) for i, Zp in enumerate(table.zps) for m in Zp.masks("S+,0")]
         assert len(owners) < sum(len(Zp.masks("S+")) for Zp in table.zps)
 
@@ -391,6 +393,33 @@ class TestPackedRecords:
             assert suites.run_suite(name, **bounds).ok, name
         assert len(symbols._SPECIALS) > 100
         assert [z for z in symbols._SPECIALS.values() if z._halves] == []
+
+    def test_the_main_identity_sweep_derives_no_field_and_makes_no_cache(self, monkeypatch,
+                                                                         clear_specials):
+        # the sweep reads only the fields a special symbol holds from the start:
+        # at both signs, no symbol derives its singles, index, doubles or masks,
+        # or makes its member, family or halves cache
+        derived = []
+
+        def deriving(name):
+            real = getattr(SpecialSymbol, name)
+            return property(lambda z: derived.append(name) or real.fget(z))
+
+        monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+        for name in ("singles", "index", "doubles", "top_mask", "bot_mask"):
+            monkeypatch.setattr(SpecialSymbol, name, deriving(name))
+        for eps in (1, -1):
+            assert suites.run_suite("thm0310", max_rank=12, eps=eps).ok
+        assert derived == []
+        zs = list(symbols._SPECIALS.values())
+        assert len(zs) == len(specials_upto(12, 1)) + len(specials_upto(12, 0)) > 200
+        caches = ("_singles", "_index", "_doubles", "_members", "_families", "_halves")
+        assert [z for z in zs if any(getattr(z, c) is not None for c in caches)] == []
+        # the guard sees a derivation, and a cache once made
+        zs[0].member(0)
+        assert derived == [] and zs[0]._members is not None
+        assert zs[0].index == {e: i for i, e in enumerate(zs[0].singles)}
+        assert derived == ["index", "singles", "singles"]
 
     def test_relation_set_rejects_swapped_bases_and_unknown_kinds(self):
         with pytest.raises(ValueError, match="defect 1, defect 0"):

@@ -398,6 +398,23 @@ def test_theta_builds_each_cell_once_per_item(monkeypatch):
     assert len(built) == 16
 
 
+def test_theta_maps_each_arrangement_once_per_item(monkeypatch):
+    # the maps of both signs share their arrangement images
+    monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)
+    calls = []
+    real = branching.ThetaMap.map_cells
+
+    def counted(tm, arr):
+        calls.append((tm.Z, tm.Zp, arr))
+        return real(tm, arr)
+
+    monkeypatch.setattr(branching.ThetaMap, "map_cells", counted)
+    rep = run_suite("theta", max_rank=8)
+    assert rep.ok and rep.checked == 480
+    assert len(calls) == len(set(calls)) > 0
+    assert {(Z, Zp) for Z, Zp, _ in calls} <= set(suites._d_pairs(8))
+
+
 def test_cells_suite_catches_a_mislabelled_cell(monkeypatch):
     # the table cell of phi - psi labelled psi breaks the cell-sum identity
     monkeypatch.delenv("DUALPAIRS_WORKERS", raising=False)

@@ -23,6 +23,7 @@ from dualpairs.symbols import (
     special_closure,
     specials_upto,
 )
+from specials_oracle import eager_fields
 
 
 def rows(draw_from=st.integers(0, 14), max_size=5):
@@ -507,6 +508,30 @@ class TestShapeTables:
                     base.masks(which)
                 with pytest.raises(ValueError):
                     base.gram(which)
+
+
+class TestDerivedFields:
+    """The fields a special symbol derives on first use, against the eager
+    chain walk (``specials_oracle``)."""
+
+    @pytest.mark.parametrize("defect", [1, 0])
+    def test_every_special_symbol_up_to_rank_16(self, clear_specials, defect):
+        zs = specials_upto(16, defect)
+        assert len(zs) > 1000
+        for z in zs:
+            want = eager_fields(z)
+            assert (z._singles, z._index, z._doubles) == (None, None, None)  # not at construction
+            for name, value in want.items():
+                got = getattr(z, name)
+                assert got == value and type(got) is type(value), (z, name)
+            assert (z._singles, z._index, z._doubles) == (z.singles, z.index, z.doubles)  # kept
+            assert z.n == len(want["singles"])
+            assert z.longest == len(want["doubles"]) + z.n
+
+    def test_symbols_share_their_entries(self, clear_specials):
+        zs = [z for d in (0, 1) for z in specials_upto(12, d)]
+        entries = {id(e) for z in zs for e in z.bits}
+        assert len(entries) == len({e for z in zs for e in z.bits}) < sum(len(z.bits) for z in zs)
 
 
 def _shape_from_rows(symbol):

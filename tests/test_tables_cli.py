@@ -198,6 +198,28 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: entry %r of %r is not a decimal number\n" % (token, text)
 
+    @pytest.mark.parametrize("value", ["1_0", "+3", "\u0663"])
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["verify", "lemma0616", "--summary", "--max-rank"], "max_rank"),
+            (["verify", "cells", "--summary", "--max-degree"], "max_degree"),
+            (["enumerate-specials", "--defect", "0", "--rank"], "rank"),
+            (["enumerate-specials", "--rank", "3", "--defect"], "defect"),
+            (["correspond", "--np", "1", "--n"], "n"),
+            (["correspond", "--n", "1", "--np"], "np"),
+        ],
+    )
+    def test_integer_options_take_only_decimal_digits(self, argv, option, value, capsys):
+        # int() would read 1_0 as 10, +3 as 3 and the Arabic-Indic 3 as 3
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + [value])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("argument --%s: invalid decimal value: %r\n"
+                                     % (option.replace("_", "-"), value))
+
     def test_cells_command_rejects_psi_without_phi(self, capsys):
         assert main(["cells", "--Z", "4,2,0;3,1", "--psi", "(2;3)"]) == 2
         captured = capsys.readouterr()
